@@ -42,9 +42,6 @@ from .kernels import (
 from .potential import parse_potential
 from .schrodinger import agmon_check, projector_kernel, rescaled_kernel
 
-STOCHASTIC = ("sample", "clt", "lln")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to status 2; the contract here is 1.
 

@@ -1,11 +1,15 @@
 """Finite determinantal point processes: sampling and exact statistics.
 
-A projection process carries an N-by-G feature matrix whose rows are the
-weighted eigenfunctions below the Fermi level; chain-rule sampling draws
-exactly N nodes.  General symmetric kernels are reduced to random
-projections by Bernoulli thinning of their spectral components.  Means,
-variances, covariances and Laplace functionals are evaluated exactly as
-finite traces and determinants on the same grid the sampler uses.
+One type, DPP, covers every symmetric kernel the package builds.  It holds
+K orthonormal feature rows on G grid nodes and spectral weights q_k in
+[0, 1]; its weighted kernel matrix is M = B^T B with B = sqrt(q) features.
+The fermion ground state is the projection case q = 1, whose rows are the
+weighted eigenfunctions below the Fermi level; chain-rule sampling then
+draws exactly N nodes.  Other kernels are mixtures of projections, sampled
+by Bernoulli(q_k) thinning of the rows first.  Means, variances,
+covariances and Laplace functionals are exact finite traces and
+determinants of the K x K compressions B diag(f) B^T, on the same grid the
+sampler uses.
 """
 
 import math
@@ -18,8 +22,7 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "RngState",
     "PointConfiguration",
-    "ProjectionDPP",
-    "GeneralDPP",
+    "DPP",
     "from_eigensystem",
     "from_kernel",
     "sample",
@@ -71,24 +74,37 @@ class PointConfiguration:
         return self.points.shape[0]
 
 
-class ProjectionDPP:
-    """Rank-N projection process on grid nodes.
+class DPP:
+    """Process with kernel matrix features^T diag(q) features on grid nodes.
 
     features[k, i] = sqrt(weight) * v_k(node_i), so the rows are orthonormal
-    in plain Euclidean product and K = features^T features is the matrix of
-    the weighted projection operator.
+    in the plain Euclidean product and each spectral weight q_k lies in
+    [0, 1].  Without q every weight is one and the process is the rank-N
+    projection: it always has exactly N points.
     """
 
-    def __init__(self, features, nodes, weight):
+    def __init__(self, features, nodes, weight, q=None):
         features = np.atleast_2d(np.asarray(features, dtype=float))
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         if features.shape[1] != nodes.shape[0]:
             raise ValidationError("features and nodes disagree on node count")
         if weight <= 0.0:
             raise ValidationError("weight must be positive")
+        q = np.ones(features.shape[0]) if q is None else np.asarray(q, dtype=float)
+        if q.shape != (features.shape[0],):
+            raise ValidationError("need one spectral weight per feature row")
+        if not np.all((q >= 0.0) & (q <= 1.0)):
+            raise ValidationError("spectral weights must lie in [0, 1]")
         self.features = features
         self.nodes = nodes
         self.weight = float(weight)
+        self.q = q
+        self.is_projection = bool(np.all(q == 1.0))
+        # B = sqrt(q) features; a projection uses its features unscaled and
+        # uncopied, so every trace rounds exactly as the projection formulas
+        self._root_features = (
+            features if self.is_projection else np.sqrt(q)[:, None] * features
+        )
         self._op_matrix = None
         gram = features @ features.T
         resid = np.max(np.abs(gram - np.eye(features.shape[0]))) if features.size else 0.0
@@ -99,6 +115,7 @@ class ProjectionDPP:
 
     @property
     def N(self):
+        """Number of spectral components; the particle count of a projection."""
         return self.features.shape[0]
 
     @property
@@ -106,45 +123,31 @@ class ProjectionDPP:
         return self.features.shape[1]
 
     def intensity(self):
-        """Per-node inclusion masses K(x_i, x_i) * weight; sums to N."""
-        return np.sum(self.features * self.features, axis=0)
+        """Per-node inclusion masses K(x_i, x_i) * weight; sums to sum(q)."""
+        B = self._root_features
+        return np.sum(B * B, axis=0)
 
     def op_matrix(self):
-        """Dense weighted-operator matrix M = features^T features (cached)."""
+        """Dense weighted-operator matrix M = B^T B (cached)."""
         if self._op_matrix is None:
-            self._op_matrix = self.features.T @ self.features
+            B = self._root_features
+            self._op_matrix = B.T @ B
         return self._op_matrix
 
     def kernel_entry(self, i, j):
         """Continuous-kernel value K(x_i, x_j)."""
-        return float(self.features[:, i] @ self.features[:, j]) / self.weight
+        B = self._root_features
+        return float(B[:, i] @ B[:, j]) / self.weight
 
 
-class GeneralDPP:
-    """Symmetric-kernel process given by spectral pairs 0 <= q_k <= 1."""
+def _compressed(dpp, f):
+    """B diag(f) B^T: the K x K compression of multiplication by f.
 
-    def __init__(self, q, vectors, nodes, weight):
-        self.q = np.asarray(q, dtype=float)
-        self.vectors = np.asarray(vectors, dtype=float)  # (G, K), unit columns
-        self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        self.weight = float(weight)
-        if np.any(self.q < 0.0) or np.any(self.q > 1.0):
-            raise ValidationError("spectral weights must lie in [0, 1]")
-
-    @property
-    def node_count(self):
-        return self.nodes.shape[0]
-
-    def intensity(self):
-        return np.sum(self.q[None, :] * self.vectors * self.vectors, axis=1)
-
-    def op_matrix(self):
-        return (self.vectors * self.q[None, :]) @ self.vectors.T
-
-    def kernel_entry(self, i, j):
-        return float(
-            np.sum(self.q * self.vectors[i, :] * self.vectors[j, :])
-        ) / self.weight
+    Every trace of f and M = B^T B reduces to traces of these matrices,
+    e.g. tr(f M g M) = tr(C_f C_g) and tr(f M) = tr(C_f).
+    """
+    B = dpp._root_features
+    return (B * f[None, :]) @ B.T
 
 
 def from_eigensystem(eigs, mu):
@@ -155,9 +158,7 @@ def from_eigensystem(eigs, mu):
         )
     sel = eigs.eigenvalues <= mu
     features = math.sqrt(eigs.grid.weight) * eigs.eigenvectors[:, sel].T
-    return ProjectionDPP(
-        features, eigs.grid.interior_points(), eigs.grid.weight
-    )
+    return DPP(features, eigs.grid.interior_points(), eigs.grid.weight)
 
 
 def _infer_weight(points):
@@ -205,10 +206,10 @@ def from_kernel(kernel_eval, weight=None):
         )
     q = np.clip(q, 0.0, 1.0)
     keep = q > 1e-12
-    return GeneralDPP(q[keep], U[:, keep], xs, weight)
+    return DPP(U[:, keep].T, xs, weight, q[keep])
 
 
-def _chain_rule_sample(features, nodes, rng):
+def _chain_rule_sample(features, rng):
     """Draw one configuration of the projection process with rows `features`."""
     phi = np.array(features, dtype=float)  # working copy, rows deflated away
     n_pts = phi.shape[0]
@@ -247,19 +248,19 @@ def _chain_rule_sample(features, nodes, rng):
 
 
 def sample(dpp, rng_state):
-    """One exact sample; a ProjectionDPP always yields exactly N points."""
+    """One exact sample; a projection always yields exactly N points.
+
+    Other kernels first keep row k with probability q_k (Bernoulli
+    thinning), then sample the projection onto the kept rows.
+    """
     rng = rng_state.generator()
-    if isinstance(dpp, ProjectionDPP):
-        feats = dpp.features
-    elif isinstance(dpp, GeneralDPP):
-        keep = rng.random(dpp.q.size) < dpp.q
-        feats = dpp.vectors[:, keep].T
-    else:
-        raise ValidationError(f"not a DPP object: {dpp!r}")
+    feats = dpp.features
+    if not dpp.is_projection:
+        feats = feats[rng.random(dpp.N) < dpp.q]
     if feats.shape[0] == 0:
         idx = np.empty(0, dtype=int)
     else:
-        idx = _chain_rule_sample(feats, dpp.nodes, rng)
+        idx = _chain_rule_sample(feats, rng)
     return PointConfiguration(
         points=dpp.nodes[idx],
         indices=idx,
@@ -296,22 +297,11 @@ def _as_grid_function(dpp, f):
 
 def laplace_functional(dpp, f):
     """E exp(-Xi(f)) = det(I - D_{1-e^{-f}} M) for f >= 0 on the nodes."""
-    vals = np.asarray(f, dtype=float).reshape(-1)
-    if vals.size != dpp.node_count:
-        raise ValidationError(
-            f"grid function has {vals.size} values for {dpp.node_count} nodes"
-        )
+    vals = _as_grid_function(dpp, f)
     if np.any(np.isnan(vals)) or np.any(vals < 0.0):
         raise ValidationError("laplace_functional needs f >= 0")
     d = -np.expm1(-vals)  # 1 - e^{-f}, exact at f = +inf
-    if isinstance(dpp, ProjectionDPP):
-        phi = dpp.features
-        small = np.eye(dpp.N) - (phi * d[None, :]) @ phi.T
-        return float(np.linalg.det(small))
-    root = np.sqrt(dpp.q)
-    B = dpp.vectors * root[None, :]
-    small = np.eye(dpp.q.size) - (B.T * d[None, :]) @ B
-    return float(np.linalg.det(small))
+    return float(np.linalg.det(np.eye(dpp.N) - _compressed(dpp, d)))
 
 
 def mean_linear_stat(dpp, f):
@@ -321,18 +311,12 @@ def mean_linear_stat(dpp, f):
 
 
 def cov_linear_stats(dpp, f, g):
-    """cov(Xi(f), Xi(g)) = tr(g (I - M) f M) = tr(gfM) - tr(gMfM)."""
+    """cov(Xi(f), Xi(g)) = tr(g (I - M) f M) = tr(gfM) - tr(C_g C_f)."""
     fv = _as_grid_function(dpp, f)
     gv = _as_grid_function(dpp, g)
-    if isinstance(dpp, ProjectionDPP):
-        phi = dpp.features
-        A = (phi * fv[None, :]) @ phi.T  # N x N, symmetric
-        B = (phi * gv[None, :]) @ phi.T
-        return float(fv @ (gv * dpp.intensity()) - np.sum(A * B))
-    M = dpp.op_matrix()
-    first = float(np.sum(fv * gv * np.diag(M)))
-    second = float(np.sum((gv[:, None] * M) * (M * fv[None, :])))
-    return first - second
+    A = _compressed(dpp, fv)  # N x N, symmetric
+    B = _compressed(dpp, gv)
+    return float(fv @ (gv * dpp.intensity()) - np.sum(A * B))
 
 
 def var_linear_stat(dpp, f, method="trace"):
@@ -354,11 +338,9 @@ def var_linear_stat(dpp, f, method="trace"):
         comm = 0.5 * float(np.sum(C * C))
     else:
         raise ValidationError(f"unknown variance method {method!r}")
-    if isinstance(dpp, ProjectionDPP):
-        residual = 0.0  # M is an exact projection: M(I - M) = 0
-    else:
-        B = dpp.vectors * np.sqrt(dpp.q * (1.0 - dpp.q))[None, :]
-        residual = float(np.sum((vals[:, None] * B) ** 2))
+    # tr(f^2 M(I - M)) = sum_k (1 - q_k) (C_{f^2})_kk since B B^T = diag(q);
+    # it is exactly zero for a projection
+    residual = float(np.diag(_compressed(dpp, vals * vals)) @ (1.0 - dpp.q))
     return comm + residual
 
 
@@ -373,14 +355,7 @@ def soshnikov_remainder(dpp, f):
     if np.max(vals, initial=0.0) > 0.69:
         raise ValidationError("soshnikov_remainder needs max f <= 0.69")
     g = np.expm1(vals)
-    if isinstance(dpp, ProjectionDPP):
-        phi = dpp.features
-        small = np.eye(dpp.N) + (phi * g[None, :]) @ phi.T
-    else:
-        root = np.sqrt(dpp.q)
-        B = dpp.vectors * root[None, :]
-        small = np.eye(dpp.q.size) + (B.T * g[None, :]) @ B
-    sign, logabs = np.linalg.slogdet(small)
+    sign, logabs = np.linalg.slogdet(np.eye(dpp.N) + _compressed(dpp, g))
     if sign <= 0.0:
         raise NumericalError("log-Laplace transform is not positive")
     mean = mean_linear_stat(dpp, vals)

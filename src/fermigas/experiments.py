@@ -22,6 +22,7 @@ from scipy.stats import kstest
 from . import __version__
 from .dpp import (
     RngState,
+    _compressed,
     from_eigensystem,
     mean_linear_stat,
     sample,
@@ -348,43 +349,39 @@ def _snap_probes(grid, x0_coord, eps, targets):
     return np.unique((ax[idx] - x0_coord) / eps)
 
 
-def bulk_convergence(
-    V, mu, x0, hbar_list, window=(-2.0, 2.0), probes=17, margin=1.0, c_h=2.0
+def _kernel_convergence(
+    experiment, V, mu, x0c, hbar_list, window, probes, margin, c_h,
+    scale, frame, reference,
 ):
-    """Sup-distance between the rescaled projector and the bulk kernel.
+    """Sup-distance between the rescaled projector and a limiting kernel.
 
-    Rows are (hbar, eps, sup_error, ratio) with ratio the quotient of
-    successive sup errors; the expected decay is first order in hbar.
+    scale(hbar) is the microscopic length, frame the probe rotation and
+    reference(u, v) the limiting kernel at two probe offsets.
     """
     t0 = time.perf_counter()
-    if V.dimension != 1:
-        raise ValidationError(
-            "bulk_convergence runs the n=1 pipeline; higher dimensions use "
-            "the analytic free-Laplacian kernels"
-        )
-    x0c = float(np.asarray(x0, dtype=float).reshape(-1)[0])
-    V_x0 = _value_at(V, x0c)
-    if not V_x0 < mu:
-        raise ValidationError("bulk_convergence requires V(x0) < mu")
+    # frame^T e_1 is the probe direction; offsets along it carry its sign
+    signed = float(frame[0, 0])
     rows = []
     prev_err = None
     for hbar in hbar_list:
         eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
         pk = projector_kernel(eigs, mu)
-        eps = bulk_scale(hbar, V_x0, mu, 1)
-        us = _snap_probes(grid, x0c, eps, np.linspace(window[0], window[1], probes))
+        eps = scale(hbar)
+        us = _snap_probes(
+            grid, x0c, eps * signed, np.linspace(window[0], window[1], probes)
+        )
         pts = us.reshape(-1, 1)
-        sampled = rescaled_kernel(pk, [x0c], eps, np.eye(1), pts, pts)
+        sampled = rescaled_kernel(pk, [x0c], eps, frame, pts, pts)
         ref = np.empty_like(sampled.values)
         for i, u in enumerate(us):
             for j, v in enumerate(us):
-                ref[i, j] = bulk_kernel(1, [u], [v])
+                ref[i, j] = reference(float(u), float(v))
         err = float(np.max(np.abs(sampled.values - ref)))
         ratio = math.nan if prev_err is None else err / prev_err
         rows.append((float(hbar), float(eps), err, ratio))
         prev_err = err
     report = ExperimentReport(
-        "bulk_convergence",
+        experiment,
         ("hbar", "eps", "sup_error", "ratio"),
         rows,
         params={
@@ -398,6 +395,35 @@ def bulk_convergence(
     )
     report.wall_time = time.perf_counter() - t0
     return report
+
+
+def _one_dimensional_x0(V, x0, experiment):
+    if V.dimension != 1:
+        raise ValidationError(
+            f"{experiment} runs the n=1 pipeline; higher dimensions use "
+            "the analytic free-Laplacian kernels"
+        )
+    return float(np.asarray(x0, dtype=float).reshape(-1)[0])
+
+
+def bulk_convergence(
+    V, mu, x0, hbar_list, window=(-2.0, 2.0), probes=17, margin=1.0, c_h=2.0
+):
+    """Sup-distance between the rescaled projector and the bulk kernel.
+
+    Rows are (hbar, eps, sup_error, ratio) with ratio the quotient of
+    successive sup errors; the expected decay is first order in hbar.
+    """
+    x0c = _one_dimensional_x0(V, x0, "bulk_convergence")
+    V_x0 = _value_at(V, x0c)
+    if not V_x0 < mu:
+        raise ValidationError("bulk_convergence requires V(x0) < mu")
+    return _kernel_convergence(
+        "bulk_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
+        scale=lambda hbar: bulk_scale(hbar, V_x0, mu, 1),
+        frame=np.eye(1),
+        reference=lambda u, v: bulk_kernel(1, [u], [v]),
+    )
 
 
 def edge_convergence(
@@ -409,64 +435,27 @@ def edge_convergence(
     rows are (hbar, eps, sup_error, ratio) and the expected decay is
     hbar^{1/3}.
     """
-    t0 = time.perf_counter()
-    if V.dimension != 1:
-        raise ValidationError(
-            "edge_convergence runs the n=1 pipeline; higher dimensions use "
-            "the analytic free-Laplacian kernels"
-        )
-    x0c = float(np.asarray(x0, dtype=float).reshape(-1)[0])
+    x0c = _one_dimensional_x0(V, x0, "edge_convergence")
     if abs(_value_at(V, x0c) - mu) > 1e-9:
         raise ValidationError("edge_convergence requires V(x0) = mu within 1e-9")
     grad = grad_potential(V, [x0c])
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         raise ValidationError("degenerate edge point: grad V(x0) vanishes")
-    U = edge_rotation(grad)
     ref_cache = {}
 
-    def ref_value(u, v):
+    def reference(u, v):
         key = (u, v) if u <= v else (v, u)
         if key not in ref_cache:
             ref_cache[key] = edge_kernel(1, [key[0]], [key[1]])
         return ref_cache[key]
 
-    rows = []
-    prev_err = None
-    for hbar in hbar_list:
-        eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-        pk = projector_kernel(eigs, mu)
-        eps = edge_scale(hbar, gnorm)
-        # U^T e_1 is the outward normal; offsets along it need U in the probe
-        signed = float(U[0, 0])
-        us = _snap_probes(
-            grid, x0c, eps * signed, np.linspace(window[0], window[1], probes)
-        )
-        pts = us.reshape(-1, 1)
-        sampled = rescaled_kernel(pk, [x0c], eps, U, pts, pts)
-        ref = np.empty_like(sampled.values)
-        for i, u in enumerate(us):
-            for j, v in enumerate(us):
-                ref[i, j] = ref_value(float(u), float(v))
-        err = float(np.max(np.abs(sampled.values - ref)))
-        ratio = math.nan if prev_err is None else err / prev_err
-        rows.append((float(hbar), float(eps), err, ratio))
-        prev_err = err
-    report = ExperimentReport(
-        "edge_convergence",
-        ("hbar", "eps", "sup_error", "ratio"),
-        rows,
-        params={
-            "potential": V.to_text(),
-            "mu": float(mu),
-            "x0": x0c,
-            "window_lo": float(window[0]),
-            "window_hi": float(window[1]),
-            "probes": int(probes),
-        },
+    return _kernel_convergence(
+        "edge_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
+        scale=lambda hbar: edge_scale(hbar, gnorm),
+        frame=edge_rotation(grad),
+        reference=reference,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +711,31 @@ def _free_kernel_sq_radial(n, mu, r):
     return out
 
 
+def _lattice_autocorrelation(g, n, ax, h):
+    """g sampled on the lattice ax^n of step h and its FFT autocorrelation.
+
+    Returns (vals, l2, dist, big_d): the samples, ||g||^2, the length of
+    every lattice offset z and big_d(z) = int |g(x + z) - g(x)|^2 dx
+    = 2 ||g||^2 - 2 (g * g~)(z), clamped at zero against rounding.
+    """
+    m = ax.size
+    if n == 1:
+        vals = g(ax.reshape(-1, 1))
+    else:
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        vals = g(np.column_stack([X.ravel(), Y.ravel()])).reshape(m, m)
+    corr = fftconvolve(vals, np.flip(vals)) * h ** n
+    l2 = float(np.sum(vals * vals)) * h ** n
+    k = np.arange(-(m - 1), m)
+    if n == 1:
+        dist = np.abs(k) * h
+    else:
+        KX, KY = np.meshgrid(k, k, indexing="ij")
+        dist = np.sqrt((KX * KX + KY * KY).astype(float)) * h
+    big_d = np.maximum(2.0 * l2 - 2.0 * corr, 0.0)
+    return vals, l2, dist, big_d
+
+
 def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
     """Variance of X(g) as the double integral of (g(x)-g(y))^2 K(x,y)^2 / 2.
 
@@ -756,22 +770,7 @@ def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
     h = step if step else min(math.pi / (4.5 * mu), R / 25.0)
     m = int(math.ceil(2.0 * R / h)) + 1
     ax = -R + h * np.arange(m)
-    if n == 1:
-        vals = g(ax.reshape(-1, 1))
-        corr = fftconvolve(vals, vals[::-1]) * h
-        l2 = float(np.sum(vals * vals)) * h
-        k = np.arange(-(m - 1), m)
-        dist = np.abs(k) * h
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        vals = g(np.column_stack([X.ravel(), Y.ravel()])).reshape(m, m)
-        corr = fftconvolve(vals, vals[::-1, ::-1]) * h ** 2
-        l2 = float(np.sum(vals * vals)) * h ** 2
-        k = np.arange(-(m - 1), m)
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        sq = KX * KX + KY * KY
-        dist = np.sqrt(sq.astype(float)) * h
-    big_d = np.maximum(2.0 * l2 - 2.0 * corr, 0.0)
+    _, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
     Z = (m - 1) * h  # lattice sum out to the inscribed-ball radius
     inside = dist <= Z
     uniq, inv = np.unique(dist[inside].ravel(), return_inverse=True)
@@ -837,24 +836,12 @@ def sigma_slobodeckij(g, pad=2.0, points=None, cut_steps=4):
     m = int(points) if points else (2048 if n == 1 else 160)
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
+    vals, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
     if n == 1:
-        vals = g(ax.reshape(-1, 1))
-        corr = fftconvolve(vals, vals[::-1]) * h
-        l2 = float(np.sum(vals * vals)) * h
         grad_sq = float(np.sum(np.gradient(vals, h) ** 2)) * h
-        k = np.arange(-(m - 1), m)
-        dist = np.abs(k) * h
     else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        vals = g(np.column_stack([X.ravel(), Y.ravel()])).reshape(m, m)
-        corr = fftconvolve(vals, vals[::-1, ::-1]) * h ** 2
-        l2 = float(np.sum(vals * vals)) * h ** 2
         gx, gy = np.gradient(vals, h)
         grad_sq = float(np.sum(gx * gx + gy * gy)) * h ** 2
-        k = np.arange(-(m - 1), m)
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        dist = np.sqrt((KX * KX + KY * KY).astype(float)) * h
-    big_d = np.maximum(2.0 * l2 - 2.0 * corr, 0.0)
     cut = cut_steps * h
     Z = (m - 1) * h
     ring = (dist > cut) & (dist <= Z)
@@ -978,10 +965,11 @@ def clt_monte_carlo(process, f, trials, rng, threads=1):
     ks_stat, ks_p = kstest(z, "norm")
     skew = float(np.mean(z ** 3))
     skew_se = math.sqrt(15.0 / trials)
-    params = {"mean": mean, "var": var}
-    skew_exact = _exact_skewness(process, fvec, var)
-    if skew_exact is not None:
-        params["skew_exact"] = skew_exact
+    params = {
+        "mean": mean,
+        "var": var,
+        "skew_exact": _exact_skewness(process, fvec, var),
+    }
     report = ExperimentReport(
         "clt_monte_carlo",
         ("trials", "ks_stat", "ks_pvalue", "skewness", "skewness_se"),
@@ -994,13 +982,14 @@ def clt_monte_carlo(process, f, trials, rng, threads=1):
 
 
 def _exact_skewness(process, fvec, var):
-    """Third standardized cumulant from traces, for projection kernels."""
-    if not hasattr(process, "features"):
-        return None
-    phi = process.features
-    fphi = phi * fvec[None, :]
-    A = fphi @ phi.T  # N x N image of multiplication by f
-    B = (phi * (fvec * fvec)[None, :]) @ phi.T
-    C = (phi * (fvec * fvec * fvec)[None, :]) @ phi.T
+    """Third standardized cumulant from traces.
+
+    k3 = tr(f^3 M) - 3 tr(f^2 M f M) + 2 tr((f M)^3) holds for any
+    symmetric kernel M = B^T B, and each trace is one of the K x K
+    compressions C_g = B diag(g) B^T.
+    """
+    A = _compressed(process, fvec)
+    B = _compressed(process, fvec * fvec)
+    C = _compressed(process, fvec * fvec * fvec)
     k3 = float(np.trace(C) - 3.0 * np.sum(B * A.T) + 2.0 * np.trace(A @ A @ A))
     return k3 / var ** 1.5

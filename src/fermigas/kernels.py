@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import quad, dblquad
 
 from .errors import NumericalError, ValidationError
+from .potential import droplet_half_width
 from .specfun import (
     airy_ai,
     airy_ai_prime,
@@ -297,7 +298,7 @@ def weyl_constant(V, mu, n):
     key = (V.to_text(), float(mu), n)
     if key in _WEYL_CACHE:
         return _WEYL_CACHE[key]
-    half = droplet_half_width_for(V, mu)
+    half = droplet_half_width(V, mu)
     if half == 0.0:
         _WEYL_CACHE[key] = 0.0
         return 0.0
@@ -314,13 +315,6 @@ def weyl_constant(V, mu, n):
         val, err = dblquad(f, -L, L, -L, L, epsabs=2e-8, epsrel=1e-9)
     _WEYL_CACHE[key] = val
     return val
-
-
-def droplet_half_width_for(V, level):
-    """Half-width of a centered box containing {V < level}."""
-    from .potential import droplet_half_width
-
-    return droplet_half_width(V, level)
 
 
 def density_of_states(V, mu, n, x):

@@ -202,10 +202,15 @@ def eigensolve(H, cap, grid, hbar, max_lanczos=6):
         gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
         sigma = gersh_lo - 1.0
         k = min(m - 1, 16)
+        # a fixed start vector: without one ARPACK seeds each call from OS
+        # entropy and the eigenvectors differ in the last bits from run to
+        # run; not a constant, which is orthogonal to every odd eigenfunction
+        # of a symmetric well
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
         vals = vecs = None
         for _ in range(max_lanczos):
             try:
-                w, u = eigsh(H, k=k, sigma=sigma, which="LM")
+                w, u = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
             except ArpackNoConvergence as exc:
                 raise NumericalError(
                     f"Lanczos failed to converge at block size {k}: {exc}"

@@ -1,8 +1,11 @@
 """Command-line interface: flags, config files, exit codes, determinism."""
 
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +302,22 @@ def test_parse_function_rejects_garbage():
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "w.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermigas", "weyl", "--potential", "x1^2",
+         "--mu", "1", "--hbar", "0.05", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# experiment=weyl_check" in out.read_text()
 
 
 @pytest.mark.skipif(shutil.which("fermigas") is None,

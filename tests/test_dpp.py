@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.dpp import (
-    GeneralDPP,
-    ProjectionDPP,
+    DPP,
     RngState,
     correlation,
     cov_linear_stats,
@@ -20,6 +21,7 @@ from fermigas.dpp import (
     var_linear_stat,
 )
 from fermigas.errors import ValidationError
+from fermigas.experiments import _exact_skewness
 from fermigas.kernels import (
     KernelEvaluation,
     KernelKind,
@@ -110,6 +112,19 @@ def test_from_kernel_zero_kernel_is_empty():
     assert len(sample(gd, RngState(1))) == 0
 
 
+def test_dpp_rejects_bad_weights_and_rows():
+    rows = np.eye(3)[:2]
+    nodes = np.arange(3.0)[:, None]
+    with pytest.raises(ValidationError, match="lie in"):
+        DPP(rows, nodes, 1.0, q=[0.5, 1.5])
+    with pytest.raises(ValidationError, match="lie in"):
+        DPP(rows, nodes, 1.0, q=[0.5, math.nan])
+    with pytest.raises(ValidationError, match="one spectral weight"):
+        DPP(rows, nodes, 1.0, q=[0.5])
+    with pytest.raises(ValidationError, match="orthonormal"):
+        DPP(2.0 * rows, nodes, 1.0, q=[0.5, 0.5])
+
+
 def test_from_kernel_rejects_invalid_kernel():
     xs = np.linspace(-1.0, 1.0, 9)[:, None]
     bad = np.eye(9) * 100.0  # operator norm far above 1 after weighting
@@ -145,7 +160,7 @@ def test_rank_one_sample_density():
     w = nodes[1, 0] - nodes[0, 0]
     v = np.exp(-nodes[:, 0] ** 2)
     v /= math.sqrt(np.sum(v * v))
-    dpp = ProjectionDPP(v[None, :], nodes, w)
+    dpp = DPP(v[None, :], nodes, w)
     counts = np.zeros(41)
     trials = 3000
     for k in range(trials):
@@ -155,6 +170,33 @@ def test_rank_one_sample_density():
     expect = trials * dpp.intensity()
     se = np.sqrt(trials * dpp.intensity() * (1.0 - dpp.intensity()))
     assert np.all(np.abs(counts - expect) <= 4.0 * se + 1e-9)
+
+
+def test_thinned_sampler_matches_laplace_functional():
+    # a kernel that is not a projection is sampled by Bernoulli thinning of
+    # its spectral rows before the chain rule
+    xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
+    ke = KernelEvaluation.from_function(
+        KernelKind.SINE_1D, 1, {}, xs, xs, lambda a, b: bulk_kernel(1, a, b)
+    )
+    gd = from_kernel(ke)
+    assert not gd.is_projection
+    x = xs.ravel()
+    trials = 2000
+    samples = [
+        sample(gd, RngState(808).stream(k)).indices for k in range(trials)
+    ]
+    assert len({idx.size for idx in samples}) > 1  # the count is random
+    shapes = (
+        0.5 * np.exp(-x ** 2),
+        np.where(x > 0.0, 1.0, 0.0),
+        0.2 * np.ones_like(x),
+    )
+    for f in shapes:
+        exact = laplace_functional(gd, f)
+        draws = np.array([math.exp(-f[idx].sum()) for idx in samples])
+        se = draws.std(ddof=1) / math.sqrt(trials)
+        assert abs(draws.mean() - exact) <= 4.0 * se
 
 
 def test_empirical_intensity_matches_kernel_diagonal(fermions):
@@ -359,3 +401,51 @@ def test_soshnikov_remainder_rejects_large_f(fermions):
     dpp, _ = fermions
     with pytest.raises(ValidationError):
         soshnikov_remainder(dpp, np.full(dpp.node_count, 0.7))
+
+
+# ---------------------------------------------------------------------------
+# exact identities on random small kernels
+
+
+@st.composite
+def small_dpps(draw):
+    """DPP with random orthonormal rows (K <= 6, G <= 40), q in [0, 1]^K."""
+    K = draw(st.integers(1, 6))
+    G = draw(st.integers(K, 40))
+    q = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K),
+            st.just([1.0] * K),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((G, K)))
+    dpp = DPP(Q.T, np.arange(G, dtype=float)[:, None], 1.0, q)
+    return dpp, rng.standard_normal(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_dpps())
+def test_exact_identities_on_random_kernels(case):
+    dpp, f = case
+    v1 = var_linear_stat(dpp, f, "trace")
+    for method in ("commutator", "double_sum"):
+        v = var_linear_stat(dpp, f, method)
+        assert abs(v - v1) <= 1e-10 * max(1.0, abs(v1))
+    total = mean_linear_stat(dpp, np.ones(dpp.node_count))
+    assert total == pytest.approx(np.sum(dpp.q), abs=1e-10)
+    # f in [0, 3] keeps 1 - e^{-f} <= 0.95, so the determinant stays away
+    # from zero; the upper end allows rounding of det(I) = 1
+    lap = laplace_functional(dpp, 3.0 * np.abs(np.tanh(f)))
+    assert 0.0 < lap <= 1.0 + 1e-12
+    M = dpp.op_matrix()
+    F = np.diag(f)
+    FM = F @ M
+    dense = (
+        np.trace(F @ F @ FM)
+        - 3.0 * np.trace(F @ FM @ FM)
+        + 2.0 * np.trace(FM @ FM @ FM)
+    )
+    k3 = _exact_skewness(dpp, f, 1.0)  # var = 1 leaves the bare cumulant
+    assert abs(k3 - dense) <= 1e-10 * max(1.0, abs(dense))

@@ -174,6 +174,18 @@ def test_eigensolve_2d_block_growth():
     assert np.allclose(es.eigenvalues, exact, atol=1.5e-2)
 
 
+def test_eigensolve_2d_is_reproducible():
+    # Lanczos starts from a fixed vector, so repeated solves agree bit for
+    # bit, including the basis chosen inside the degenerate level 0.8
+    V = parse_potential("x1^2 + x2^2")
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(V, 0.2, grid)
+    a = eigensolve(H, 1.0, grid, 0.2)
+    b = eigensolve(H, 1.0, grid, 0.2)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
 def test_eigensystem_csv():
     es = harmonic_eigensystem()
     text = es.to_csv()
