@@ -59,11 +59,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text):
+def _finite_float(text):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _float_list(text):
+    values = [_finite_float(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+    return values
 
 
 def _axis_window(text):
@@ -71,7 +91,7 @@ def _axis_window(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}")
-    a, b, step = (float(p) for p in parts)
+    a, b, step = (_finite_float(p) for p in parts)
     if step <= 0.0 or b < a:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
     return np.arange(a, b + 0.5 * step, step)
@@ -81,7 +101,7 @@ def _pair_window(text):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = (_finite_float(p) for p in parts)
     if hi <= lo:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
     return (lo, hi)
@@ -374,11 +394,11 @@ def _build_parser():
     )
     solver = _Parser(add_help=False)
     solver.add_argument(
-        "--margin", type=float, default=1.0,
+        "--margin", type=_finite_float, default=1.0,
         help="energy margin fixing the computational box (default 1.0)",
     )
     solver.add_argument(
-        "--resolution", type=float, default=2.0,
+        "--resolution", type=_finite_float, default=2.0,
         help="grid spacing prefactor of hbar^{3/2} (default 2.0)",
     )
 
@@ -398,7 +418,8 @@ def _build_parser():
     sp = add("weyl", _run_weyl, "eigenvalue counts against the phase-space volume",
              [common, solver])
     sp.add_argument("--potential", required=True, help="potential expression")
-    sp.add_argument("--mu", type=float, required=True, help="Fermi energy")
+    sp.add_argument("--mu", type=_finite_float, required=True,
+                    help="Fermi energy")
     sp.add_argument("--hbar", type=_float_list, required=True,
                     help="comma-separated hbar values")
 
@@ -406,13 +427,15 @@ def _build_parser():
              [common, solver])
     sp.add_argument("--kind", required=True,
                     choices=["bulk", "edge", "free", "sine", "airy", "projector"])
-    sp.add_argument("--n", type=int, default=1, help="dimension (default 1)")
-    sp.add_argument("--mu", type=float, default=1.0,
+    sp.add_argument("--n", type=_positive_int, default=1,
+                    help="dimension (default 1)")
+    sp.add_argument("--mu", type=_finite_float, default=1.0,
                     help="energy for free/projector kinds (default 1.0)")
     sp.add_argument("--window", type=_axis_window, default="-2:2:0.1",
                     help="a:b:step points along the first axis (default -2:2:0.1)")
     sp.add_argument("--potential", help="potential, projector kind only")
-    sp.add_argument("--hbar", type=float, help="hbar, projector kind only")
+    sp.add_argument("--hbar", type=_finite_float,
+                    help="hbar, projector kind only")
 
     for name, runner, deftext in (
         ("converge-bulk", _run_converge_bulk, "-2:2"),
@@ -423,59 +446,59 @@ def _build_parser():
                  f"rescaled projector against the {target} limit",
                  [common, solver])
         sp.add_argument("--potential", required=True)
-        sp.add_argument("--mu", type=float, required=True)
+        sp.add_argument("--mu", type=_finite_float, required=True)
         sp.add_argument("--x0", type=_float_list, required=True,
                         help="comma-separated reference point")
         sp.add_argument("--hbar", type=_float_list, required=True)
         sp.add_argument("--window", type=_pair_window, default=deftext,
                         help=f"lo:hi probe window (default {deftext})")
-        sp.add_argument("--probes", type=int, default=17)
+        sp.add_argument("--probes", type=_positive_int, default=17)
 
     sp = add("sample", _run_sample, "draw exact point configurations",
              [common, solver])
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--hbar", type=float, required=True)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--mu", type=_finite_float, required=True)
+    sp.add_argument("--hbar", type=_finite_float, required=True)
+    sp.add_argument("--trials", type=_positive_int, default=1)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("variance", _run_variance,
              "free-kernel variance: exact, brute-force, asymptotic", [common])
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--n", type=_positive_int, default=1)
+    sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--function", required=True,
                     help="kind:key=value,... e.g. gaussian:width=0.5")
 
     sp = add("seminorm", _run_seminorm,
              "H^{1/2} seminorm by Fourier and Slobodeckij routes", [common])
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=_positive_int, default=1)
     sp.add_argument("--function", required=True)
 
     sp = add("clt", _run_clt, "Monte-Carlo normality of a linear statistic",
              [common, solver])
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--hbar", type=float, required=True)
+    sp.add_argument("--mu", type=_finite_float, required=True)
+    sp.add_argument("--hbar", type=_finite_float, required=True)
     sp.add_argument("--function", required=True)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_positive_int, default=1000)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("lln", _run_lln, "Wasserstein distance to the limiting density",
              [common, solver])
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_float_list, required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet",
              [common, solver])
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--hbar", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.2)
+    sp.add_argument("--mu", type=_finite_float, required=True)
+    sp.add_argument("--hbar", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_finite_float, default=0.2)
 
     return parser, table
 

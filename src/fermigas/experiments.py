@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.signal import fftconvolve
-from scipy.special import j1 as _scipy_j1
+from scipy.special import j0, j1
 from scipy.stats import kstest
 
 from . import __version__
@@ -47,7 +47,7 @@ from .schrodinger import (
     projector_kernel,
     rescaled_kernel,
 )
-from .specfun import bessel_j, unit_ball_volume
+from .specfun import unit_ball_volume
 
 __all__ = [
     "TestFunction",
@@ -707,7 +707,7 @@ def _free_kernel_sq_radial(n, mu, r):
     if n == 1:
         out[~zero] = (np.sin(mu * rr) / (math.pi * rr)) ** 2
     else:
-        out[~zero] = (mu * _scipy_j1(mu * rr) / (2.0 * math.pi * rr)) ** 2
+        out[~zero] = (mu * j1(mu * rr) / (2.0 * math.pi * rr)) ** 2
     return out
 
 
@@ -790,9 +790,8 @@ def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
         # radius of the disk with that area so no measure is dropped
         lattice = 0.5 * float(np.sum(weights)) * h ** 2
         z_eff = h * math.sqrt(np.count_nonzero(inside) / math.pi)
-        j0 = bessel_j(0.0, mu * z_eff)
-        j1v = bessel_j(1.0, mu * z_eff)
-        tail_int = mu ** 2 * (j0 * j0 + j1v * j1v) / (4.0 * math.pi)
+        kz = mu * z_eff
+        tail_int = mu ** 2 * (j0(kz) ** 2 + j1(kz) ** 2) / (4.0 * math.pi)
     return lattice + 0.5 * (2.0 * l2) * tail_int
 
 

@@ -1,23 +1,19 @@
 """Airy and Bessel-J evaluation plus the geometric constants omega_n, c_n.
 
-Evaluation strategy: Maclaurin series for Ai on |x| <= switch_radius and
-for all negative arguments (the oscillatory side), an exponentially
-weighted asymptotic expansion beyond the switch radius on the positive
-side.  J_nu uses the ascending series for x <= nu + 12 and the Hankel
-large-argument expansion past that; for half-integer order the Hankel
-series terminates, so that branch is exact up to rounding.
-
-Everything here is a pure scalar function of its arguments.
+Ai, Ai' and J_nu are checked scalar calls into scipy.special.airy and
+scipy.special.jv: each validates its argument and returns a Python float.
+scipy stays accurate far out on the oscillatory side of Ai, where a
+Maclaurin series loses every digit to cancellation.  The test suite pins
+all three against independent quadrature oracles.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import NumericalError, ValidationError
+from scipy.special import airy, jv
+
+from .errors import ValidationError
 
 __all__ = [
-    "AccuracyBudget",
-    "DEFAULT_BUDGET",
     "airy_ai",
     "airy_ai_prime",
     "bessel_j",
@@ -26,162 +22,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AccuracyBudget:
-    abs_tol: float = 1e-12      # absolute tolerance for series truncation
-    max_terms: int = 260        # hard cap on series terms
-    switch_radius: float = 6.0  # series vs asymptotic crossover for Ai
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise ValidationError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValidationError("max_terms must be at least 1")
-        if not (self.switch_radius > 0):
-            raise ValidationError("switch_radius must be positive")
-
-
-DEFAULT_BUDGET = AccuracyBudget()
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3); these seed
-# the two Maclaurin branches and are pinned against the quadrature oracle
-# in the test suite.
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-
-def _airy_series(x, budget):
-    """Maclaurin evaluation of (Ai, Ai') via the two ODE power series.
-
-    y'' = x*y gives a_{m+3} = a_m / ((m+3)(m+2)); the two solutions f, g
-    start from f = 1 + O(x^3) and g = x + O(x^4).
-    """
-    x3 = x * x * x
-    cf = 1.0   # current f-series term, c_k x^{3k}
-    cg = x     # current g-series term, d_k x^{3k+1}
-    f, g = cf, cg
-    fp, gp = 0.0, 1.0  # derivatives at the same truncation order
-    k = 0
-    while k < budget.max_terms:
-        new_cf = cf * x3 / ((3 * k + 2) * (3 * k + 3))
-        new_cg = cg * x3 / ((3 * k + 3) * (3 * k + 4))
-        k += 1
-        f += new_cf
-        g += new_cg
-        if x != 0.0:
-            fp += new_cf * (3 * k) / x
-            gp += new_cg * (3 * k + 1) / x
-        cf, cg = new_cf, new_cg
-        if max(abs(cf), abs(cg)) < 0.25 * budget.abs_tol * min(
-            1.0, 1.0 / max(1.0, abs(x))
-        ):
-            break
-    else:
-        raise NumericalError(
-            f"Airy series did not converge within {budget.max_terms} terms "
-            f"at x={x!r}; budget too small"
-        )
-    return (_AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp)
-
-
-def _airy_asymptotic(x, budget):
-    """Ai and Ai' for large positive x from the exponential expansion.
-
-    Ai(x)  ~  e^{-z}/(2 sqrt(pi) x^{1/4}) * sum (-1)^k u_k z^{-k}
-    Ai'(x) ~ -x^{1/4} e^{-z}/(2 sqrt(pi)) * sum (-1)^k v_k z^{-k}
-    with z = (2/3) x^{3/2}, u_0 = v_0 = 1 and
-    u_{k+1} = u_k (6k+1)(6k+3)(6k+5) / (216 (k+1)(2k+1)),
-    v_k = u_k (6k+1)/(1-6k).  Truncated at the smallest term.
-    """
-    z = (2.0 / 3.0) * x ** 1.5
-    s_u, s_v = 1.0, 1.0
-    term = 1.0
-    prev = abs(term)
-    k = 0
-    while k < budget.max_terms:
-        ratio = (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (
-            216.0 * (k + 1) * (2 * k + 1) * z
-        )
-        k += 1
-        term = -term * ratio
-        if abs(term) >= prev:
-            break  # passed the smallest term, stop before divergence
-        s_u += term
-        s_v += term * (6 * k + 1) / (1 - 6 * k)
-        prev = abs(term)
-        if prev < 1e-5 * budget.abs_tol:
-            break  # far below double precision already
-    pref = math.exp(-z) / (2.0 * math.sqrt(math.pi))
-    return (pref * s_u / x ** 0.25, -pref * s_v * x ** 0.25)
-
-
-def airy_ai(x, budget=DEFAULT_BUDGET):
+def airy_ai(x):
     """Airy function Ai(x)."""
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError("airy_ai requires a finite argument")
-    if x > budget.switch_radius:
-        return _airy_asymptotic(x, budget)[0]
-    return _airy_series(x, budget)[0]
+    return float(airy(x)[0])
 
 
-def airy_ai_prime(x, budget=DEFAULT_BUDGET):
+def airy_ai_prime(x):
     """Derivative Ai'(x)."""
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError("airy_ai_prime requires a finite argument")
-    if x > budget.switch_radius:
-        return _airy_asymptotic(x, budget)[1]
-    return _airy_series(x, budget)[1]
+    return float(airy(x)[1])
 
 
-def _bessel_series(nu, x, budget):
-    """Ascending series sum_k (-1)^k (x/2)^{nu+2k} / (k! Gamma(nu+k+1))."""
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    total = term
-    q = -0.25 * x * x
-    for k in range(1, budget.max_terms):
-        term = term * q / (k * (nu + k))
-        total += term
-        if abs(term) < 0.25 * budget.abs_tol:
-            return total
-    raise NumericalError(
-        f"Bessel series did not converge within {budget.max_terms} terms "
-        f"at nu={nu}, x={x}"
-    )
-
-
-def _bessel_asymptotic(nu, x, budget):
-    """Hankel expansion J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w).
-
-    w = x - (nu/2 + 1/4) pi and a_k = prod_{j<=k}(4 nu^2 - (2j-1)^2)/(k! (8x)^k)
-    feed P (even k) and Q (odd k) with alternating signs.  For half-integer
-    nu the product hits zero and the expansion terminates exactly; otherwise
-    it is truncated at the smallest term.
-    """
-    w = x - (0.5 * nu + 0.25) * math.pi
-    four_nu2 = 4.0 * nu * nu
-    p_sum, q_sum = 1.0, 0.0
-    a = 1.0
-    prev = math.inf
-    for k in range(1, budget.max_terms):
-        a = a * (four_nu2 - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if a == 0.0:
-            break  # terminating (half-integer) case
-        if abs(a) >= prev:
-            break  # asymptotic tail started growing
-        sign = (-1.0) ** (k // 2)
-        if k % 2 == 0:
-            p_sum += sign * a
-        else:
-            q_sum += sign * a
-        prev = abs(a)
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        p_sum * math.cos(w) - q_sum * math.sin(w)
-    )
-
-
-def bessel_j(nu, x, budget=DEFAULT_BUDGET):
+def bessel_j(nu, x):
     """Bessel function of the first kind, half-integer order nu >= 0."""
     nu = float(nu)
     x = float(x)
@@ -192,11 +49,7 @@ def bessel_j(nu, x, budget=DEFAULT_BUDGET):
         raise ValidationError(
             f"bessel_j supports half-integer order nu >= 0, got {nu}"
         )
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= nu + 12.0:
-        return _bessel_series(nu, x, budget)
-    return _bessel_asymptotic(nu, x, budget)
+    return float(jv(nu, x))
 
 
 def unit_ball_volume(n):

@@ -12,6 +12,7 @@ import pytest
 
 from fermigas.cli import _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
+from oracles import airy_oracle, airy_prime_oracle
 
 
 def run(argv, tmp_path, name="out.csv"):
@@ -121,6 +122,49 @@ def test_kernel_airy_needs_one_dimension(capsys):
 def test_kernel_bad_window_grammar(capsys):
     assert main(["kernel", "--kind", "bulk", "--window", "nonsense"]) == 1
     capsys.readouterr()
+
+
+def test_kernel_airy_deep_on_the_oscillatory_side(tmp_path):
+    code, text = run(["kernel", "--kind", "airy", "--window", "-20:-19:0.5"],
+                     tmp_path)
+    assert code == 0
+    _, rows = data_rows(text)
+    diag = {(float(x), float(y)): float(v) for x, y, v in rows}[(-19.0, -19.0)]
+    want = airy_prime_oracle(-19.0) ** 2 + 19.0 * airy_oracle(-19.0) ** 2
+    assert diag == pytest.approx(want, abs=1e-8)
+
+
+WEYL = ["weyl", "--potential", "x1^2"]
+SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    WEYL + ["--mu", "1", "--hbar", ""],
+    WEYL + ["--mu", "1", "--hbar", ","],
+    WEYL + ["--mu", "nan", "--hbar", "0.05"],
+    WEYL + ["--mu", "1", "--hbar", "nan"],
+    WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "inf"],
+    ["variance", "--mu", "nan", "--function", "gaussian:width=1"],
+    ["kernel", "--kind", "bulk", "--window", "0:inf:0.5"],
+    ["kernel", "--kind", "bulk", "--n", "0"],
+    ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
+     "--hbar", "0.02", "--window", "nan:2"],
+    ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "",
+     "--hbar", "0.02"],
+    ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
+     "--hbar", "0.02", "--probes", "0"],
+    ["sample"] + SOLVE + ["--trials", "-3", "--seed", "1"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "10",
+                       "--seed", "1", "--threads", "0"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "10",
+                       "--seed", "1", "--threads", "-5"],
+])
+def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_kernel_projector_needs_potential(capsys):
