@@ -329,9 +329,7 @@ def _run_clt(args):
     )
     dpp = from_eigensystem(eigs, args.mu)
     g = _parse_function(args.function, V.dimension)
-    rep = clt_monte_carlo(
-        dpp, g(dpp.nodes), args.trials, RngState(args.seed), threads=args.threads
-    )
+    rep = clt_monte_carlo(dpp, g(dpp.nodes), args.trials, RngState(args.seed))
     rep.params["potential"] = V.to_text()
     rep.params["mu"] = float(args.mu)
     rep.params["hbar"] = float(args.hbar)
@@ -349,7 +347,6 @@ def _run_lln(args):
         RngState(args.seed),
         margin=args.margin,
         c_h=args.resolution,
-        threads=args.threads,
     )
     return rep.to_csv()
 
@@ -482,7 +479,6 @@ def _build_parser():
     sp.add_argument("--function", required=True)
     sp.add_argument("--trials", type=_positive_int, default=1000)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("lln", _run_lln, "Wasserstein distance to the limiting density",
              [common, solver])
@@ -491,7 +487,6 @@ def _build_parser():
     sp.add_argument("--hbar", type=_float_list, required=True)
     sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet",
              [common, solver])

@@ -57,7 +57,7 @@ class RngState:
         )
 
     def stream(self, k):
-        """Independent derived stream number k (for parallel Monte Carlo)."""
+        """Independent derived stream number k."""
         return RngState(self.seed, self.counter + 1 + int(k), self.algorithm)
 
 
@@ -210,40 +210,34 @@ def from_kernel(kernel_eval, weight=None):
 
 
 def _chain_rule_sample(features, rng):
-    """Draw one configuration of the projection process with rows `features`."""
-    phi = np.array(features, dtype=float)  # working copy, rows deflated away
-    n_pts = phi.shape[0]
-    dens = np.sum(phi * phi, axis=0)
+    """Draw one configuration of the projection process with rows `features`.
+
+    Chain rule for a projection DPP (Hough-Krishnapur-Peres-Virag 2006,
+    Alg. 18) in Gram-Schmidt form: with phi_j the K-vector features[:, j]
+    and P the projection onto the span of the columns chosen so far, the
+    next node is j with probability proportional to ||(I - P) phi_j||^2.
+    Q holds an orthonormal basis of that span, one row per chosen column,
+    each orthogonalised twice (CGS2); the squared residual norms `dens`
+    are updated by subtracting (q . phi_j)^2 for the new basis vector q.
+    `features` is only read.
+    """
+    n_pts = features.shape[0]
+    dens = np.sum(features * features, axis=0)
+    Q = np.empty((n_pts, n_pts))
     chosen = np.empty(n_pts, dtype=int)
     for step in range(n_pts):
-        total = n_pts - step
-        neg = float(np.min(dens))
-        if neg < -1e-10:
-            raise NumericalError(
-                f"conditional density went negative ({neg:.3e}); "
-                "kernel is not a valid projection at this discretization"
-            )
-        probs = np.maximum(dens, 0.0)
-        probs /= np.sum(probs)
+        probs = dens / np.sum(dens)
         i = int(rng.choice(probs.size, p=probs))
         chosen[step] = i
-        col = phi[:, i]
-        norm = math.sqrt(float(col @ col))
-        u = col / norm
-        # deflate: remove the span of the chosen node's feature vector
-        proj = u @ phi
-        phi -= np.outer(u, proj)
+        v = features[:, i]
+        basis = Q[:step]
+        for _ in range(2):
+            v = v - basis.T @ (basis @ v)
+        v /= math.sqrt(float(v @ v))
+        Q[step] = v
+        proj = v @ features
         dens = np.maximum(dens - proj * proj, 0.0)
         dens[i] = 0.0
-        if step + 1 < n_pts:
-            # drop one row to keep the working matrix full-rank: rotate u
-            # into the last row, then discard it
-            w = u.copy()
-            w[-1] -= 1.0
-            ww = float(w @ w)
-            if ww > 1e-24:
-                phi -= (2.0 / ww) * np.outer(w, w @ phi)
-            phi = phi[:-1]
     return chosen
 
 

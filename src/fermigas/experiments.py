@@ -10,7 +10,6 @@ CSV form is reproducible bit for bit from the parameters and the seed.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,10 @@ from .dpp import (
 )
 from .errors import ValidationError
 from .kernels import (
+    airy_kernel_1d,
     bulk_kernel,
     bulk_scale,
     density_of_states,
-    edge_kernel,
     edge_scale,
     weyl_constant,
 )
@@ -260,14 +259,6 @@ def _format_value(v):
     return str(v)
 
 
-def _map_trials(worker, trials, threads):
-    """Run worker(0..trials-1), merged in index order regardless of pool."""
-    if threads is None or threads <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(worker, range(trials)))
-
-
 # ---------------------------------------------------------------------------
 # operator pipeline helpers
 
@@ -282,6 +273,10 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0, min_points=201):
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
+    if margin <= 0.0:
+        raise ValidationError("margin must be positive")
+    if c_h <= 0.0:
+        raise ValidationError("resolution must be positive")
     L = choose_box(V, mu, margin)
     target = c_h * hbar ** 1.5
     ppa = max(int(math.ceil(2.0 * L / target)) + 1, min_points)
@@ -442,19 +437,11 @@ def edge_convergence(
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         raise ValidationError("degenerate edge point: grad V(x0) vanishes")
-    ref_cache = {}
-
-    def reference(u, v):
-        key = (u, v) if u <= v else (v, u)
-        if key not in ref_cache:
-            ref_cache[key] = edge_kernel(1, [key[0]], [key[1]])
-        return ref_cache[key]
-
     return _kernel_convergence(
         "edge_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
         scale=lambda hbar: edge_scale(hbar, gnorm),
         frame=edge_rotation(grad),
-        reference=reference,
+        reference=airy_kernel_1d,
     )
 
 
@@ -481,14 +468,12 @@ def w1_to_reference(points, taxis, ref_cdf):
     return float(trapezoid(np.abs(emp - ref_cdf), taxis))
 
 
-def lln_wasserstein(
-    V, mu, hbar, trials, rng, margin=1.0, c_h=2.0, threads=1
-):
+def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     """Wasserstein distance of empirical measures to the limiting density.
 
     Accepts one hbar or a list; rows are (hbar, trials, mean_w1, q10, q50,
     q90).  Every (hbar, trial) cell draws from its own derived RNG stream,
-    so the report does not depend on scheduling.
+    number ih * trials + t.
     """
     t0 = time.perf_counter()
     if V.dimension != 1:
@@ -504,12 +489,14 @@ def lln_wasserstein(
         if dpp.N == 0:
             raise ValidationError("no levels below mu: the process is empty")
         taxis, ref_cdf = _reference_cdf(V, mu, grid)
-
-        def one_trial(t, _dpp=dpp, _taxis=taxis, _cdf=ref_cdf, _ih=ih):
-            cfg = sample(_dpp, rng.stream(_ih * trials + t))
-            return w1_to_reference(cfg.points[:, 0], _taxis, _cdf)
-
-        w1 = np.array(_map_trials(one_trial, trials, threads))
+        w1 = np.array([
+            w1_to_reference(
+                sample(dpp, rng.stream(ih * trials + t)).points[:, 0],
+                taxis,
+                ref_cdf,
+            )
+            for t in range(trials)
+        ])
         q10, q50, q90 = np.quantile(w1, [0.1, 0.5, 0.9])
         rows.append(
             (hb, trials, float(np.mean(w1)), float(q10), float(q50), float(q90))
@@ -539,7 +526,6 @@ def gaussian_tail_check(
     thresholds=(0.5, 1.0, 1.5, 2.0),
     margin=1.0,
     c_h=2.0,
-    threads=1,
 ):
     """Exceedance frequencies of |X(f) - mean| / sqrt(hbar N).
 
@@ -548,6 +534,11 @@ def gaussian_tail_check(
     carry c along with the exact mean and variance of X(f).
     """
     t0 = time.perf_counter()
+    trials = int(trials)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    if not all(t > 0.0 for t in thresholds):
+        raise ValidationError("thresholds must be positive")
     eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
     dpp = from_eigensystem(eigs, mu)
     if dpp.N == 0:
@@ -556,19 +547,13 @@ def gaussian_tail_check(
     mean = mean_linear_stat(dpp, fvec)
     var = var_linear_stat(dpp, fvec)
     scale = math.sqrt(hbar * dpp.N)
-    trials = int(trials)
-
-    def one_trial(t):
-        cfg = sample(dpp, rng.stream(t))
-        return float(np.sum(fvec[cfg.indices]))
-
-    stats = np.array(_map_trials(one_trial, trials, threads))
+    stats = np.array([
+        np.sum(fvec[sample(dpp, rng.stream(t)).indices]) for t in range(trials)
+    ])
     deviations = np.abs(stats - mean) / scale
     rows = []
     c_fit = math.inf
     for t in thresholds:
-        if t <= 0.0:
-            raise ValidationError("thresholds must be positive")
         freq = float(np.mean(deviations > t))
         rows.append([float(t), freq])
         if freq > 0.0:
@@ -934,7 +919,7 @@ def mesoscopic_variance_scan(
 # central limit theorem
 
 
-def clt_monte_carlo(process, f, trials, rng, threads=1):
+def clt_monte_carlo(process, f, trials, rng):
     """Kolmogorov-Smirnov test of the standardized linear statistic.
 
     The mean and variance are exact traces, never estimated, so the
@@ -954,12 +939,10 @@ def clt_monte_carlo(process, f, trials, rng, threads=1):
         raise ValidationError(
             "the statistic is degenerate: its variance is below 1e-12"
         )
-
-    def one_trial(t):
-        cfg = sample(process, rng.stream(t))
-        return float(np.sum(fvec[cfg.indices]))
-
-    stats = np.array(_map_trials(one_trial, trials, threads))
+    stats = np.array([
+        np.sum(fvec[sample(process, rng.stream(t)).indices])
+        for t in range(trials)
+    ])
     z = (stats - mean) / math.sqrt(var)
     ks_stat, ks_p = kstest(z, "norm")
     skew = float(np.mean(z ** 3))

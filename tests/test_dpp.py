@@ -154,6 +154,38 @@ def test_sample_bit_reproducible(fermions):
     assert not np.array_equal(a.indices, c.indices)
 
 
+def test_sample_sequences_are_frozen(fermions):
+    # a change in these sequences changes the bytes of every sampling CSV at
+    # a fixed seed
+    dpp, _ = fermions
+    frozen = [
+        [110, 144, 173, 179, 151],
+        [198, 114, 146, 167, 134],
+        [123, 135, 162, 169, 190],
+        [86, 131, 164, 185, 148],
+        [143, 187, 157, 124, 162],
+    ]
+    for k, want in enumerate(frozen):
+        assert sample(dpp, RngState(2024).stream(k)).indices.tolist() == want
+
+
+def test_sample_follows_the_exact_joint_law():
+    # a rank-2 projection draws the pair S with probability det(F[:, S])^2
+    rng = np.random.default_rng(31)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+    dpp = DPP(Q.T, np.arange(5, dtype=float)[:, None], 1.0)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    probs = np.array([np.linalg.det(Q[[i, j], :]) ** 2 for i, j in pairs])
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    trials = 10000
+    counts = dict.fromkeys(pairs, 0)
+    for k in range(trials):
+        counts[tuple(sorted(sample(dpp, RngState(8).stream(k)).indices))] += 1
+    freq = np.array([counts[p] for p in pairs]) / trials
+    se = np.sqrt(probs * (1.0 - probs) / trials)
+    assert np.all(np.abs(freq - probs) <= 5.0 * se)
+
+
 def test_rank_one_sample_density():
     # single feature row: the sample is one point with mass K(x,x) * weight
     nodes = np.linspace(-1.0, 1.0, 41)[:, None]
@@ -449,3 +481,8 @@ def test_exact_identities_on_random_kernels(case):
     )
     k3 = _exact_skewness(dpp, f, 1.0)  # var = 1 leaves the bare cumulant
     assert abs(k3 - dense) <= 1e-10 * max(1.0, abs(dense))
+    idx = sample(dpp, RngState(0)).indices
+    assert np.unique(idx).size == idx.size
+    assert np.all((idx >= 0) & (idx < dpp.node_count))
+    if dpp.is_projection:
+        assert idx.size == dpp.N

@@ -268,12 +268,6 @@ def test_lln_single_particle_stays_far(harmonic):
     assert rep.column("mean_w1")[0] > 0.01
 
 
-def test_lln_thread_pool_does_not_change_output(harmonic):
-    serial = lln_wasserstein(harmonic, 1.0, 0.05, 40, RngState(4), threads=1)
-    pooled = lln_wasserstein(harmonic, 1.0, 0.05, 40, RngState(4), threads=3)
-    assert serial.to_csv() == pooled.to_csv()
-
-
 def test_tail_frequencies_under_gaussian_envelope(harmonic):
     f = TestFunction.gaussian_bump(1, 0.0, 0.4)
     rep = gaussian_tail_check(harmonic, 1.0, f, 0.05, 1500, RngState(5))
@@ -286,6 +280,20 @@ def test_tail_zero_statistic_never_deviates(harmonic):
     f = TestFunction.custom("0*x1", support_radius=1.0)
     rep = gaussian_tail_check(harmonic, 1.0, f, 0.05, 400, RngState(7))
     np.testing.assert_allclose(rep.column("frequency"), 0.0)
+
+
+def test_tail_check_rejects_inputs_before_solving(harmonic, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the eigensolve ran before the input check")
+
+    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    f = TestFunction.gaussian_bump(1, 0.0, 0.4)
+    with pytest.raises(ValidationError):
+        gaussian_tail_check(harmonic, 1.0, f, 0.05, 0, RngState(5))
+    with pytest.raises(ValidationError):
+        gaussian_tail_check(
+            harmonic, 1.0, f, 0.05, 2000, RngState(5), thresholds=(0.5, -1.0)
+        )
 
 
 def test_tail_variance_scale_is_stable_in_hbar(harmonic):
