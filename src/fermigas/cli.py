@@ -353,6 +353,8 @@ def _run_lln(args):
 
 def _run_agmon(args):
     V = parse_potential(args.potential)
+    if not 0.0 < args.delta <= 1.0:
+        raise ValidationError("delta must lie in (0, 1]")
     eigs, _ = _solve_window(
         V, args.mu + args.delta, args.hbar,
         margin=args.margin, c_h=args.resolution,

@@ -34,6 +34,7 @@ from .kernels import (
     bulk_scale,
     density_of_states,
     edge_scale,
+    free_kernel_radial,
     weyl_constant,
 )
 from .potential import droplet_half_width, grad_potential, parse_potential
@@ -304,12 +305,14 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     """
     t0 = time.perf_counter()
     n = V.dimension
+    counts = []
+    for hbar in hbar_list:
+        eigs, _ = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
+        counts.append(int(np.sum(eigs.eigenvalues <= mu)))
     Z = weyl_constant(V, mu, n)
     norm = unit_ball_volume(n) * Z / (2.0 * math.pi) ** n
     rows = []
-    for hbar in hbar_list:
-        eigs, _ = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-        count = int(np.sum(eigs.eigenvalues <= mu))
+    for hbar, count in zip(hbar_list, counts):
         if norm > 0.0:
             scaled = hbar ** n * count / norm
             deviation = scaled - 1.0
@@ -454,7 +457,7 @@ def _reference_cdf(V, mu, grid):
     lo = -grid.half_width
     hi = grid.half_width
     taxis = np.linspace(lo, hi, 8001)
-    dens = np.array([density_of_states(V, mu, 1, [t]) for t in taxis])
+    dens = density_of_states(V, mu, 1, taxis[:, None])
     cdf = cumulative_trapezoid(dens, taxis, initial=0.0)
     return taxis, cdf
 
@@ -682,20 +685,6 @@ def free_variance_exact(n, mu, g, pad=4.0, points=None):
     return pref * float(np.sum(w2 * vol)) * dxi
 
 
-def _free_kernel_sq_radial(n, mu, r):
-    """|K(r)|^2 for the free kernel, vectorized over radii r >= 0."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    zero = r == 0.0
-    out[zero] = (mu ** n * unit_ball_volume(n) / (2.0 * math.pi) ** n) ** 2
-    rr = r[~zero]
-    if n == 1:
-        out[~zero] = (np.sin(mu * rr) / (math.pi * rr)) ** 2
-    else:
-        out[~zero] = (mu * j1(mu * rr) / (2.0 * math.pi * rr)) ** 2
-    return out
-
-
 def _lattice_autocorrelation(g, n, ax, h):
     """g sampled on the lattice ax^n of step h and its FFT autocorrelation.
 
@@ -747,7 +736,7 @@ def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
         vals = g(pts)
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        ksq = _free_kernel_sq_radial(n, mu, dist.ravel()).reshape(dist.shape)
+        ksq = free_kernel_radial(n, mu, dist) ** 2
         dg = vals[:, None] - vals[None, :]
         return 0.5 * float(np.sum(dg * dg * ksq)) * h ** (2 * n)
     if method != "fft":
@@ -759,7 +748,7 @@ def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
     Z = (m - 1) * h  # lattice sum out to the inscribed-ball radius
     inside = dist <= Z
     uniq, inv = np.unique(dist[inside].ravel(), return_inverse=True)
-    ksq_u = _free_kernel_sq_radial(n, mu, uniq)
+    ksq_u = free_kernel_radial(n, mu, uniq) ** 2
     weights = big_d[inside].ravel() * ksq_u[inv]
     if n == 1:
         # trapezoid split: the two boundary nodes carry half cells, the

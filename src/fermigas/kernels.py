@@ -3,7 +3,8 @@
 Free-Laplacian kernel at any radius, the density-one bulk kernel, the edge
 kernel built from its Airy-times-transverse-Bessel integral representation,
 the closed-form 1-d Airy kernel, the semiclassical density of states, the
-Weyl-law constant, and the two microscopic scales.
+Weyl-law constant, and the two microscopic scales.  The free and bulk
+kernels and the density take point arrays (..., n) and return arrays (...).
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad, dblquad
+from scipy.integrate import cubature, quad
 
 from .errors import NumericalError, ValidationError
 from .potential import droplet_half_width
@@ -27,6 +28,7 @@ __all__ = [
     "KernelKind",
     "KernelEvaluation",
     "EdgeQuadrature",
+    "free_kernel_radial",
     "free_laplacian_kernel",
     "free_laplacian_window",
     "bulk_kernel",
@@ -92,33 +94,31 @@ class KernelEvaluation:
         return "\n".join(lines) + "\n"
 
 
-def _radial_distance(x, y):
-    dx = np.asarray(x, dtype=float).reshape(-1) - np.asarray(
-        y, dtype=float
-    ).reshape(-1)
-    return float(np.sqrt(np.dot(dx, dx)))
+def free_kernel_radial(n, mu, r):
+    """K_mu(r) = mu^{n/2} J_{n/2}(mu r) / (2 pi r)^{n/2}, elementwise in r >= 0.
+
+    At r = 0 it takes the removable-singularity limit mu^n omega_n / (2 pi)^n.
+    """
+    r = np.asarray(r, dtype=float)
+    safe = np.where(r == 0.0, 1.0, r)
+    val = (
+        mu ** (0.5 * n)
+        * bessel_j(0.5 * n, mu * safe)
+        / (2.0 * math.pi * safe) ** (0.5 * n)
+    )
+    diag = mu ** n * unit_ball_volume(n) / (2.0 * math.pi) ** n
+    return np.where(r == 0.0, diag, val)
 
 
 def free_laplacian_kernel(n, mu, x, y):
-    """Kernel of 1_{-Delta <= mu^2}: mu^{n/2} J_{n/2}(mu r) / (2 pi r)^{n/2}.
-
-    The diagonal is the removable-singularity limit mu^n omega_n / (2 pi)^n.
-    """
+    """Kernel of 1_{-Delta <= mu^2}: K_mu(|x - y|) for x, y of shape (..., n)."""
     n = int(n)
     if n < 1:
         raise ValidationError("free_laplacian_kernel requires n >= 1")
     if mu < 0.0:
         raise ValidationError("free_laplacian_kernel requires mu >= 0")
-    if mu == 0.0:
-        return 0.0
-    r = _radial_distance(x, y)
-    if r == 0.0:
-        return mu ** n * unit_ball_volume(n) / (2.0 * math.pi) ** n
-    return (
-        mu ** (0.5 * n)
-        * bessel_j(0.5 * n, mu * r)
-        / (2.0 * math.pi * r) ** (0.5 * n)
-    )
+    r = np.linalg.norm(np.subtract(x, y, dtype=float), axis=-1)
+    return free_kernel_radial(n, mu, r)
 
 
 def bulk_kernel(n, x, y):
@@ -126,9 +126,9 @@ def bulk_kernel(n, x, y):
     n = int(n)
     if n < 1:
         raise ValidationError("bulk_kernel requires n >= 1")
-    if _radial_distance(x, y) == 0.0:
-        return 1.0
-    return free_laplacian_kernel(n, bulk_wavenumber(n), x, y)
+    r = np.linalg.norm(np.subtract(x, y, dtype=float), axis=-1)
+    k = free_kernel_radial(n, bulk_wavenumber(n), r)
+    return np.where(r == 0.0, 1.0, k)
 
 
 def airy_kernel_1d(x, y):
@@ -261,6 +261,8 @@ def free_laplacian_window(n, mu, half, step):
         raise ValidationError("free_laplacian_window supports n in {1, 2}")
     if step <= 0.0 or half <= 0.0 or half < step:
         raise ValidationError("window needs 0 < step <= half")
+    if mu < 0.0:
+        raise ValidationError("free_laplacian_window requires mu >= 0")
     m = int(round(2.0 * half / step)) + 1
     ax = -half + step * np.arange(m)
     if n == 1:
@@ -275,19 +277,15 @@ def free_laplacian_window(n, mu, half, step):
         sq = (di[:, None] - di[None, :]) ** 2 + (dj[:, None] - dj[None, :]) ** 2
     uniq, inv = np.unique(sq, return_inverse=True)
     radii = step * np.sqrt(uniq.astype(float))
-    vals = np.array(
-        [
-            free_laplacian_kernel(n, mu, np.zeros(n), np.r_[r, np.zeros(n - 1)])
-            for r in radii
-        ]
-    )
-    values = vals[inv].reshape(sq.shape)
+    values = free_kernel_radial(n, mu, radii)[inv].reshape(sq.shape)
     return KernelEvaluation(
         KernelKind.FREE_LAPLACIAN, n, {"mu": float(mu)}, pts, pts, values
     )
 
 
-_WEYL_CACHE = {}
+# cubature (atol, rtol) per dimension; with no endpoint extrapolation at the
+# square-root turning points, 1-d Z needs the tight pair to reach ~1e-13
+_WEYL_TOL = {1: (1e-14, 1e-13), 2: (2e-8, 1e-9)}
 
 
 def weyl_constant(V, mu, n):
@@ -295,38 +293,38 @@ def weyl_constant(V, mu, n):
     n = int(n)
     if n not in (1, 2):
         raise ValidationError("weyl_constant supports n in {1, 2}")
-    key = (V.to_text(), float(mu), n)
-    if key in _WEYL_CACHE:
-        return _WEYL_CACHE[key]
     half = droplet_half_width(V, mu)
     if half == 0.0:
-        _WEYL_CACHE[key] = 0.0
         return 0.0
     L = half + 0.25  # integrand vanishes outside the droplet anyway
-    if n == 1:
-        def f(t):
-            return math.sqrt(max(0.0, mu - float(V(np.array([[t]]))[0])))
-
-        val, err = quad(f, -L, L, limit=800, epsabs=1e-9, epsrel=1e-10)
-    else:
-        def f(y, t):
-            return max(0.0, mu - float(V(np.array([[t, y]]))[0]))
-
-        val, err = dblquad(f, -L, L, -L, L, epsabs=2e-8, epsrel=1e-9)
-    _WEYL_CACHE[key] = val
-    return val
+    atol, rtol = _WEYL_TOL[n]
+    res = cubature(
+        lambda x: np.maximum(mu - V(x), 0.0) ** (0.5 * n),
+        np.full(n, -L),
+        np.full(n, L),
+        atol=atol,
+        rtol=rtol,
+    )
+    if res.status != "converged":
+        raise NumericalError(
+            f"Weyl-constant cubature did not converge: error {res.error:.3e}"
+        )
+    return float(res.estimate)
 
 
 def density_of_states(V, mu, n, x):
-    """Normalized limiting density Z^{-1} (mu - V(x))_+^{n/2}."""
+    """Normalized limiting density Z^{-1} (mu - V(x))_+^{n/2}.
+
+    x has shape (..., n); the result has shape (...).
+    """
     Z = weyl_constant(V, mu, n)
     if Z <= 0.0:
         raise ValidationError(
             "density_of_states is undefined: the droplet {V <= mu} is empty"
         )
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    val = max(0.0, mu - float(V(pt)[0]))
-    return val ** (0.5 * n) / Z
+    pts = np.asarray(x, dtype=float)
+    vals = V(pts.reshape(-1, n)).reshape(pts.shape[:-1])
+    return np.maximum(mu - vals, 0.0) ** (0.5 * n) / Z
 
 
 def bulk_scale(hbar, V_x0, mu, n):

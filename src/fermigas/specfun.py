@@ -1,7 +1,7 @@
 """Airy and Bessel-J evaluation plus the geometric constants omega_n, c_n.
 
-Ai, Ai' and J_nu are checked scalar calls into scipy.special.airy and
-scipy.special.jv: each validates its argument and returns a Python float.
+Ai, Ai' and J_nu are checked calls into scipy.special.airy and
+scipy.special.jv; a scalar argument gives a Python float (J_nu maps arrays).
 scipy stays accurate far out on the oscillatory side of Ai, where a
 Maclaurin series loses every digit to cancellation.  The test suite pins
 all three against independent quadrature oracles.
@@ -9,6 +9,7 @@ all three against independent quadrature oracles.
 
 import math
 
+import numpy as np
 from scipy.special import airy, jv
 
 from .errors import ValidationError
@@ -39,17 +40,18 @@ def airy_ai_prime(x):
 
 
 def bessel_j(nu, x):
-    """Bessel function of the first kind, half-integer order nu >= 0."""
+    """Bessel J_nu(x) of half-integer order nu >= 0, elementwise in x."""
     nu = float(nu)
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValidationError("bessel_j requires x >= 0")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValidationError("bessel_j requires finite x >= 0")
     two_nu = 2.0 * nu
     if nu < 0.0 or two_nu != round(two_nu):
         raise ValidationError(
             f"bessel_j supports half-integer order nu >= 0, got {nu}"
         )
-    return float(jv(nu, x))
+    val = jv(nu, x)
+    return float(val) if val.ndim == 0 else val
 
 
 def unit_ball_volume(n):

@@ -260,6 +260,18 @@ def test_agmon_norms_stay_under_bound(tmp_path):
         assert float(r[cols.index("weighted_norm")]) <= bound
 
 
+@pytest.mark.parametrize("delta", ["5", "0"])
+def test_agmon_rejects_delta_before_solving(delta, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the eigensolve ran before the input check")
+
+    monkeypatch.setattr("fermigas.cli._solve_window", no_solve)
+    code = main(["agmon", "--potential", "x1^2+x2^2", "--mu", "1",
+                 "--hbar", "0.07", "--delta", delta])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_negative_coordinates_parse(tmp_path):
     code, text = run(["converge-bulk", "--potential", "x1^2", "--mu", "1",
                       "--x0", "-0.3", "--hbar", "0.02"], tmp_path)

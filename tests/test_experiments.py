@@ -180,6 +180,16 @@ def test_weyl_empty_droplet(harmonic):
     assert rep.column("count")[0] == 0
 
 
+def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):
+    def no_weyl(*args, **kwargs):
+        raise AssertionError("the Weyl quadrature ran before the input check")
+
+    monkeypatch.setattr("fermigas.experiments.weyl_constant", no_weyl)
+    V = parse_potential("x1^2 + x2^2")
+    with pytest.raises(ValidationError):
+        weyl_check(V, 1.0, [0.1], margin=-1.0)
+
+
 def test_weyl_count_scales_with_mu(harmonic):
     one = weyl_check(harmonic, 1.0, [0.02]).column("count")[0]
     two = weyl_check(harmonic, 2.0, [0.02]).column("count")[0]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fermigas.errors import ValidationError
+from fermigas import kernels
+from fermigas.errors import NumericalError, ValidationError
 from fermigas.kernels import (
     EdgeQuadrature,
     KernelEvaluation,
@@ -231,6 +232,33 @@ def test_weyl_constant_radial_2d():
     assert weyl_constant(V, 1.0, 2) == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_weyl_constant_off_centre_closed_forms():
+    # 1-d: (mu - V)_+^{1/2} with V = (x1 + 0.1)^2 - 0.01 integrates to
+    # pi (mu + 0.01) / 2
+    V = parse_potential("x1^2+0.2*x1")
+    assert weyl_constant(V, 1.0, 1) == pytest.approx(
+        math.pi * 1.01 / 2, abs=1e-12
+    )
+    # 2-d: V = V_min + (x - x*)^T A (x - x*) with det A = 0.9375 and
+    # V_min = -0.006, so Z = (pi/2) (mu - V_min)^2 / sqrt(det A)
+    V = parse_potential("(x1-0.3)^2 + x2^2 + 0.5*x1*x2")
+    want = 0.5 * math.pi * 1.006 ** 2 / math.sqrt(0.9375)
+    assert weyl_constant(V, 1.0, 2) == pytest.approx(want, abs=1e-6)
+
+
+def test_weyl_constant_reports_non_convergence(monkeypatch):
+    real = kernels.cubature
+
+    def stalled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status = "not_converged"
+        return res
+
+    monkeypatch.setattr(kernels, "cubature", stalled)
+    with pytest.raises(NumericalError):
+        weyl_constant(parse_potential("x1^2"), 1.0, 1)
+
+
 def test_weyl_constant_empty_droplet():
     V = parse_potential("x1^2")
     assert weyl_constant(V, 0.0, 1) == 0.0
@@ -262,6 +290,17 @@ def test_density_of_states_normalizes_to_one():
         epsabs=1e-10,
     )
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("text", ["x1^2 + 0.3*x1", "x1^2 + 2*x2^2"])
+def test_density_of_states_on_point_arrays(text):
+    V = parse_potential(text)
+    n = V.dimension
+    pts = np.random.default_rng(4).uniform(-1.2, 1.2, size=(4, n))
+    got = density_of_states(V, 1.0, n, pts)
+    assert got.shape == (4,)
+    want = [density_of_states(V, 1.0, n, p) for p in pts]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_density_of_states_empty_droplet_fails():

@@ -106,6 +106,12 @@ def test_bessel_frozen_values():
     assert bessel_j(0.0, 0.5) == pytest.approx(J0_HALF, abs=1e-10)
 
 
+def test_bessel_maps_arrays_like_scalars():
+    x = [0.0, 0.3, 1.7, 30.0]
+    assert [bessel_j(1.5, t) for t in x] == list(bessel_j(1.5, x))
+    assert isinstance(bessel_j(1.5, 0.3), float)
+
+
 def test_bessel_at_zero():
     assert bessel_j(0.0, 0.0) == 1.0
     for nu in (0.5, 1.0, 1.5, 2.0):
@@ -145,6 +151,9 @@ def test_bessel_recurrence():
 def test_bessel_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         bessel_j(0.5, -1.0)
+    for bad in ([1.0, -1.0], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValidationError):
+            bessel_j(1.0, bad)
     with pytest.raises(ValidationError):
         bessel_j(0.3, 1.0)
     with pytest.raises(ValidationError):
