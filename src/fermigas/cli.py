@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .dpp import RngState, from_eigensystem, sample
+from .dpp import RngState, from_eigensystem, samples
 from .errors import NumericalError, ValidationError
 from .experiments import (
     ExperimentReport,
@@ -114,6 +114,12 @@ def _parse_function(spec, n):
     custom (expr, radius).  Vector centers separate components with ':', as
     in center=0:0.
     """
+    def number(text):
+        try:
+            return _finite_float(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValidationError(f"test function: {exc}")
+
     kind, _, rest = spec.partition(":")
     entries = {}
     for item in rest.split(","):
@@ -128,7 +134,7 @@ def _parse_function(spec, n):
         raw = entries.pop("center", None)
         if raw is None:
             return np.full(n, default)
-        comps = [float(c) for c in raw.split(":")]
+        comps = [number(c) for c in raw.split(":")]
         if len(comps) != n:
             raise ValidationError(
                 f"center has {len(comps)} components for dimension {n}"
@@ -137,12 +143,12 @@ def _parse_function(spec, n):
 
     if kind == "gaussian":
         c = center()
-        width = float(entries.pop("width", 1.0))
+        width = number(entries.pop("width", 1.0))
         fn = TestFunction.gaussian_bump(n, c, width)
     elif kind == "indicator":
         c = center()
-        radius = float(entries.pop("radius", 1.0))
-        smoothing = float(entries.pop("smoothing", 0.5))
+        radius = number(entries.pop("radius", 1.0))
+        smoothing = number(entries.pop("smoothing", 0.5))
         fn = TestFunction.smooth_indicator(n, c, radius, smoothing)
     elif kind == "custom":
         if "expr" not in entries:
@@ -152,7 +158,7 @@ def _parse_function(spec, n):
             raise ValidationError(
                 f"expression dimension {expr.dimension} does not match --n {n}"
             )
-        radius = float(entries.pop("radius", 10.0))
+        radius = number(entries.pop("radius", 10.0))
         fn = TestFunction.custom(expr, radius)
     else:
         raise ValidationError(f"unknown test-function kind {kind!r}")
@@ -272,8 +278,8 @@ def _run_sample(args):
     rng = RngState(args.seed)
     n = V.dimension
     rows = []
-    for t in range(args.trials):
-        config = sample(dpp, rng.stream(t))
+    configs = samples(dpp, [rng.stream(t) for t in range(args.trials)])
+    for t, config in enumerate(configs):
         for pt in config.points:
             rows.append((t,) + tuple(float(c) for c in pt))
     rep = ExperimentReport(

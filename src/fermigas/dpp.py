@@ -26,6 +26,7 @@ __all__ = [
     "from_eigensystem",
     "from_kernel",
     "sample",
+    "samples",
     "correlation",
     "laplace_functional",
     "mean_linear_stat",
@@ -108,7 +109,7 @@ class DPP:
         self._op_matrix = None
         gram = features @ features.T
         resid = np.max(np.abs(gram - np.eye(features.shape[0]))) if features.size else 0.0
-        if resid > 1e-8:
+        if not resid <= 1e-8:
             raise ValidationError(
                 f"feature rows are not orthonormal (residual {resid:.2e})"
             )
@@ -209,58 +210,87 @@ def from_kernel(kernel_eval, weight=None):
     return DPP(U[:, keep].T, xs, weight, q[keep])
 
 
-def _chain_rule_sample(features, rng):
-    """Draw one configuration of the projection process with rows `features`.
+# Bytes allowed for one block of T trials' (T, G) residual array plus its
+# (T, K, K) basis stack; near 1 MB the GEMMs are already fast and peak RSS
+# stays where the eigensolve puts it.
+_BLOCK_BYTES = 1 << 20
+
+
+def _chain_rule_sample(features, uniforms):
+    """Node indices (T, K) for T trials of the projection with rows `features`.
 
     Chain rule for a projection DPP (Hough-Krishnapur-Peres-Virag 2006,
     Alg. 18) in Gram-Schmidt form: with phi_j the K-vector features[:, j]
     and P the projection onto the span of the columns chosen so far, the
     next node is j with probability proportional to ||(I - P) phi_j||^2.
-    Q holds an orthonormal basis of that span, one row per chosen column,
-    each orthogonalised twice (CGS2); the squared residual norms `dens`
-    are updated by subtracting (q . phi_j)^2 for the new basis vector q.
-    `features` is only read.
+    Step s of trial t picks that node by inverting the CDF at
+    uniforms[t, s], as Generator.choice(p=...) does with one random().
+    Q[t] holds an orthonormal basis of that span, one row per chosen
+    column, each orthogonalised twice (CGS2); the squared residual norms
+    `dens` are updated by subtracting (q . phi_j)^2 for the new basis
+    vectors q, one GEMM for the block.  `features` is only read.
     """
-    n_pts = features.shape[0]
-    dens = np.sum(features * features, axis=0)
-    Q = np.empty((n_pts, n_pts))
-    chosen = np.empty(n_pts, dtype=int)
+    trials, n_pts = uniforms.shape
+    dens = np.tile(np.sum(features * features, axis=0), (trials, 1))
+    work = np.empty_like(dens)
+    Q = np.empty((trials, n_pts, n_pts))
+    chosen = np.empty((trials, n_pts), dtype=int)
+    rows = np.arange(trials)
     for step in range(n_pts):
-        probs = dens / np.sum(dens)
-        i = int(rng.choice(probs.size, p=probs))
-        chosen[step] = i
-        v = features[:, i]
-        basis = Q[:step]
+        total = np.sum(dens, axis=1)
+        if not np.all((total > 0.0) & (total < np.inf)):
+            raise NumericalError("chain-rule residual mass is not finite and positive")
+        np.divide(dens, total[:, None], out=work)
+        np.cumsum(work, axis=1, out=work)
+        work /= work[:, -1:]
+        i = np.count_nonzero(work <= uniforms[:, step, None], axis=1)
+        chosen[:, step] = i
+        v = features[:, i].T
+        basis = Q[:, :step]
         for _ in range(2):
-            v = v - basis.T @ (basis @ v)
-        v /= math.sqrt(float(v @ v))
-        Q[step] = v
-        proj = v @ features
-        dens = np.maximum(dens - proj * proj, 0.0)
-        dens[i] = 0.0
+            coef = np.einsum("tsk,tk->ts", basis, v)
+            v = v - np.einsum("tsk,ts->tk", basis, coef)
+        v /= np.sqrt(np.einsum("tk,tk->t", v, v))[:, None]
+        Q[:, step] = v
+        np.matmul(v, features, out=work)
+        work *= work
+        dens -= work
+        np.maximum(dens, 0.0, out=dens)
+        dens[rows, i] = 0.0
     return chosen
 
 
-def sample(dpp, rng_state):
-    """One exact sample; a projection always yields exactly N points.
+def samples(dpp, rng_states):
+    """One exact sample per RNG state, drawn a block of trials at a time.
 
-    Other kernels first keep row k with probability q_k (Bernoulli
-    thinning), then sample the projection onto the kept rows.
+    A projection always yields exactly N points.  Other kernels first keep
+    row k with probability q_k (Bernoulli thinning), then sample the
+    projection onto the kept rows, so each of their trials is its own
+    block.  Each state's generator gives the thinning draws, then one
+    uniform per chosen point.
     """
-    rng = rng_state.generator()
-    feats = dpp.features
-    if not dpp.is_projection:
-        feats = feats[rng.random(dpp.N) < dpp.q]
-    if feats.shape[0] == 0:
-        idx = np.empty(0, dtype=int)
-    else:
-        idx = _chain_rule_sample(feats, rng)
-    return PointConfiguration(
-        points=dpp.nodes[idx],
-        indices=idx,
-        seed=rng_state.seed,
-        counter=rng_state.counter,
-    )
+    states = list(rng_states)
+    per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
+    size = max(1, _BLOCK_BYTES // per_trial) if dpp.is_projection else 1
+    configs = []
+    for start in range(0, len(states), size):
+        block = states[start:start + size]
+        rngs = [s.generator() for s in block]
+        feats = dpp.features
+        if not dpp.is_projection:
+            feats = feats[rngs[0].random(dpp.N) < dpp.q]
+        uniforms = np.array([rng.random(feats.shape[0]) for rng in rngs])
+        chosen = _chain_rule_sample(feats, uniforms)
+        configs += [
+            PointConfiguration(dpp.nodes[idx], idx, s.seed, s.counter)
+            for s, idx in zip(block, chosen)
+        ]
+    return configs
+
+
+def sample(dpp, rng_state):
+    """One exact sample: `samples` with a single state."""
+    return samples(dpp, [rng_state])[0]
 
 
 def _nearest_node(dpp, z):
@@ -272,12 +302,8 @@ def _nearest_node(dpp, z):
 def correlation(dpp, points):
     """k-point correlation det[K(z_i, z_j)] at the nearest grid nodes."""
     idx = [_nearest_node(dpp, z) for z in np.atleast_2d(points)]
-    k = len(idx)
-    minor = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            minor[a, b] = dpp.kernel_entry(idx[a], idx[b])
-    return float(np.linalg.det(minor))
+    B = dpp._root_features[:, idx]
+    return float(np.linalg.det(B.T @ B / dpp.weight))
 
 
 def _as_grid_function(dpp, f):

@@ -24,7 +24,7 @@ from .dpp import (
     _compressed,
     from_eigensystem,
     mean_linear_stat,
-    sample,
+    samples,
     var_linear_stat,
 )
 from .errors import ValidationError
@@ -492,13 +492,9 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
         if dpp.N == 0:
             raise ValidationError("no levels below mu: the process is empty")
         taxis, ref_cdf = _reference_cdf(V, mu, grid)
+        configs = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
         w1 = np.array([
-            w1_to_reference(
-                sample(dpp, rng.stream(ih * trials + t)).points[:, 0],
-                taxis,
-                ref_cdf,
-            )
-            for t in range(trials)
+            w1_to_reference(c.points[:, 0], taxis, ref_cdf) for c in configs
         ])
         q10, q50, q90 = np.quantile(w1, [0.1, 0.5, 0.9])
         rows.append(
@@ -550,9 +546,8 @@ def gaussian_tail_check(
     mean = mean_linear_stat(dpp, fvec)
     var = var_linear_stat(dpp, fvec)
     scale = math.sqrt(hbar * dpp.N)
-    stats = np.array([
-        np.sum(fvec[sample(dpp, rng.stream(t)).indices]) for t in range(trials)
-    ])
+    configs = samples(dpp, [rng.stream(t) for t in range(trials)])
+    stats = np.array([np.sum(fvec[c.indices]) for c in configs])
     deviations = np.abs(stats - mean) / scale
     rows = []
     c_fit = math.inf
@@ -928,10 +923,8 @@ def clt_monte_carlo(process, f, trials, rng):
         raise ValidationError(
             "the statistic is degenerate: its variance is below 1e-12"
         )
-    stats = np.array([
-        np.sum(fvec[sample(process, rng.stream(t)).indices])
-        for t in range(trials)
-    ])
+    configs = samples(process, [rng.stream(t) for t in range(trials)])
+    stats = np.array([np.sum(fvec[c.indices]) for c in configs])
     z = (stats - mean) / math.sqrt(var)
     ks_stat, ks_p = kstest(z, "norm")
     skew = float(np.mean(z ** 3))

@@ -19,7 +19,7 @@ from fermigas.dpp import (
     from_eigensystem,
     from_kernel,
     laplace_functional,
-    sample,
+    samples,
     var_linear_stat,
 )
 from fermigas.experiments import (
@@ -166,12 +166,11 @@ def test_criterion_06_dpp_identities():
     fvals = 0.8 * np.exp(-x ** 2 / 0.3)
     exact = laplace_functional(dpp, fvals)
     rng = RngState(123)
-    draws = np.empty(10000)
-    counts_ok = True
-    for t in range(draws.size):
-        config = sample(dpp, rng.stream(t))
-        counts_ok = counts_ok and len(config) == dpp.N
-        draws[t] = math.exp(-float(np.sum(fvals[config.indices])))
+    configs = samples(dpp, [rng.stream(t) for t in range(10000)])
+    counts_ok = all(len(config) == dpp.N for config in configs)
+    draws = np.array([
+        math.exp(-float(np.sum(fvals[config.indices]))) for config in configs
+    ])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     laplace_dev = abs(draws.mean() - exact)
     ok = var_dev <= 1e-10 and laplace_dev <= 3.0 * se and counts_ok

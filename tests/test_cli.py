@@ -162,6 +162,17 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "-1"],
     WEYL + ["--mu", "1", "--hbar", "0.05", "--resolution", "0"],
     WEYL + ["--mu", "1", "--hbar", "0.05", "--resolution", "-1"],
+    ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=nan"],
+    ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=inf"],
+    ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=abc"],
+    ["variance", "--n", "1", "--mu", "10",
+     "--function", "gaussian:center=nan,width=1"],
+    ["variance", "--n", "2", "--mu", "10",
+     "--function", "gaussian:center=0:inf,width=1"],
+    ["variance", "--n", "1", "--mu", "10", "--function", "indicator:radius=1e400"],
+    ["variance", "--n", "1", "--mu", "10",
+     "--function", "indicator:smoothing=nan"],
+    ["seminorm", "--n", "1", "--function", "custom:expr=x1^2,radius=inf"],
 ])
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert main(argv) == 1

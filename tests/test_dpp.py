@@ -17,11 +17,13 @@ from fermigas.dpp import (
     laplace_functional,
     mean_linear_stat,
     sample,
+    samples,
     soshnikov_remainder,
     var_linear_stat,
 )
-from fermigas.errors import ValidationError
-from fermigas.experiments import _exact_skewness
+from fermigas import dpp as dpp_module
+from fermigas.errors import NumericalError, ValidationError
+from fermigas.experiments import _exact_skewness, _solve_window
 from fermigas.kernels import (
     KernelEvaluation,
     KernelKind,
@@ -123,6 +125,10 @@ def test_dpp_rejects_bad_weights_and_rows():
         DPP(rows, nodes, 1.0, q=[0.5])
     with pytest.raises(ValidationError, match="orthonormal"):
         DPP(2.0 * rows, nodes, 1.0, q=[0.5, 0.5])
+    nan_rows = rows.copy()
+    nan_rows[0, 0] = math.nan
+    with pytest.raises(ValidationError, match="orthonormal"):
+        DPP(nan_rows, nodes, 1.0)
 
 
 def test_from_kernel_rejects_invalid_kernel():
@@ -167,6 +173,52 @@ def test_sample_sequences_are_frozen(fermions):
     ]
     for k, want in enumerate(frozen):
         assert sample(dpp, RngState(2024).stream(k)).indices.tolist() == want
+
+
+def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
+    dpp, _ = fermions
+    # blocks of three trials, so ten states cross three block boundaries
+    per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
+    monkeypatch.setattr(dpp_module, "_BLOCK_BYTES", 3 * per_trial)
+    xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
+    thinned = from_kernel(KernelEvaluation.from_function(
+        KernelKind.SINE_1D, 1, {}, xs, xs, lambda a, b: bulk_kernel(1, a, b)
+    ))
+    for process in (dpp, thinned):
+        states = [RngState(55).stream(k) for k in range(10)]
+        block = samples(process, states)
+        assert len(block) == len(states)
+        for state, config in zip(states, block):
+            alone = sample(process, state)
+            assert np.array_equal(config.indices, alone.indices)
+            assert np.array_equal(config.points, alone.points)
+            assert (config.seed, config.counter) == (state.seed, state.counter)
+
+
+def test_two_dimensional_sample_sequences_are_frozen():
+    # x1^2 + x2^2 at hbar = 0.1: fifteen particles on 39,601 nodes
+    eigs, _ = _solve_window(parse_potential("x1^2+x2^2"), 1.0, 0.1)
+    dpp = from_eigensystem(eigs, 1.0)
+    frozen = [
+        [10616, 17409, 23587, 26133, 24031, 15785, 27359, 19618, 27400,
+         19789, 28363, 21222, 6285, 15436, 15449],
+        [31906, 12007, 18433, 23781, 19639, 19577, 28140, 27772, 22163,
+         24205, 14007, 19763, 9457, 19343, 13067],
+        [14187, 14214, 19813, 20549, 27365, 27546, 20771, 18599, 14598,
+         27702, 10412, 14667, 25202, 7866, 22397],
+    ]
+    got = samples(dpp, [RngState(2024).stream(k) for k in range(3)])
+    assert [c.indices.tolist() for c in got] == frozen
+
+
+def test_sampler_rejects_non_finite_residual_mass(fermions):
+    dpp, _ = fermions
+    broken = DPP(dpp.features.copy(), dpp.nodes, dpp.weight)
+    broken.features[0, 0] = math.nan  # past the constructor's check
+    with pytest.raises(NumericalError, match="residual mass"):
+        sample(broken, RngState(3))
+    with pytest.raises(NumericalError, match="residual mass"):
+        samples(broken, [RngState(3).stream(k) for k in range(4)])
 
 
 def test_sample_follows_the_exact_joint_law():
