@@ -59,6 +59,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# most points a --window or --probes value may ask for: kernel tables hold
+# one value per pair of points
+_MAX_POINTS = 2001
+
+
 def _finite_float(text):
     try:
         value = float(text)
@@ -79,6 +84,15 @@ def _positive_int(text):
     return value
 
 
+def _point_count(text):
+    value = _positive_int(text)
+    if value > _MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"at most {_MAX_POINTS} points, got {value}"
+        )
+    return value
+
+
 def _float_list(text):
     values = [_finite_float(v) for v in text.split(",") if v != ""]
     if not values:
@@ -94,6 +108,11 @@ def _axis_window(text):
     a, b, step = (_finite_float(p) for p in parts)
     if step <= 0.0 or b < a:
         raise argparse.ArgumentTypeError(f"empty window {text!r}")
+    # np.arange's own point count, taken before it allocates anything
+    if not (b + 0.5 * step - a) / step <= _MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} has more than {_MAX_POINTS} points"
+        )
     return np.arange(a, b + 0.5 * step, step)
 
 
@@ -206,37 +225,23 @@ def _run_kernel(args):
         )
         pk = projector_kernel(eigs, args.mu)
         return rescaled_kernel(pk, np.zeros(n), 1.0, np.eye(n), pts, pts).to_csv()
-    if args.kind == "bulk":
-        ev = KernelEvaluation.from_function(
-            KernelKind.BULK, n, {}, pts, pts, lambda x, y: bulk_kernel(n, x, y)
-        )
-    elif args.kind == "sine":
-        if n != 1:
-            raise ValidationError("the sine kernel is one-dimensional")
-        ev = KernelEvaluation.from_function(
-            KernelKind.SINE_1D, 1, {}, pts, pts,
-            lambda x, y: bulk_kernel(1, x, y),
-        )
-    elif args.kind == "airy":
-        if n != 1:
-            raise ValidationError("the Airy kernel is one-dimensional")
-        ev = KernelEvaluation.from_function(
-            KernelKind.AIRY_1D, 1, {}, pts, pts,
-            lambda x, y: airy_kernel_1d(float(x[0]), float(y[0])),
-        )
-    elif args.kind == "free":
-        ev = KernelEvaluation.from_function(
-            KernelKind.FREE_LAPLACIAN, n, {"mu": args.mu}, pts, pts,
+    if args.kind in ("sine", "airy") and n != 1:
+        raise ValidationError(f"the {args.kind} kernel is one-dimensional")
+    kind, params, fn = {
+        "bulk": (KernelKind.BULK, {}, lambda x, y: bulk_kernel(n, x, y)),
+        "sine": (KernelKind.SINE_1D, {}, lambda x, y: bulk_kernel(1, x, y)),
+        "airy": (
+            KernelKind.AIRY_1D, {},
+            lambda x, y: airy_kernel_1d(x[..., 0], y[..., 0]),
+        ),
+        "free": (
+            KernelKind.FREE_LAPLACIAN, {"mu": args.mu},
             lambda x, y: free_laplacian_kernel(n, args.mu, x, y),
-        )
-    elif args.kind == "edge":
-        ev = KernelEvaluation.from_function(
-            KernelKind.EDGE, n, {}, pts, pts,
-            lambda x, y: edge_kernel(n, x, y),
-        )
-    else:
-        raise ValidationError(f"unknown kernel kind {args.kind!r}")
-    return ev.to_csv()
+        ),
+        "edge": (KernelKind.EDGE, {}, lambda x, y: edge_kernel(n, x, y)),
+    }[args.kind]
+    values = fn(pts[:, None], pts[None, :])
+    return KernelEvaluation(kind, n, params, pts, pts, values).to_csv()
 
 
 def _run_converge_bulk(args):
@@ -457,7 +462,7 @@ def _build_parser():
         sp.add_argument("--hbar", type=_float_list, required=True)
         sp.add_argument("--window", type=_pair_window, default=deftext,
                         help=f"lo:hi probe window (default {deftext})")
-        sp.add_argument("--probes", type=_positive_int, default=17)
+        sp.add_argument("--probes", type=_point_count, default=17)
 
     sp = add("sample", _run_sample, "draw exact point configurations",
              [common, solver])

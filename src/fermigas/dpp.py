@@ -13,7 +13,7 @@ sampler uses.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,7 +20,6 @@ from scipy.stats import kstest
 
 from . import __version__
 from .dpp import (
-    RngState,
     _compressed,
     from_eigensystem,
     mean_linear_stat,
@@ -37,7 +36,7 @@ from .kernels import (
     free_kernel_radial,
     weyl_constant,
 )
-from .potential import droplet_half_width, grad_potential, parse_potential
+from .potential import grad_potential, parse_potential
 from .schrodinger import (
     Grid,
     assemble_hamiltonian,
@@ -354,7 +353,8 @@ def _kernel_convergence(
     """Sup-distance between the rescaled projector and a limiting kernel.
 
     scale(hbar) is the microscopic length, frame the probe rotation and
-    reference(u, v) the limiting kernel at two probe offsets.
+    reference(u, v) the limiting kernel at probe offsets u and v, which
+    broadcast.
     """
     t0 = time.perf_counter()
     # frame^T e_1 is the probe direction; offsets along it carry its sign
@@ -370,10 +370,7 @@ def _kernel_convergence(
         )
         pts = us.reshape(-1, 1)
         sampled = rescaled_kernel(pk, [x0c], eps, frame, pts, pts)
-        ref = np.empty_like(sampled.values)
-        for i, u in enumerate(us):
-            for j, v in enumerate(us):
-                ref[i, j] = reference(float(u), float(v))
+        ref = reference(us[:, None], us[None, :])
         err = float(np.max(np.abs(sampled.values - ref)))
         ratio = math.nan if prev_err is None else err / prev_err
         rows.append((float(hbar), float(eps), err, ratio))
@@ -420,7 +417,7 @@ def bulk_convergence(
         "bulk_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
         scale=lambda hbar: bulk_scale(hbar, V_x0, mu, 1),
         frame=np.eye(1),
-        reference=lambda u, v: bulk_kernel(1, [u], [v]),
+        reference=lambda u, v: bulk_kernel(1, u[..., None], v[..., None]),
     )
 
 

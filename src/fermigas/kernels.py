@@ -3,16 +3,18 @@
 Free-Laplacian kernel at any radius, the density-one bulk kernel, the edge
 kernel built from its Airy-times-transverse-Bessel integral representation,
 the closed-form 1-d Airy kernel, the semiclassical density of states, the
-Weyl-law constant, and the two microscopic scales.  The free and bulk
-kernels and the density take point arrays (..., n) and return arrays (...).
+Weyl-law constant, and the two microscopic scales.  Every kernel and the
+density take point arrays that broadcast: points (..., n) give values (...),
+and the 1-d Airy kernel maps coordinate arrays.  The edge kernel integrates
+all of its point pairs with one scipy.integrate.quad_vec call.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import cubature, quad
+from scipy.integrate import cubature, quad, quad_vec
 
 from .errors import NumericalError, ValidationError
 from .potential import droplet_half_width
@@ -63,16 +65,6 @@ class KernelEvaluation:
     x_points: np.ndarray  # (P, n)
     y_points: np.ndarray  # (Q, n)
     values: np.ndarray    # (P, Q), values[i, j] = K(x_i, y_j)
-
-    @classmethod
-    def from_function(cls, kind, dimension, params, x_points, y_points, fn):
-        xs = np.atleast_2d(np.asarray(x_points, dtype=float))
-        ys = np.atleast_2d(np.asarray(y_points, dtype=float))
-        vals = np.empty((xs.shape[0], ys.shape[0]))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                vals[i, j] = fn(x, y)
-        return cls(kind, dimension, dict(params), xs, ys, vals)
 
     def to_csv(self):
         n = self.dimension
@@ -134,18 +126,22 @@ def bulk_kernel(n, x, y):
 def airy_kernel_1d(x, y):
     """(Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y), diagonal Ai'(x)^2 - x Ai(x)^2.
 
-    Near the diagonal the quotient cancels catastrophically, so for
-    |x - y| <= 1e-5 the midpoint diagonal formula is used instead; its error
-    is O((x-y)^2) by the symmetric expansion with Ai'' = x Ai.
+    Elementwise in x and y, which broadcast.  Near the diagonal the quotient
+    cancels catastrophically, so for |x - y| <= 1e-5 the midpoint diagonal
+    formula is used instead; its error is O((x-y)^2) by the symmetric
+    expansion with Ai'' = x Ai.
     """
-    x = float(x)
-    y = float(y)
-    if abs(x - y) <= 1e-5:
-        m = 0.5 * (x + y)
-        return airy_ai_prime(m) ** 2 - m * airy_ai(m) ** 2
-    return (
-        airy_ai(x) * airy_ai_prime(y) - airy_ai_prime(x) * airy_ai(y)
-    ) / (x - y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    near = np.abs(x - y) <= 1e-5
+    val = np.asarray(
+        (airy_ai(x) * airy_ai_prime(y) - airy_ai_prime(x) * airy_ai(y))
+        / np.where(near, 1.0, x - y)
+    )
+    # the midpoint formula, with Ai and Ai' evaluated on near pairs only
+    m = 0.5 * (x + y)[near]
+    val[near] = airy_ai_prime(m) ** 2 - m * airy_ai(m) ** 2
+    return float(val) if val.ndim == 0 else val
 
 
 def _airy_envelope(t):
@@ -164,11 +160,10 @@ class EdgeQuadrature:
     """Truncation plan for the edge-kernel s-integral."""
 
     s_max: float          # upper limit replacing +infinity
-    nodes: int = 200      # adaptive-subdivision budget
     tail_bound: float = 0.0  # certified bound on the discarded tail
 
     @classmethod
-    def for_points(cls, n, x1, y1, s_max=None, nodes=200):
+    def for_points(cls, n, x1, y1, s_max=None):
         """Build a plan whose tail bound is certified by the Airy envelope.
 
         The discarded tail is bounded by
@@ -193,57 +188,55 @@ class EdgeQuadrature:
         # past this point the envelope is far below double precision
         upper = max(s_max + 30.0, 3.0 - min(x1, y1) + 30.0)
         val, _ = quad(tail_integrand, s_max, upper, limit=100)
-        return cls(s_max=float(s_max), nodes=int(nodes), tail_bound=float(val))
+        return cls(s_max=float(s_max), tail_bound=float(val))
 
 
 def edge_kernel(n, x, y, quad_plan=None, tol=1e-8):
     """Edge kernel: int_0^inf Ai(x1+s) Ai(y1+s) K_{b,sqrt(s)}^{(n-1)} ds.
 
-    The transverse factor is the free-Laplacian kernel in dimension n-1 at
+    x and y of shape (..., n) broadcast; the result has shape (...).  The
+    transverse factor is the free-Laplacian kernel in dimension n-1 at
     radius sqrt(s) evaluated at the perpendicular components (1 when n=1).
-    Truncated at quad_plan.s_max with the certified tail bound.
+    One quad_vec call integrates every pair up to quad_plan.s_max.  The
+    default plan certifies the tail at the smallest x1 and y1; the Airy
+    envelope is nonincreasing, so that bound covers every pair.
     """
     n = int(n)
     if n < 1:
         raise ValidationError("edge_kernel requires n >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != n or y.size != n:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[-1:] != (n,) or y.shape[-1:] != (n,):
         raise ValidationError(f"points must be {n}-vectors")
-    x1, y1 = x[0], y[0]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("edge_kernel requires finite points")
+    x1, y1 = x[..., 0], y[..., 0]
     if quad_plan is None:
-        quad_plan = EdgeQuadrature.for_points(n, x1, y1)
+        quad_plan = EdgeQuadrature.for_points(n, x1.min(), y1.min())
     if quad_plan.tail_bound > tol:
         raise ValidationError(
             f"edge quadrature tail bound {quad_plan.tail_bound:.3e} exceeds "
             f"tolerance {tol:.3e}; increase s_max"
         )
-    if n == 1:
-        def integrand(s):
-            return airy_ai(x1 + s) * airy_ai(y1 + s)
-    else:
-        x_perp = x[1:]
-        y_perp = y[1:]
+    r = np.linalg.norm(x[..., 1:] - y[..., 1:], axis=-1)
 
-        def integrand(s):
-            if s <= 0.0:
-                return 0.0
-            trans = free_laplacian_kernel(n - 1, math.sqrt(s), x_perp, y_perp)
-            return airy_ai(x1 + s) * airy_ai(y1 + s) * trans
+    def integrand(s):
+        val = airy_ai(x1 + s) * airy_ai(y1 + s)
+        if n == 1:
+            return val
+        return val * free_kernel_radial(n - 1, math.sqrt(s), r)
 
-    breaks = sorted(
-        {b for b in (-x1, -y1) if 0.0 < b < quad_plan.s_max}
-    )
-    val, err = quad(
+    breaks = np.unique(-np.concatenate([x1.ravel(), y1.ravel()]))
+    val, err = quad_vec(
         integrand,
         0.0,
         quad_plan.s_max,
-        points=breaks or None,
-        limit=quad_plan.nodes,
+        points=breaks[(breaks > 0.0) & (breaks < quad_plan.s_max)],
         epsabs=min(tol, 1e-10),
         epsrel=1e-10,
+        norm="max",
     )
-    if err > 10.0 * max(tol, 1e-10) + 1e-13:
+    if not err <= 10.0 * max(tol, 1e-10) + 1e-13:
         raise NumericalError(
             f"edge-kernel quadrature error estimate {err:.3e} too large"
         )

@@ -13,7 +13,6 @@ Precedence ^ > unary - > * / > + -, everything left associative, so
 spacing ("a + b", "a*b", "x1^2") and round-trips through the parser.
 """
 
-import math
 import re
 from dataclasses import dataclass
 

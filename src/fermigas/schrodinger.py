@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
+from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalError, ValidationError
@@ -354,51 +355,41 @@ def edge_rotation(grad):
     return Hh
 
 
-def _min_distances(points, targets, chunk=2048):
-    """Euclidean distance from each point to the nearest target, chunked."""
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        d2 = (
-            np.sum(block * block, axis=1)[:, None]
-            - 2.0 * block @ targets.T
-            + np.sum(targets * targets, axis=1)[None, :]
-        )
-        out[start : start + chunk] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-    return out
-
-
 @dataclass
 class AgmonReport:
     delta: float
     bound: float                 # 1 + 2 mu / delta
     eigenvalues: np.ndarray
     norms: np.ndarray            # weighted norm of e^{f_delta/hbar} v_k
+    distance: np.ndarray         # dist(node, {V <= mu + delta}) per interior node
 
 
 def agmon_check(eigs, V, mu, delta):
     """Weighted norms of e^{f_delta/hbar} v_k for every eigenvalue <= mu.
 
     f_delta(x) = delta * dist(x, {V <= mu + delta}) with the distance taken
-    to the nearest grid node of the sublevel set (exhaustive search).
+    to the nearest interior node of the sublevel set, by an exact Euclidean
+    distance transform of the node mask (0 on the set itself).
     """
     if not 0.0 < delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
     if mu + delta > eigs.mu_cap + 1e-12:
         raise ValidationError("agmon_check needs mu <= mu_cap - delta")
-    pts = eigs.grid.interior_points()
-    inside = V(pts) <= mu + delta
+    grid = eigs.grid
+    inside = V(grid.interior_points()) <= mu + delta
     if not np.any(inside):
         raise ValidationError("the sublevel set {V <= mu + delta} misses the grid")
-    f = delta * _min_distances(pts, pts[inside])
+    mask = inside.reshape((grid.points_per_axis - 2,) * grid.dimension)
+    dist = distance_transform_edt(~mask, sampling=grid.spacing).ravel()
     sel = eigs.eigenvalues <= mu
     lam = eigs.eigenvalues[sel]
     vecs = eigs.eigenvectors[:, sel]
-    weighted = np.exp(f / eigs.hbar)[:, None] * vecs
-    norms = np.sqrt(np.sum(weighted * weighted, axis=0) * eigs.grid.weight)
+    weighted = np.exp(delta * dist / eigs.hbar)[:, None] * vecs
+    norms = np.sqrt(np.sum(weighted * weighted, axis=0) * grid.weight)
     return AgmonReport(
         delta=float(delta),
         bound=1.0 + 2.0 * mu / delta,
         eigenvalues=lam,
         norms=norms,
+        distance=dist,
     )

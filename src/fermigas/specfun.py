@@ -1,10 +1,10 @@
 """Airy and Bessel-J evaluation plus the geometric constants omega_n, c_n.
 
 Ai, Ai' and J_nu are checked calls into scipy.special.airy and
-scipy.special.jv; a scalar argument gives a Python float (J_nu maps arrays).
-scipy stays accurate far out on the oscillatory side of Ai, where a
-Maclaurin series loses every digit to cancellation.  The test suite pins
-all three against independent quadrature oracles.
+scipy.special.jv; each maps arrays elementwise, and a scalar argument gives
+a Python float.  scipy stays accurate far out on the oscillatory side of
+Ai, where a Maclaurin series loses every digit to cancellation.  The test
+suite pins all three against independent quadrature oracles.
 """
 
 import math
@@ -23,20 +23,23 @@ __all__ = [
 ]
 
 
+def _airy(x, k, name):
+    """Component k of scipy.special.airy (0: Ai, 1: Ai'), elementwise in x."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} requires a finite argument")
+    val = airy(x)[k]
+    return float(val) if val.ndim == 0 else val
+
+
 def airy_ai(x):
-    """Airy function Ai(x)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("airy_ai requires a finite argument")
-    return float(airy(x)[0])
+    """Airy function Ai(x), elementwise in x."""
+    return _airy(x, 0, "airy_ai")
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("airy_ai_prime requires a finite argument")
-    return float(airy(x)[1])
+    """Derivative Ai'(x), elementwise in x."""
+    return _airy(x, 1, "airy_ai_prime")
 
 
 def bessel_j(nu, x):

@@ -133,11 +133,9 @@ def test_criterion_05_kernel_identities():
         )
         sq_dev = max(sq_dev, abs(got - want))
     grid = np.linspace(-4.0, 2.0, 13)
-    edge_dev = max(
-        abs(edge_kernel(1, [x], [y]) - airy_kernel_1d(x, y))
-        for x in grid
-        for y in grid
-    )
+    quadrature = edge_kernel(1, grid[:, None, None], grid[None, :, None])
+    closed_form = airy_kernel_1d(grid[:, None], grid[None, :])
+    edge_dev = float(np.max(np.abs(quadrature - closed_form)))
     ok = diag_exact and sine_dev <= 1e-10 and sq_dev <= 1e-10
     ok = ok and edge_dev <= 1e-6
     _report(5, "kernel identities", ok,

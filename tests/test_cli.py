@@ -134,6 +134,14 @@ def test_kernel_airy_deep_on_the_oscillatory_side(tmp_path):
     assert diag == pytest.approx(want, abs=1e-8)
 
 
+def test_kernel_edge_deep_on_the_oscillatory_side(tmp_path):
+    code, text = run(["kernel", "--kind", "edge", "--window", "-200:-199:1"],
+                     tmp_path)
+    assert code == 0
+    _, rows = data_rows(text)
+    assert len(rows) == 4
+
+
 WEYL = ["weyl", "--potential", "x1^2"]
 SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
 
@@ -173,6 +181,12 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["variance", "--n", "1", "--mu", "10",
      "--function", "indicator:smoothing=nan"],
     ["seminorm", "--n", "1", "--function", "custom:expr=x1^2,radius=inf"],
+    # windows and probe counts beyond the point cap, refused before any array
+    ["kernel", "--kind", "bulk", "--window", "-2:2:1e-9"],
+    ["kernel", "--kind", "bulk", "--window", "-2:2:1e-4"],
+    ["kernel", "--kind", "bulk", "--window", "-1e308:1e308:1"],
+    ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
+     "--hbar", "0.02", "--probes", "2002"],
 ])
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert main(argv) == 1

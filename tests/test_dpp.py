@@ -91,8 +91,8 @@ def test_rng_state_validation():
 
 def test_from_kernel_sine_window():
     xs = np.arange(-2.0, 2.0001, 0.02)[:, None]
-    ke = KernelEvaluation.from_function(
-        KernelKind.SINE_1D, 1, {}, xs, xs, lambda a, b: bulk_kernel(1, a, b)
+    ke = KernelEvaluation(
+        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
     )
     gd = from_kernel(ke)
     assert np.all(gd.q >= 0.0) and np.all(gd.q <= 1.0)
@@ -181,8 +181,8 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
     per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
     monkeypatch.setattr(dpp_module, "_BLOCK_BYTES", 3 * per_trial)
     xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    thinned = from_kernel(KernelEvaluation.from_function(
-        KernelKind.SINE_1D, 1, {}, xs, xs, lambda a, b: bulk_kernel(1, a, b)
+    thinned = from_kernel(KernelEvaluation(
+        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
     ))
     for process in (dpp, thinned):
         states = [RngState(55).stream(k) for k in range(10)]
@@ -260,8 +260,8 @@ def test_thinned_sampler_matches_laplace_functional():
     # a kernel that is not a projection is sampled by Bernoulli thinning of
     # its spectral rows before the chain rule
     xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    ke = KernelEvaluation.from_function(
-        KernelKind.SINE_1D, 1, {}, xs, xs, lambda a, b: bulk_kernel(1, a, b)
+    ke = KernelEvaluation(
+        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
     )
     gd = from_kernel(ke)
     assert not gd.is_projection

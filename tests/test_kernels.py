@@ -159,10 +159,23 @@ def test_edge_kernel_matches_airy_closed_form_1d():
     pairs = [(x, y) for x in pts for y in pts]
     # deep on the oscillatory side, where a Maclaurin series for Ai fails
     pairs += [(-14.0, -13.0), (-13.0, -14.0), (-14.0, -14.0)]
+    pairs += [(-140.0, -139.0), (-200.0, -199.0)]
     for x, y in pairs:
         got = edge_kernel(1, [x], [y])
         want = airy_kernel_1d(x, y)
         assert abs(got - want) <= 1e-6
+
+
+def test_kernels_on_point_arrays_match_pairwise_calls():
+    xs = np.array([-3.0, -0.5, 0.0, 1e-6, 1.5])
+    grid = airy_kernel_1d(xs[:, None], xs[None, :])
+    pairs = [[airy_kernel_1d(x, y) for y in xs] for x in xs]
+    np.testing.assert_array_equal(grid, pairs)
+    pts = np.column_stack([xs, 0.3 * xs])
+    grid = edge_kernel(2, pts[:, None], pts[None, :])
+    pairs = [[edge_kernel(2, x, y) for y in pts] for x in pts]
+    # one adaptive subdivision for all pairs instead of one per pair
+    np.testing.assert_allclose(grid, pairs, rtol=0.0, atol=1e-12)
 
 
 def test_edge_kernel_diagonal_at_zero():
@@ -279,17 +292,19 @@ def test_density_of_states_harmonic():
 
 
 def test_density_of_states_normalizes_to_one():
-    from scipy.integrate import quad
+    from scipy.integrate import tanhsinh
 
     V = parse_potential("x1^2")
-    total, _ = quad(
-        lambda t: density_of_states(V, 1.0, 1, [t]),
+    # tanh-sinh nodes cluster at the square-root zeros at +-1; each call
+    # evaluates the density on a whole array of nodes
+    res = tanhsinh(
+        lambda t: density_of_states(V, 1.0, 1, t[..., None]),
         -1.0,
         1.0,
-        limit=400,
-        epsabs=1e-10,
+        atol=1e-10,
     )
-    assert total == pytest.approx(1.0, abs=1e-8)
+    assert res.success
+    assert res.integral == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("text", ["x1^2 + 0.3*x1", "x1^2 + 2*x2^2"])
@@ -346,9 +361,10 @@ def test_edge_scale_examples():
 
 
 def test_kernel_evaluation_symmetric_on_shared_points():
-    pts = [[0.0], [0.4], [1.1]]
-    ke = KernelEvaluation.from_function(
-        KernelKind.BULK, 1, {}, pts, pts, lambda a, b: bulk_kernel(1, a, b)
+    pts = np.array([[0.0], [0.4], [1.1]])
+    ke = KernelEvaluation(
+        KernelKind.BULK, 1, {}, pts, pts,
+        bulk_kernel(1, pts[:, None], pts[None, :]),
     )
     assert np.allclose(ke.values, ke.values.T, atol=1e-15)
 
@@ -357,24 +373,24 @@ def test_kernel_evaluation_translation_invariance():
     xs = np.array([[0.0, 0.0], [0.3, -0.2], [1.0, 0.5]])
     ys = np.array([[0.1, 0.1], [-0.4, 0.8]])
     shift = np.array([0.77, -1.3])
-    f = lambda a, b: free_laplacian_kernel(2, 2.0, a, b)
-    base = KernelEvaluation.from_function(
-        KernelKind.FREE_LAPLACIAN, 2, {"mu": 2.0}, xs, ys, f
-    )
-    moved = KernelEvaluation.from_function(
-        KernelKind.FREE_LAPLACIAN, 2, {"mu": 2.0}, xs + shift, ys + shift, f
-    )
+
+    def tabulate(a, b):
+        values = free_laplacian_kernel(2, 2.0, a[:, None], b[None, :])
+        return KernelEvaluation(
+            KernelKind.FREE_LAPLACIAN, 2, {"mu": 2.0}, a, b, values
+        )
+
+    base = tabulate(xs, ys)
+    moved = tabulate(xs + shift, ys + shift)
     assert np.allclose(base.values, moved.values, atol=1e-12)
 
 
 def test_kernel_evaluation_csv_layout():
-    ke = KernelEvaluation.from_function(
-        KernelKind.SINE_1D,
-        1,
-        {"mu": 1.0},
-        [[0.0], [0.5]],
-        [[0.0], [0.25]],
-        lambda a, b: bulk_kernel(1, a, b),
+    xs = np.array([[0.0], [0.5]])
+    ys = np.array([[0.0], [0.25]])
+    ke = KernelEvaluation(
+        KernelKind.SINE_1D, 1, {"mu": 1.0}, xs, ys,
+        bulk_kernel(1, xs[:, None], ys[None, :]),
     )
     text = ke.to_csv()
     lines = text.strip().split("\n")

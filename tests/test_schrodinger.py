@@ -7,6 +7,7 @@ from fermigas.errors import ValidationError
 from fermigas.kernels import bulk_kernel
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import (
+    EigenSystem,
     Grid,
     agmon_check,
     assemble_hamiltonian,
@@ -338,6 +339,21 @@ def test_agmon_estimate_tightens_with_delta():
         rep = agmon_check(es, V, 0.5, delta)
         slack.append(rep.bound - np.max(rep.norms))
     assert all(a > b for a, b in zip(slack, slack[1:]))
+
+
+@pytest.mark.parametrize("text", ["x1^2+x2^2", "(x1-0.3)^2+2*(x2+0.2)^2"])
+def test_agmon_distance_is_the_nearest_sublevel_node_distance(text):
+    V = parse_potential(text)
+    grid = Grid(2, 1.5, 41)
+    pts = grid.interior_points()
+    # the distance does not depend on the eigenpairs, so none are needed
+    es = EigenSystem(0.1, 1.0, np.empty(0), np.empty((pts.shape[0], 0)), grid)
+    rep = agmon_check(es, V, 0.5, 0.3)
+    inside = V(pts) <= 0.8
+    assert np.all(rep.distance[inside] == 0.0)
+    gaps = pts[~inside][:, None, :] - pts[inside][None, :, :]
+    brute = np.min(np.linalg.norm(gaps, axis=-1), axis=1)
+    assert np.max(np.abs(rep.distance[~inside] - brute)) <= 1e-12
 
 
 def test_agmon_validates_inputs():
