@@ -40,7 +40,7 @@ from .kernels import (
     free_laplacian_kernel,
 )
 from .potential import parse_potential
-from .schrodinger import agmon_check, projector_kernel, rescaled_kernel
+from .schrodinger import agmon_check, rescaled_kernel
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to status 2; the contract here is 1.
@@ -220,11 +220,12 @@ def _run_kernel(args):
         V = parse_potential(args.potential)
         if V.dimension != n:
             raise ValidationError("--n disagrees with the potential dimension")
-        eigs, _ = _solve_window(
+        eigs = _solve_window(
             V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
         )
-        pk = projector_kernel(eigs, args.mu)
-        return rescaled_kernel(pk, np.zeros(n), 1.0, np.eye(n), pts, pts).to_csv()
+        return rescaled_kernel(
+            eigs, args.mu, np.zeros(n), 1.0, np.eye(n), pts, pts
+        ).to_csv()
     if args.kind in ("sine", "airy") and n != 1:
         raise ValidationError(f"the {args.kind} kernel is one-dimensional")
     kind, params, fn = {
@@ -244,24 +245,9 @@ def _run_kernel(args):
     return KernelEvaluation(kind, n, params, pts, pts, values).to_csv()
 
 
-def _run_converge_bulk(args):
+def _run_converge(args):
     V = parse_potential(args.potential)
-    rep = bulk_convergence(
-        V,
-        args.mu,
-        _x0_value(args, V.dimension),
-        args.hbar,
-        window=args.window,
-        probes=args.probes,
-        margin=args.margin,
-        c_h=args.resolution,
-    )
-    return rep.to_csv()
-
-
-def _run_converge_edge(args):
-    V = parse_potential(args.potential)
-    rep = edge_convergence(
+    rep = args.driver(
         V,
         args.mu,
         _x0_value(args, V.dimension),
@@ -276,7 +262,7 @@ def _run_converge_edge(args):
 
 def _run_sample(args):
     V = parse_potential(args.potential)
-    eigs, _ = _solve_window(
+    eigs = _solve_window(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
     dpp = from_eigensystem(eigs, args.mu)
@@ -335,7 +321,7 @@ def _run_seminorm(args):
 
 def _run_clt(args):
     V = parse_potential(args.potential)
-    eigs, _ = _solve_window(
+    eigs = _solve_window(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
     dpp = from_eigensystem(eigs, args.mu)
@@ -366,7 +352,7 @@ def _run_agmon(args):
     V = parse_potential(args.potential)
     if not 0.0 < args.delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
-    eigs, _ = _solve_window(
+    eigs = _solve_window(
         V, args.mu + args.delta, args.hbar,
         margin=args.margin, c_h=args.resolution,
     )
@@ -447,14 +433,14 @@ def _build_parser():
     sp.add_argument("--hbar", type=_finite_float,
                     help="hbar, projector kind only")
 
-    for name, runner, deftext in (
-        ("converge-bulk", _run_converge_bulk, "-2:2"),
-        ("converge-edge", _run_converge_edge, "-4:2"),
+    for target, driver, deftext in (
+        ("bulk", bulk_convergence, "-2:2"),
+        ("edge", edge_convergence, "-4:2"),
     ):
-        target = "bulk" if name.endswith("bulk") else "edge"
-        sp = add(name, runner,
+        sp = add(f"converge-{target}", _run_converge,
                  f"rescaled projector against the {target} limit",
                  [common, solver])
+        sp.set_defaults(driver=driver)
         sp.add_argument("--potential", required=True)
         sp.add_argument("--mu", type=_finite_float, required=True)
         sp.add_argument("--x0", type=_float_list, required=True,

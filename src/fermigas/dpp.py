@@ -153,12 +153,9 @@ def _compressed(dpp, f):
 
 def from_eigensystem(eigs, mu):
     """Projection DPP of the fermion state filling eigenvalues <= mu."""
-    if mu > eigs.mu_cap:
-        raise ValidationError(
-            f"mu={mu} exceeds the solved cap {eigs.mu_cap}; spectrum incomplete"
-        )
-    sel = eigs.eigenvalues <= mu
-    features = math.sqrt(eigs.grid.weight) * eigs.eigenvectors[:, sel].T
+    _, vecs = eigs.below(mu)
+    # rows contiguous: the layout every sampler and trace GEMM has rounded in
+    features = np.multiply(math.sqrt(eigs.grid.weight), vecs.T, order="C")
     return DPP(features, eigs.grid.interior_points(), eigs.grid.weight)
 
 

@@ -43,7 +43,6 @@ from .schrodinger import (
     choose_box,
     edge_rotation,
     eigensolve,
-    projector_kernel,
     rescaled_kernel,
 )
 from .specfun import unit_ball_volume
@@ -282,7 +281,7 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0, min_points=201):
     ppa = max(int(math.ceil(2.0 * L / target)) + 1, min_points)
     grid = Grid(V.dimension, L, ppa)
     H = assemble_hamiltonian(V, hbar, grid)
-    return eigensolve(H, mu, grid, hbar), grid
+    return eigensolve(H, mu, grid, hbar)
 
 
 def _value_at(V, x0):
@@ -306,8 +305,8 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     n = V.dimension
     counts = []
     for hbar in hbar_list:
-        eigs, _ = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-        counts.append(int(np.sum(eigs.eigenvalues <= mu)))
+        eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
+        counts.append(eigs.below(mu)[0].size)
     Z = weyl_constant(V, mu, n)
     norm = unit_ball_volume(n) * Z / (2.0 * math.pi) ** n
     rows = []
@@ -362,14 +361,13 @@ def _kernel_convergence(
     rows = []
     prev_err = None
     for hbar in hbar_list:
-        eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-        pk = projector_kernel(eigs, mu)
+        eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
         eps = scale(hbar)
         us = _snap_probes(
-            grid, x0c, eps * signed, np.linspace(window[0], window[1], probes)
+            eigs.grid, x0c, eps * signed, np.linspace(window[0], window[1], probes)
         )
         pts = us.reshape(-1, 1)
-        sampled = rescaled_kernel(pk, [x0c], eps, frame, pts, pts)
+        sampled = rescaled_kernel(eigs, mu, [x0c], eps, frame, pts, pts)
         ref = reference(us[:, None], us[None, :])
         err = float(np.max(np.abs(sampled.values - ref)))
         ratio = math.nan if prev_err is None else err / prev_err
@@ -484,11 +482,11 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
         raise ValidationError("trials must be >= 1")
     rows = []
     for ih, hb in enumerate(hbars):
-        eigs, grid = _solve_window(V, mu, hb, margin=margin, c_h=c_h)
+        eigs = _solve_window(V, mu, hb, margin=margin, c_h=c_h)
         dpp = from_eigensystem(eigs, mu)
         if dpp.N == 0:
             raise ValidationError("no levels below mu: the process is empty")
-        taxis, ref_cdf = _reference_cdf(V, mu, grid)
+        taxis, ref_cdf = _reference_cdf(V, mu, eigs.grid)
         configs = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
         w1 = np.array([
             w1_to_reference(c.points[:, 0], taxis, ref_cdf) for c in configs
@@ -535,7 +533,7 @@ def gaussian_tail_check(
         raise ValidationError("trials must be >= 1")
     if not all(t > 0.0 for t in thresholds):
         raise ValidationError("thresholds must be positive")
-    eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
+    eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
     dpp = from_eigensystem(eigs, mu)
     if dpp.N == 0:
         raise ValidationError("no levels below mu: the process is empty")
@@ -851,8 +849,8 @@ def mesoscopic_variance_scan(
         eps = hbar ** beta
         delta = hbar / eps
         if n == 1:
-            eigs, grid = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-            if eps < 4.0 * grid.spacing:
+            eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
+            if eps < 4.0 * eigs.grid.spacing:
                 raise ValidationError(
                     "eps is below four grid spacings; refine the grid"
                 )

@@ -1,4 +1,4 @@
-"""Potential expression DSL: parser, evaluator, symbolic gradient, printer.
+"""Potential expression DSL: parser, evaluator, printer, gradient.
 
 Grammar (ASCII, with unicode multiply/divide accepted as aliases):
 
@@ -9,10 +9,14 @@ Grammar (ASCII, with unicode multiply/divide accepted as aliases):
     atom   := NUMBER | 'x'<k> | ('exp'|'cos'|'sin') '(' expr ')' | '(' expr ')'
 
 Precedence ^ > unary - > * / > + -, everything left associative, so
-"-x1^2" is -(x1^2).  The printer emits minimal parentheses in a canonical
-spacing ("a + b", "a*b", "x1^2") and round-trips through the parser.
+"-x1^2" is -(x1^2).  Number literals must be finite.  The printer emits
+minimal parentheses in a canonical spacing ("a + b", "a*b", "x1^2") and
+round-trips through the parser.  Gradients come from the same evaluator by
+the complex step: every operation of the grammar is analytic, so
+Im V(x + i t e_k) / t is dV/dx_k to rounding for a tiny real t.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -203,7 +207,12 @@ class _Parser:
     def atom(self):
         kind, val, off = self.advance()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"number {val!r} at offset {off} is not finite"
+                )
+            return Num(value)
         if kind == "ident":
             if val in _FUNCTIONS:
                 self.expect_op("(")
@@ -224,8 +233,6 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        if kind == "op" and val == "-":
-            return Neg(self.unary())
         raise ValidationError(
             f"syntax error at offset {off}: unexpected "
             f"{'end of input' if kind == 'end' else val!r}"
@@ -233,10 +240,10 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# evaluation / differentiation / printing
+# evaluation / printing
 
 def _evaluate(node, coords):
-    """coords: list of arrays (or scalars), one per variable index."""
+    """coords: list of real or complex arrays (or scalars), one per variable."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -260,6 +267,8 @@ def _evaluate(node, coords):
         return a / b
     if isinstance(node, Pow):
         base = _evaluate(node.base, coords)
+        if np.iscomplexobj(base):
+            return _complex_power(base, node.exponent)
         if node.exponent < 0:
             return base ** float(node.exponent)
         return base ** node.exponent
@@ -269,86 +278,33 @@ def _evaluate(node, coords):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _simplified_mul(a, b):
-    if isinstance(a, Num):
-        if a.value == 0.0:
-            return Num(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Num):
-        if b.value == 0.0:
-            return Num(0.0)
-        if b.value == 1.0:
-            return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return BinOp("*", a, b)
+def _evaluate_checked(ast, coords):
+    # constants are Python floats, whose arithmetic raises instead of
+    # returning inf or nan as numpy arrays do
+    try:
+        return _evaluate(ast, coords)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(
+            f"constant arithmetic in the potential fails: {exc}"
+        ) from None
 
 
-def _simplified_add(a, b):
-    if isinstance(a, Num) and a.value == 0.0:
-        return b
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return BinOp("+", a, b)
+def _complex_power(z, k):
+    """z**k by repeated squaring.
 
-
-def _differentiate(node, index):
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0 if node.index == index else 0.0)
-    if isinstance(node, Neg):
-        d = _differentiate(node.child, index)
-        if isinstance(d, Num):
-            return Num(-d.value)
-        return Neg(d)
-    if isinstance(node, BinOp):
-        da = _differentiate(node.left, index)
-        db = _differentiate(node.right, index)
-        if node.op in "+-":
-            if isinstance(da, Num) and da.value == 0.0 and node.op == "+":
-                return db
-            if isinstance(db, Num) and db.value == 0.0:
-                return da
-            return BinOp(node.op, da, db)
-        if node.op == "*":
-            return _simplified_add(
-                _simplified_mul(da, node.right), _simplified_mul(node.left, db)
-            )
-        # quotient rule: (a/b)' = a'/b - a b'/b^2
-        first = BinOp("/", da, node.right) if not (
-            isinstance(da, Num) and da.value == 0.0
-        ) else Num(0.0)
-        second = _simplified_mul(
-            _simplified_mul(node.left, db), Pow(node.right, -2)
-        )
-        if isinstance(second, Num) and second.value == 0.0:
-            return first
-        return BinOp("-", first, second)
-    if isinstance(node, Pow):
-        k = node.exponent
-        if k == 0:
-            return Num(0.0)
-        db = _differentiate(node.base, index)
-        inner = Pow(node.base, k - 1) if k != 1 else Num(1.0)
-        if k == 2:
-            inner = node.base
-        elif k - 1 == 1:
-            inner = node.base
-        return _simplified_mul(Num(float(k)), _simplified_mul(inner, db))
-    if isinstance(node, Call):
-        da = _differentiate(node.arg, index)
-        if node.func == "exp":
-            outer = Call("exp", node.arg)
-        elif node.func == "sin":
-            outer = Call("cos", node.arg)
-        else:  # cos
-            outer = Neg(Call("sin", node.arg))
-        return _simplified_mul(outer, da)
-    raise TypeError(f"not an AST node: {node!r}")
+    numpy multiplies out complex integer powers only for |k| < 100 and goes
+    through the polar form above that, which loses a complex step on a
+    negative real part; squaring keeps it to rounding for every k.
+    """
+    result = np.ones_like(z)
+    m = abs(k)
+    while m:
+        if m & 1:
+            result = result * z
+        m >>= 1
+        if m:
+            z = z * z
+    return 1.0 / result if k < 0 else result
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -410,7 +366,7 @@ def _to_text(node):
 
 
 class PotentialExpr:
-    """A validated potential expression with symbolic gradient support."""
+    """A validated potential expression, evaluated on points or arrays."""
 
     def __init__(self, ast, dimension=None):
         self.ast = ast
@@ -422,7 +378,6 @@ class PotentialExpr:
                 f"expression uses x{inferred} but dimension={dimension}"
             )
         self.dimension = dimension
-        self._grad = None
 
     def __call__(self, point):
         """Evaluate at a point (n,) or an array of points (m, n).
@@ -444,19 +399,10 @@ class PotentialExpr:
             raise ValidationError(
                 f"point has dimension {len(coords)}, expected {self.dimension}"
             )
-        out = _evaluate(self.ast, coords)
+        out = _evaluate_checked(self.ast, coords)
         return np.asarray(out, dtype=float) + np.zeros(
             np.broadcast_shapes(*(np.shape(c) for c in coords)) or (),
         )
-
-    def gradient(self):
-        """Tuple of PotentialExpr, one partial derivative per variable."""
-        if self._grad is None:
-            self._grad = tuple(
-                PotentialExpr(_differentiate(self.ast, k + 1), self.dimension)
-                for k in range(self.dimension)
-            )
-        return self._grad
 
     def to_text(self):
         return _to_text(self.ast)
@@ -473,14 +419,23 @@ def parse_potential(text, dimension=None):
     return PotentialExpr(ast, dimension)
 
 
+# the imaginary step: small enough that t^2 terms vanish beside any value
+_STEP = 1e-20
+
+
 def grad_potential(V, x):
-    """Symbolic gradient of V evaluated at the point x, as an array."""
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    if pt.shape[1] != V.dimension:
-        raise ValidationError(
-            f"point has dimension {pt.shape[1]}, expected {V.dimension}"
-        )
-    return np.array([float(g(pt)[0]) for g in V.gradient()])
+    """Gradient of V at the point x, by the complex step.
+
+    Evaluates V once on the n copies x + i t e_k and returns Im / t; there
+    is no difference quotient, so no cancellation.
+    """
+    pt = np.asarray(x, dtype=float).reshape(-1)
+    n = V.dimension
+    if pt.size != n:
+        raise ValidationError(f"point has dimension {pt.size}, expected {n}")
+    copies = pt[:, None] + 1j * _STEP * np.eye(n)  # row j: x_j in each copy
+    values = _evaluate_checked(V.ast, list(copies))
+    return np.imag(np.broadcast_to(values, (n,))) / _STEP
 
 
 def droplet_half_width(V, level, step=0.05, cap=64.0):

@@ -1,14 +1,15 @@
 """Discretized Schrodinger operator -hbar^2 Laplacian + V and its projector.
 
 A truncated box with Dirichlet boundary carries a second-order central
-difference Hamiltonian.  Eigenpairs below an energy cap feed the spectral
-projector, whose kernel can be rescaled microscopically around any interior
-point.  Agmon-weighted norms quantify how strongly eigenfunctions stick to
-the classically allowed region.
+difference Hamiltonian.  Its eigenpairs below an energy cap form an
+EigenSystem, and EigenSystem.below(mu) selects the filled levels <= mu that
+every consumer shares: the projector kernel rescaled microscopically around
+an interior point, the DPP and the Agmon-weighted norms, which quantify how
+strongly eigenfunctions stick to the classically allowed region.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,11 +25,9 @@ from .potential import droplet_half_width
 __all__ = [
     "Grid",
     "EigenSystem",
-    "ProjectorKernel",
     "choose_box",
     "assemble_hamiltonian",
     "eigensolve",
-    "projector_kernel",
     "rescaled_kernel",
     "edge_rotation",
     "agmon_check",
@@ -139,6 +138,8 @@ def assemble_hamiltonian(V, hbar, grid):
         eye = sp.identity(mi, format="csr")
         kinetic = sp.kron(lap1, eye) + sp.kron(eye, lap1)
     pot = V(grid.interior_points())
+    if not np.all(np.isfinite(pot)):
+        raise ValidationError("the potential is not finite at an interior node")
     return (kinetic + sp.diags(pot)).tocsr()
 
 
@@ -152,19 +153,18 @@ class EigenSystem:
     eigenvectors: np.ndarray      # column k: v_k on interior nodes
     grid: Grid
 
-    def to_csv(self, include_vectors=False):
-        lines = [
-            f"# hbar={self.hbar:.17g}",
-            f"# mu_cap={self.mu_cap:.17g}",
-            "k,eigenvalue",
-        ]
-        for k, lam in enumerate(self.eigenvalues):
-            lines.append(f"{k},{lam:.17g}")
-        if include_vectors:
-            lines.append("# eigenvectors (node-major, one column per k)")
-            for row in self.eigenvectors:
-                lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+    def below(self, mu):
+        """(eigenvalues, eigenvectors) of the filled levels <= mu.
+
+        The levels are ascending, so these are views of the leading
+        columns, not copies.
+        """
+        if mu > self.mu_cap:
+            raise ValidationError(
+                f"mu={mu} exceeds the solved cap {self.mu_cap}; spectrum incomplete"
+            )
+        N = int(np.count_nonzero(self.eigenvalues <= mu))
+        return self.eigenvalues[:N], self.eigenvectors[:, :N]
 
 
 def _fix_signs(vecs):
@@ -241,50 +241,7 @@ def eigensolve(H, cap, grid, hbar, max_lanczos=6):
     )
 
 
-@dataclass
-class ProjectorKernel:
-    """Rank-N spectral projector onto eigenvalues at most mu.
-
-    mu is the effective Fermi level: when the requested level fell within
-    1e-9 of an eigenvalue it has been nudged to the midpoint of the
-    surrounding spectral gap to keep N stable.
-    """
-
-    eigs: EigenSystem
-    mu: float
-    N: int
-    _matrix: np.ndarray = field(default=None, repr=False)
-
-    def matrix(self):
-        """Dense kernel values Pi(x_i, x_j) on interior nodes (cached)."""
-        if self._matrix is None:
-            sel = self.eigs.eigenvectors[:, : self.N]
-            self._matrix = sel @ sel.T
-        return self._matrix
-
-    def trace(self):
-        """Weighted diagonal sum; equals N by orthonormality."""
-        sel = self.eigs.eigenvectors[:, : self.N]
-        return float(np.sum(sel * sel) * self.eigs.grid.weight)
-
-
-def projector_kernel(eigs, mu):
-    if mu > eigs.mu_cap:
-        raise ValidationError(
-            f"mu={mu} exceeds the solved cap {eigs.mu_cap}; spectrum incomplete"
-        )
-    lam = eigs.eigenvalues
-    if lam.size and np.min(np.abs(lam - mu)) < 1e-9:
-        below = lam <= mu + 1e-9
-        k_top = int(np.nonzero(below)[0][-1])
-        upper = lam[k_top + 1] if k_top + 1 < lam.size else eigs.mu_cap
-        mu = 0.5 * (lam[k_top] + upper)
-    N = int(np.count_nonzero(lam <= mu))
-    return ProjectorKernel(eigs=eigs, mu=float(mu), N=N)
-
-
-def _interpolator(eigs, columns):
-    grid = eigs.grid
+def _interpolator(grid, columns):
     mi = grid.points_per_axis - 2
     K = columns.shape[1]
     if grid.dimension == 1:
@@ -300,14 +257,15 @@ def _interpolator(eigs, columns):
     )
 
 
-def rescaled_kernel(pk, x0, eps, U, x_list, y_list):
+def rescaled_kernel(eigs, mu, x0, eps, U, x_list, y_list):
     """eps^n Pi(x0 + eps U^T x, x0 + eps U^T y) on the probe rectangle.
 
-    Eigenfunctions are interpolated bilinearly between grid nodes, so probe
-    spacings should stay a few grid spacings wide.  Probes outside the box
-    raise.
+    Pi projects onto the levels <= mu.  Eigenfunctions are interpolated
+    bilinearly between grid nodes, so probe spacings should stay a few grid
+    spacings wide.  Probes outside the box raise.
     """
-    grid = pk.eigs.grid
+    lam, vecs = eigs.below(mu)
+    grid = eigs.grid
     n = grid.dimension
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
@@ -322,15 +280,15 @@ def rescaled_kernel(pk, x0, eps, U, x_list, y_list):
     L = grid.half_width
     if np.max(np.abs(px)) > L or np.max(np.abs(py)) > L:
         raise ValidationError("a rescaled probe point lies outside the box")
-    params = {"hbar": pk.eigs.hbar, "mu": pk.mu, "eps": float(eps)}
+    params = {"hbar": eigs.hbar, "mu": float(mu), "eps": float(eps)}
     for k in range(n):
         params[f"x0_{k + 1}"] = float(x0[k])
-    if pk.N == 0:
+    if lam.size == 0:
         values = np.zeros((xs.shape[0], ys.shape[0]))
         return KernelEvaluation(
             KernelKind.PROJECTOR, n, params, xs, ys, values
         )
-    interp = _interpolator(pk.eigs, pk.eigs.eigenvectors[:, : pk.N])
+    interp = _interpolator(grid, vecs)
     A = interp(px if n == 2 else px[:, 0])
     B = interp(py if n == 2 else py[:, 0])
     values = (eps ** n) * (A @ B.T)
@@ -381,10 +339,11 @@ def agmon_check(eigs, V, mu, delta):
         raise ValidationError("the sublevel set {V <= mu + delta} misses the grid")
     mask = inside.reshape((grid.points_per_axis - 2,) * grid.dimension)
     dist = distance_transform_edt(~mask, sampling=grid.spacing).ravel()
-    sel = eigs.eigenvalues <= mu
-    lam = eigs.eigenvalues[sel]
-    vecs = eigs.eigenvectors[:, sel]
-    weighted = np.exp(delta * dist / eigs.hbar)[:, None] * vecs
+    lam, vecs = eigs.below(mu)
+    # columns contiguous, so each norm below is one pairwise sum
+    weighted = np.multiply(
+        np.exp(delta * dist / eigs.hbar)[:, None], vecs, order="F"
+    )
     norms = np.sqrt(np.sum(weighted * weighted, axis=0) * grid.weight)
     return AgmonReport(
         delta=float(delta),

@@ -218,7 +218,7 @@ def test_criterion_08_seminorm_duality():
 
 def test_criterion_09_clt():
     t0 = time.perf_counter()
-    eigs, _ = _solve_window(HARMONIC, 1.0, 0.02)
+    eigs = _solve_window(HARMONIC, 1.0, 0.02)
     dpp = from_eigensystem(eigs, 1.0)
     f = TestFunction.gaussian_bump(1, 0.0, 0.2)
     rep = clt_monte_carlo(dpp, f(dpp.nodes), 10000, RngState(2718))
@@ -238,7 +238,7 @@ def test_criterion_10_lln():
 
 
 def test_criterion_11_agmon_bound():
-    eigs, _ = _solve_window(HARMONIC, 1.2, 0.05)
+    eigs = _solve_window(HARMONIC, 1.2, 0.05)
     rep = agmon_check(eigs, HARMONIC, 1.0, 0.2)
     worst = float(np.max(rep.norms))
     ok = worst <= rep.bound and rep.bound == pytest.approx(11.0)

@@ -187,6 +187,11 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["kernel", "--kind", "bulk", "--window", "-1e308:1e308:1"],
     ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
      "--hbar", "0.02", "--probes", "2002"],
+    # potentials that are not finite: a literal, a constant product, and a
+    # constant division by zero
+    ["weyl", "--potential", "x1^2+1e400", "--mu", "1", "--hbar", "0.05"],
+    ["weyl", "--potential", "x1^2 + 1e200*1e200", "--mu", "1", "--hbar", "0.05"],
+    ["weyl", "--potential", "x1^2 + 1/0", "--mu", "1", "--hbar", "0.05"],
 ])
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert main(argv) == 1

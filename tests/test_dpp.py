@@ -197,7 +197,7 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
 
 def test_two_dimensional_sample_sequences_are_frozen():
     # x1^2 + x2^2 at hbar = 0.1: fifteen particles on 39,601 nodes
-    eigs, _ = _solve_window(parse_potential("x1^2+x2^2"), 1.0, 0.1)
+    eigs = _solve_window(parse_potential("x1^2+x2^2"), 1.0, 0.1)
     dpp = from_eigensystem(eigs, 1.0)
     frozen = [
         [10616, 17409, 23587, 26133, 24031, 15785, 27359, 19618, 27400,

@@ -39,7 +39,7 @@ def harmonic():
 
 @pytest.fixture(scope="module")
 def clt_process(harmonic):
-    eigs, grid = _solve_window(harmonic, 1.0, 0.02)
+    eigs = _solve_window(harmonic, 1.0, 0.02)
     return from_eigensystem(eigs, 1.0)
 
 

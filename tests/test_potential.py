@@ -1,10 +1,19 @@
-"""Parser, evaluator, symbolic gradient and droplet scan for the potential DSL."""
+"""Parser, evaluator, printer, gradient and droplet scan for the potential DSL."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.errors import ValidationError
 from fermigas.potential import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Pow,
+    PotentialExpr,
+    Var,
     droplet_half_width,
     grad_potential,
     parse_potential,
@@ -79,6 +88,29 @@ def test_pretty_print_round_trip(text):
     assert parse_potential(V.to_text()).ast == V.ast
 
 
+# every tree the parser can produce: finite non-negative literals (a minus
+# is always a Neg), x1..x3, integer exponents and the three functions
+PARSER_TREES = st.recursive(
+    st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Num),
+        st.integers(1, 3).map(Var),
+    ),
+    lambda children: st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(-120, 120)),
+        st.builds(Call, st.sampled_from(("exp", "sin", "cos")), children),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSER_TREES)
+def test_printer_round_trips_every_parser_tree(ast):
+    assert parse_potential(PotentialExpr(ast).to_text()).ast == ast
+
+
 def test_evaluation_examples():
     assert parse_potential("x1^2")(np.array([2.0])) == pytest.approx(4.0)
     assert parse_potential("x1^2 + x2^2")([1.0, 1.0]) == pytest.approx(2.0)
@@ -122,6 +154,16 @@ def test_syntax_error_carries_offset():
         parse_potential("(x1")
     with pytest.raises(ValidationError, match="offset 3"):
         parse_potential("x1 $ 2")
+    with pytest.raises(ValidationError, match="offset 5.*not finite"):
+        parse_potential("x1 + 1e400")
+
+
+def test_constant_division_by_zero_is_rejected():
+    V = parse_potential("x1^2 + 1/0")
+    with pytest.raises(ValidationError, match="division by zero"):
+        V([1.0])
+    with pytest.raises(ValidationError, match="division by zero"):
+        grad_potential(V, [1.0])
 
 
 def test_unknown_identifier_errors():
@@ -171,6 +213,30 @@ def test_gradient_matches_central_differences(text, point):
         lo_val = float(V(lo.reshape(1, -1))[0])
         fd = (hi_val - lo_val) / (2.0 * step)
         assert abs(sym[k] - fd) <= 1e-6
+
+
+# hand derivatives; the two powers with |k| >= 100 on a negative base are
+# where a complex ** in polar form would lose the step
+CLOSED_FORM_GRADIENTS = [
+    ("x1^101", [-1.001], lambda x: [101.0 * x[0] ** 100]),
+    ("x1^-120", [-0.99], lambda x: [-120.0 * x[0] ** -121]),
+    ("x1/(1 + x2^2)", [2.0, 0.5], lambda x: [
+        1.0 / (1.0 + x[1] ** 2), -2.0 * x[0] * x[1] / (1.0 + x[1] ** 2) ** 2,
+    ]),
+    ("exp(cos(x1))", [0.25], lambda x: [-np.sin(x[0]) * np.exp(np.cos(x[0]))]),
+    ("x1*x2*x3", [1.0, 2.0, 3.0], lambda x: [
+        x[1] * x[2], x[0] * x[2], x[0] * x[1],
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, point, exact", CLOSED_FORM_GRADIENTS,
+    ids=[case[0] for case in CLOSED_FORM_GRADIENTS],
+)
+def test_gradient_matches_closed_form(text, point, exact):
+    got = grad_potential(parse_potential(text), point)
+    np.testing.assert_allclose(got, exact(point), rtol=1e-12, atol=0.0)
 
 
 def test_gradient_dimension_override():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fermigas.dpp import from_eigensystem
 from fermigas.errors import ValidationError
 from fermigas.kernels import bulk_kernel
 from fermigas.potential import parse_potential
@@ -14,7 +15,6 @@ from fermigas.schrodinger import (
     choose_box,
     edge_rotation,
     eigensolve,
-    projector_kernel,
     rescaled_kernel,
 )
 
@@ -187,54 +187,53 @@ def test_eigensolve_2d_is_reproducible():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
-def test_eigensystem_csv():
-    es = harmonic_eigensystem()
-    text = es.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# hbar=")
-    assert lines[2] == "k,eigenvalue"
-    assert len(lines) == 3 + 10
-
-
 # ---------------------------------------------------------------------------
 # projector kernel
 
 
+def projector_matrix(es, mu):
+    """Dense kernel values Pi(x_i, x_j) of the levels <= mu on the nodes."""
+    _, vecs = es.below(mu)
+    return vecs @ vecs.T
+
+
 def test_projector_counts_and_trace():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
-    assert pk.N == 10
-    assert pk.trace() == pytest.approx(10.0, abs=1e-6)
+    dpp = from_eigensystem(es, 1.0)
+    assert dpp.N == 10
+    trace = float(np.trace(projector_matrix(es, 1.0)) * es.grid.weight)
+    assert trace == pytest.approx(10.0, abs=1e-6)
 
 
 def test_projector_below_ground_state():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 0.01)
-    assert pk.N == 0
-    assert np.all(pk.matrix() == 0.0)
-    assert pk.trace() == 0.0
+    lam, vecs = es.below(0.01)
+    assert lam.size == 0 and vecs.shape == (es.grid.interior_count, 0)
+    assert from_eigensystem(es, 0.01).N == 0
+    P = projector_matrix(es, 0.01)
+    assert np.all(P == 0.0)
+    assert float(np.trace(P) * es.grid.weight) == 0.0
 
 
 def test_projector_idempotent_in_weighted_product():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
-    P = pk.matrix()
+    P = projector_matrix(es, 1.0)
     resid = P @ P * es.grid.weight - P
     assert np.max(np.abs(resid)) <= 1e-6
 
 
-def test_projector_degenerate_fermi_level_nudge():
+def test_projector_fermi_level_on_a_level_fills_it():
     es = harmonic_eigensystem()
     lam = es.eigenvalues
-    pk = projector_kernel(es, float(lam[3]))
-    assert pk.N == 4
-    assert lam[3] < pk.mu < lam[4]
+    assert from_eigensystem(es, float(lam[3])).N == 4
 
 
 def test_projector_rejects_mu_above_cap():
     es = harmonic_eigensystem()
     with pytest.raises(ValidationError):
-        projector_kernel(es, 1.5)
+        es.below(1.5)
+    with pytest.raises(ValidationError):
+        from_eigensystem(es, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +242,34 @@ def test_projector_rejects_mu_above_cap():
 
 def test_rescaled_kernel_exact_on_nodes():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
     h = es.grid.spacing
     x0 = [es.grid.interior_axis[600]]
     probes = np.array([[-2.0], [0.0], [3.0]])
-    ke = rescaled_kernel(pk, x0, h, np.eye(1), probes, probes)
-    P = pk.matrix()
+    ke = rescaled_kernel(es, 1.0, x0, h, np.eye(1), probes, probes)
+    P = projector_matrix(es, 1.0)
     idx = [598, 600, 603]
     assert np.allclose(ke.values, h * P[np.ix_(idx, idx)], atol=1e-14)
 
 
 def test_rescaled_kernel_approaches_sine_kernel():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
     eps = np.pi * 0.05  # bulk scale at the center of the well
     z = np.linspace(-1.0, 1.0, 5)[:, None]
-    ke = rescaled_kernel(pk, [0.0], eps, np.eye(1), z, z)
+    ke = rescaled_kernel(es, 1.0, [0.0], eps, np.eye(1), z, z)
     ref = np.array([[bulk_kernel(1, a, b) for b in z] for a in z])
     assert np.max(np.abs(ke.values - ref)) <= 0.1
 
 
 def test_rescaled_kernel_probe_outside_box():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
     with pytest.raises(ValidationError, match="outside"):
-        rescaled_kernel(pk, [2.9], 0.1, np.eye(1), [[5.0]], [[0.0]])
+        rescaled_kernel(es, 1.0, [2.9], 0.1, np.eye(1), [[5.0]], [[0.0]])
 
 
 def test_rescaled_kernel_requires_orthogonal_map():
     es = harmonic_eigensystem()
-    pk = projector_kernel(es, 1.0)
     with pytest.raises(ValidationError, match="orthogonal"):
-        rescaled_kernel(pk, [0.0], 0.1, np.array([[2.0]]), [[0.0]], [[0.0]])
+        rescaled_kernel(es, 1.0, [0.0], 0.1, np.array([[2.0]]), [[0.0]], [[0.0]])
 
 
 # ---------------------------------------------------------------------------
