@@ -192,13 +192,6 @@ def _parse_function(spec, n):
 # subcommand runners
 
 
-def _x0_value(args, n):
-    x0 = np.asarray(args.x0, dtype=float)
-    if x0.size != n:
-        raise ValidationError(f"--x0 needs {n} components, got {x0.size}")
-    return x0[0] if n == 1 else x0
-
-
 def _run_weyl(args):
     V = parse_potential(args.potential)
     rep = weyl_check(
@@ -250,7 +243,7 @@ def _run_converge(args):
     rep = args.driver(
         V,
         args.mu,
-        _x0_value(args, V.dimension),
+        args.x0,
         args.hbar,
         window=args.window,
         probes=args.probes,

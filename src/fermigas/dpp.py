@@ -27,12 +27,10 @@ __all__ = [
     "from_kernel",
     "sample",
     "samples",
-    "correlation",
     "laplace_functional",
     "mean_linear_stat",
     "var_linear_stat",
     "cov_linear_stats",
-    "soshnikov_remainder",
 ]
 
 
@@ -135,11 +133,6 @@ class DPP:
             self._op_matrix = B.T @ B
         return self._op_matrix
 
-    def kernel_entry(self, i, j):
-        """Continuous-kernel value K(x_i, x_j)."""
-        B = self._root_features
-        return float(B[:, i] @ B[:, j]) / self.weight
-
 
 def _compressed(dpp, f):
     """B diag(f) B^T: the K x K compression of multiplication by f.
@@ -170,8 +163,8 @@ def _infer_weight(points):
         gaps = np.diff(vals)
         if np.max(gaps) - np.min(gaps) > 1e-9 * max(1.0, np.max(np.abs(vals))):
             raise ValidationError(
-                "kernel window nodes are not a uniform lattice; "
-                "pass the quadrature weight explicitly"
+                "kernel window nodes are not a uniform lattice, so they "
+                "carry no quadrature weight"
             )
         spacings.append(gaps[0])
     if not spacings:
@@ -181,11 +174,13 @@ def _infer_weight(points):
     )
 
 
-def from_kernel(kernel_eval, weight=None):
+def from_kernel(kernel_eval):
     """Validate a sampled symmetric kernel as a DPP and diagonalize it.
 
-    The operator matrix is values * weight; eigenvalues are clipped into
-    [0, 1] when within 1e-6 of the ends and rejected beyond that.
+    The nodes must form a uniform lattice, whose spacings give the
+    quadrature weight; the operator matrix is values * weight.  Eigenvalues
+    are clipped into [0, 1] when within 1e-6 of the ends and rejected
+    beyond that.
     """
     xs = kernel_eval.x_points
     ys = kernel_eval.y_points
@@ -194,8 +189,7 @@ def from_kernel(kernel_eval, weight=None):
     A = np.asarray(kernel_eval.values, dtype=float)
     if not np.allclose(A, A.T, atol=1e-10):
         raise ValidationError("kernel matrix is not symmetric")
-    if weight is None:
-        weight = _infer_weight(xs)
+    weight = _infer_weight(xs)
     q, U = np.linalg.eigh(0.5 * (A + A.T) * weight)
     if np.min(q) < -1e-6 or np.max(q) > 1.0 + 1e-6:
         raise ValidationError(
@@ -290,19 +284,6 @@ def sample(dpp, rng_state):
     return samples(dpp, [rng_state])[0]
 
 
-def _nearest_node(dpp, z):
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    d2 = np.sum((dpp.nodes - z) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
-def correlation(dpp, points):
-    """k-point correlation det[K(z_i, z_j)] at the nearest grid nodes."""
-    idx = [_nearest_node(dpp, z) for z in np.atleast_2d(points)]
-    B = dpp._root_features[:, idx]
-    return float(np.linalg.det(B.T @ B / dpp.weight))
-
-
 def _as_grid_function(dpp, f):
     vals = np.asarray(f, dtype=float).reshape(-1)
     if vals.size != dpp.node_count:
@@ -359,24 +340,3 @@ def var_linear_stat(dpp, f, method="trace"):
     # it is exactly zero for a projection
     residual = float(np.diag(_compressed(dpp, vals * vals)) @ (1.0 - dpp.q))
     return comm + residual
-
-
-def soshnikov_remainder(dpp, f):
-    """Cumulant-expansion remainder of log E e^{Xi(f)} for small f.
-
-    Returns (delta, controlling) where
-    delta = |log E e^{Xi(f)} - E Xi(f) - 1/2 var Xi(e^f - 1)| and
-    controlling = max(f_+) * var Xi(e^f - 1).
-    """
-    vals = _as_grid_function(dpp, f)
-    if np.max(vals, initial=0.0) > 0.69:
-        raise ValidationError("soshnikov_remainder needs max f <= 0.69")
-    g = np.expm1(vals)
-    sign, logabs = np.linalg.slogdet(np.eye(dpp.N) + _compressed(dpp, g))
-    if sign <= 0.0:
-        raise NumericalError("log-Laplace transform is not positive")
-    mean = mean_linear_stat(dpp, vals)
-    var_g = var_linear_stat(dpp, g)
-    delta = abs(float(logabs) - mean - 0.5 * var_g)
-    controlling = float(np.max(np.maximum(vals, 0.0), initial=0.0)) * var_g
-    return delta, controlling

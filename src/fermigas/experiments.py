@@ -262,7 +262,7 @@ def _format_value(v):
 # operator pipeline helpers
 
 
-def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0, min_points=201):
+def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
     """Eigensystem of the boxed operator with all levels <= mu.
 
     The grid spacing follows c_h * hbar^{3/2}: the finite-difference
@@ -278,7 +278,7 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0, min_points=201):
         raise ValidationError("resolution must be positive")
     L = choose_box(V, mu, margin)
     target = c_h * hbar ** 1.5
-    ppa = max(int(math.ceil(2.0 * L / target)) + 1, min_points)
+    ppa = max(int(math.ceil(2.0 * L / target)) + 1, 201)
     grid = Grid(V.dimension, L, ppa)
     H = assemble_hamiltonian(V, hbar, grid)
     return eigensolve(H, mu, grid, hbar)
@@ -336,12 +336,16 @@ def _snap_probes(grid, x0_coord, eps, targets):
     """Move probe offsets so the physical points land on grid nodes.
 
     Interpolation between nodes is only first order, which would pollute the
-    convergence rates; on the nodes the rescaled kernel is exact.
+    convergence rates; on the nodes the rescaled kernel is exact.  A probe
+    that lands outside the interior nodes raises.
     """
     ax = grid.interior_axis
     phys = x0_coord + eps * np.asarray(targets, dtype=float)
     idx = np.round((phys - ax[0]) / grid.spacing).astype(int)
-    idx = np.clip(idx, 0, ax.size - 1)
+    if np.min(idx) < 0 or np.max(idx) >= ax.size:
+        raise ValidationError(
+            f"a probe lies outside the box of half-width {grid.half_width:g}"
+        )
     return np.unique((ax[idx] - x0_coord) / eps)
 
 
@@ -396,7 +400,10 @@ def _one_dimensional_x0(V, x0, experiment):
             f"{experiment} runs the n=1 pipeline; higher dimensions use "
             "the analytic free-Laplacian kernels"
         )
-    return float(np.asarray(x0, dtype=float).reshape(-1)[0])
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != 1:
+        raise ValidationError(f"x0 needs 1 component, got {x0.size}")
+    return float(x0[0])
 
 
 def bulk_convergence(
@@ -599,16 +606,16 @@ def _ball_difference_volume(n, d):
     return math.pi - lens
 
 
-def _fourier_sq_lattice(g, pad=4.0, points=None):
+def _fourier_sq_lattice(g):
     """|ghat|^2 (unitary convention) on the DFT frequency lattice.
 
     Returns (weights, xi_points, cell_volume).  The box half-width is
-    pad * bounding_radius, so rescaled copies of g see proportionally
+    4 * bounding_radius, so rescaled copies of g see proportionally
     rescaled boxes and quadrature errors cancel exactly in scaling checks.
     """
     n = g.dimension
-    A = pad * g.bounding_radius()
-    m = int(points) if points else (8192 if n == 1 else 256)
+    A = 4.0 * g.bounding_radius()
+    m = 8192 if n == 1 else 256
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
     norm = (h / math.sqrt(2.0 * math.pi)) ** n
@@ -629,7 +636,7 @@ def _fourier_sq_lattice(g, pad=4.0, points=None):
     return np.abs(ghat) ** 2, xi, dxi
 
 
-def free_variance_exact(n, mu, g, pad=4.0, points=None):
+def free_variance_exact(n, mu, g):
     """Variance of X(g) under the free kernel, by the Plancherel formula.
 
     var = mu^n / (2 pi)^n int |ghat(xi)|^2 |B(0,1) \\ B(|xi|/mu, 1)| dxi.
@@ -663,7 +670,7 @@ def free_variance_exact(n, mu, g, pad=4.0, points=None):
         )
         total = inner + unit_ball_volume(n) * outer
         return pref * surface * total
-    w2, xi, dxi = _fourier_sq_lattice(g, pad=pad, points=points)
+    w2, xi, dxi = _fourier_sq_lattice(g)
     d = np.sqrt(np.sum(xi * xi, axis=1)) / mu
     if n == 1:
         vol = np.minimum(d, 2.0)
@@ -700,13 +707,12 @@ def _lattice_autocorrelation(g, n, ax, h):
     return vals, l2, dist, big_d
 
 
-def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
+def free_variance_bruteforce(n, mu, g):
     """Variance of X(g) as the double integral of (g(x)-g(y))^2 K(x,y)^2 / 2.
 
-    The default route reduces the double integral to the difference variable
-    with FFT autocorrelation and adds the closed-form Bessel tail beyond the
-    sampled window; method="direct" keeps the literal double Riemann sum on
-    a coarse grid (useful for invariance checks, not for accuracy).
+    The double integral reduces to the difference variable with FFT
+    autocorrelation, plus the closed-form Bessel tail beyond the sampled
+    window.
     """
     n = int(n)
     if n not in (1, 2):
@@ -714,24 +720,7 @@ def free_variance_bruteforce(n, mu, g, step=None, method="fft"):
     if mu <= 0.0:
         raise ValidationError("mu must be positive")
     R = g.bounding_radius()
-    if method == "direct":
-        h = step if step else R / (30.0 if n == 1 else 8.0)
-        m = int(math.ceil(2.0 * R / h)) + 1
-        ax = -R + h * np.arange(m)
-        if n == 1:
-            pts = ax.reshape(-1, 1)
-        else:
-            X, Y = np.meshgrid(ax, ax, indexing="ij")
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-        vals = g(pts)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        ksq = free_kernel_radial(n, mu, dist) ** 2
-        dg = vals[:, None] - vals[None, :]
-        return 0.5 * float(np.sum(dg * dg * ksq)) * h ** (2 * n)
-    if method != "fft":
-        raise ValidationError("method must be 'fft' or 'direct'")
-    h = step if step else min(math.pi / (4.5 * mu), R / 25.0)
+    h = min(math.pi / (4.5 * mu), R / 25.0)
     m = int(math.ceil(2.0 * R / h)) + 1
     ax = -R + h * np.arange(m)
     _, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
@@ -768,7 +757,7 @@ def free_variance_asymptotic(n, mu, g):
 # H^{1/2} seminorms
 
 
-def sigma_fourier(g, pad=4.0, points=None):
+def sigma_fourier(g):
     """Sigma^2(g) = int |ghat(xi)|^2 |xi| dxi.
 
     A closed-form radial profile of |ghat|^2 is integrated with quadrature;
@@ -782,11 +771,11 @@ def sigma_fourier(g, pad=4.0, points=None):
             lambda r: r ** n * profile(r), 0.0, np.inf, limit=200
         )
         return surface * val
-    w2, xi, dxi = _fourier_sq_lattice(g, pad=pad, points=points)
+    w2, xi, dxi = _fourier_sq_lattice(g)
     return float(np.sum(w2 * np.sqrt(np.sum(xi * xi, axis=1)))) * dxi
 
 
-def sigma_slobodeckij(g, pad=2.0, points=None, cut_steps=4):
+def sigma_slobodeckij(g):
     """The double integral int |g(x)-g(y)|^2 / |x-y|^{n+1} dx dy.
 
     The diagonal singularity is excised at a few lattice steps and replaced
@@ -795,8 +784,8 @@ def sigma_slobodeckij(g, pad=2.0, points=None, cut_steps=4):
     in closed form.
     """
     n = g.dimension
-    A = pad * g.bounding_radius()
-    m = int(points) if points else (2048 if n == 1 else 160)
+    A = 2.0 * g.bounding_radius()
+    m = 2048 if n == 1 else 160
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
     vals, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
@@ -805,7 +794,7 @@ def sigma_slobodeckij(g, pad=2.0, points=None, cut_steps=4):
     else:
         gx, gy = np.gradient(vals, h)
         grad_sq = float(np.sum(gx * gx + gy * gy)) * h ** 2
-    cut = cut_steps * h
+    cut = 4 * h
     Z = (m - 1) * h
     ring = (dist > cut) & (dist <= Z)
     total = float(np.sum(big_d[ring] / dist[ring] ** (n + 1))) * h ** n

@@ -368,16 +368,9 @@ def _to_text(node):
 class PotentialExpr:
     """A validated potential expression, evaluated on points or arrays."""
 
-    def __init__(self, ast, dimension=None):
+    def __init__(self, ast):
         self.ast = ast
-        inferred = max(1, _max_var(ast))
-        if dimension is None:
-            dimension = inferred
-        if dimension < inferred:
-            raise ValidationError(
-                f"expression uses x{inferred} but dimension={dimension}"
-            )
-        self.dimension = dimension
+        self.dimension = max(1, _max_var(ast))
 
     def __call__(self, point):
         """Evaluate at a point (n,) or an array of points (m, n).
@@ -411,12 +404,12 @@ class PotentialExpr:
         return f"PotentialExpr({self.to_text()!r}, dimension={self.dimension})"
 
 
-def parse_potential(text, dimension=None):
+def parse_potential(text):
     """Parse the DSL into a PotentialExpr; errors carry character offsets."""
     if not isinstance(text, str) or not text.strip():
         raise ValidationError("empty potential expression")
     ast = _Parser(text).parse()
-    return PotentialExpr(ast, dimension)
+    return PotentialExpr(ast)
 
 
 # the imaginary step: small enough that t^2 terms vanish beside any value
@@ -438,12 +431,17 @@ def grad_potential(V, x):
     return np.imag(np.broadcast_to(values, (n,))) / _STEP
 
 
-def droplet_half_width(V, level, step=0.05, cap=64.0):
+# the farthest any droplet scan or box reaches, and the scan's radial step
+_MAX_HALF_WIDTH = 64.0
+_SCAN_STEP = 0.05
+
+
+def droplet_half_width(V, level):
     """Outermost |x|_inf among scanned points with V < level, by outward scan.
 
     Scans axis directions and (for n >= 2) diagonal rays.  Raises when the
-    sublevel set still shows up at the scan cap, which signals an unconfined
-    potential.
+    sublevel set still shows up at _MAX_HALF_WIDTH, which signals an
+    unconfined potential.
     """
     n = V.dimension
     directions = []
@@ -455,7 +453,7 @@ def droplet_half_width(V, level, step=0.05, cap=64.0):
                 d = np.array([kx, ky], dtype=float)[:n]
                 if np.any(d != 0.0):
                     directions.append(d / np.linalg.norm(d))
-    radii = np.arange(step, cap + step, step)
+    radii = np.arange(_SCAN_STEP, _MAX_HALF_WIDTH + _SCAN_STEP, _SCAN_STEP)
     outer = 0.0
     for d in directions:
         pts = radii[:, None] * d[None, :]
@@ -463,9 +461,10 @@ def droplet_half_width(V, level, step=0.05, cap=64.0):
         below = np.nonzero(vals < level)[0]
         if below.size:
             r = radii[below[-1]]
-            if r >= cap - step:
+            if r >= _MAX_HALF_WIDTH - _SCAN_STEP:
                 raise ValidationError(
-                    f"unconfined potential: V < {level} persists out to |x|={cap}"
+                    f"unconfined potential: V < {level} persists out to "
+                    f"|x|={_MAX_HALF_WIDTH}"
                 )
             outer = max(outer, np.max(np.abs(pts[below[-1]])))
     return outer

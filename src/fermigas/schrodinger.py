@@ -20,7 +20,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalError, ValidationError
 from .kernels import KernelEvaluation, KernelKind
-from .potential import droplet_half_width
+from .potential import _MAX_HALF_WIDTH, droplet_half_width
 
 __all__ = [
     "Grid",
@@ -93,12 +93,13 @@ def choose_box(V, M, margin):
     inner = droplet_half_width(V, level)  # raises when unconfined
     n = V.dimension
     L = 0.5 * max(1.0, math.ceil(inner / 0.5))
-    while L <= 64.0:
+    while L <= _MAX_HALF_WIDTH:
         if L >= inner and _boundary_min(V, L, n) >= level:
             return L
         L += 0.5
     raise ValidationError(
-        f"no box with boundary above {level} found out to half-width 64"
+        f"no box with boundary above {level} found out to half-width "
+        f"{_MAX_HALF_WIDTH:g}"
     )
 
 
@@ -176,7 +177,7 @@ def _fix_signs(vecs):
     return vecs
 
 
-def eigensolve(H, cap, grid, hbar, max_lanczos=6):
+def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
     n=1 uses the direct tridiagonal subset-by-value solver; n=2 runs
@@ -209,7 +210,7 @@ def eigensolve(H, cap, grid, hbar, max_lanczos=6):
         # of a symmetric well
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
         vals = vecs = None
-        for _ in range(max_lanczos):
+        for _ in range(6):  # block sizes 16, 32, ..., 512
             try:
                 w, u = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
             except ArpackNoConvergence as exc:

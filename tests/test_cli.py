@@ -192,6 +192,9 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["weyl", "--potential", "x1^2+1e400", "--mu", "1", "--hbar", "0.05"],
     ["weyl", "--potential", "x1^2 + 1e200*1e200", "--mu", "1", "--hbar", "0.05"],
     ["weyl", "--potential", "x1^2 + 1/0", "--mu", "1", "--hbar", "0.05"],
+    # probes out to |x| = 63 around x0 = 0, in a box of half-width 1.5
+    ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
+     "--hbar", "0.02", "--window", "-1000:1000", "--probes", "5"],
 ])
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -1,4 +1,4 @@
-"""Determinantal sampling, correlation determinants, exact trace statistics."""
+"""Determinantal sampling and exact trace statistics."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fermigas.dpp import (
     DPP,
     RngState,
-    correlation,
     cov_linear_stats,
     from_eigensystem,
     from_kernel,
@@ -18,7 +17,6 @@ from fermigas.dpp import (
     mean_linear_stat,
     sample,
     samples,
-    soshnikov_remainder,
     var_linear_stat,
 )
 from fermigas import dpp as dpp_module
@@ -136,6 +134,19 @@ def test_from_kernel_rejects_invalid_kernel():
     bad = np.eye(9) * 100.0  # operator norm far above 1 after weighting
     ke = KernelEvaluation(KernelKind.SINE_1D, 1, {}, xs, xs, bad)
     with pytest.raises(ValidationError, match="not a DPP kernel"):
+        from_kernel(ke)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([0.0, 0.1, 0.3], "not a uniform lattice"),
+    ([0.5], "single node"),
+], ids=["non-uniform", "single-node"])
+def test_from_kernel_needs_a_uniform_lattice(nodes, message):
+    # the lattice spacing is the only source of the quadrature weight
+    xs = np.asarray(nodes)[:, None]
+    values = 0.1 * np.eye(xs.shape[0])
+    ke = KernelEvaluation(KernelKind.SINE_1D, 1, {}, xs, xs, values)
+    with pytest.raises(ValidationError, match=message):
         from_kernel(ke)
 
 
@@ -317,26 +328,6 @@ def test_draw_positions_are_exchangeable(fermions):
 
 
 # ---------------------------------------------------------------------------
-# correlation determinants
-
-
-def test_correlation_examples(fermions):
-    dpp, grid = fermions
-    x = grid.interior_points().ravel()
-    z1, z2 = [x[150]], [x[170]]
-    assert correlation(dpp, [z1]) == pytest.approx(
-        dpp.kernel_entry(150, 150), abs=1e-12
-    )
-    assert correlation(dpp, [z1, z1]) == pytest.approx(0.0, abs=1e-10)
-    want = (
-        dpp.kernel_entry(150, 150) * dpp.kernel_entry(170, 170)
-        - dpp.kernel_entry(150, 170) ** 2
-    )
-    assert correlation(dpp, [z1, z2]) == pytest.approx(want, abs=1e-10)
-    assert correlation(dpp, [z2, z1]) == pytest.approx(want, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # Laplace functional
 
 
@@ -448,43 +439,6 @@ def test_variance_grows_with_mu_2d_free_laplacian():
         f = np.exp(-np.sum(pts * pts, axis=1) / 0.08)
         variances.append(var_linear_stat(gd, f))
     assert variances[0] < variances[1] < variances[2]
-
-
-# ---------------------------------------------------------------------------
-# cumulant remainder
-
-
-def test_soshnikov_remainder_zero_function(fermions):
-    dpp, _ = fermions
-    delta, controlling = soshnikov_remainder(dpp, np.zeros(dpp.node_count))
-    assert delta == pytest.approx(0.0, abs=1e-12)
-    assert controlling == 0.0
-
-
-def test_soshnikov_remainder_linear_in_scale(fermions):
-    dpp, grid = fermions
-    x = grid.interior_points().ravel()
-    shape = np.exp(-x ** 2 / 0.2)
-    d1, c1 = soshnikov_remainder(dpp, 0.1 * shape)
-    d2, c2 = soshnikov_remainder(dpp, 0.05 * shape)
-    v1 = c1 / 0.1
-    v2 = c2 / 0.05
-    ratio = (d1 / v1) / (d2 / v2)
-    assert 1.6 <= ratio <= 2.4
-
-
-def test_soshnikov_remainder_bounded_by_controlling(fermions):
-    dpp, grid = fermions
-    x = grid.interior_points().ravel()
-    f = 0.1 * np.exp(-x ** 2 / 0.2)
-    delta, controlling = soshnikov_remainder(dpp, f)
-    assert delta <= 2.0 * controlling
-
-
-def test_soshnikov_remainder_rejects_large_f(fermions):
-    dpp, _ = fermions
-    with pytest.raises(ValidationError):
-        soshnikov_remainder(dpp, np.full(dpp.node_count, 0.7))
 
 
 # ---------------------------------------------------------------------------
