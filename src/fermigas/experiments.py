@@ -39,6 +39,7 @@ from .kernels import (
 from .potential import grad_potential, parse_potential
 from .schrodinger import (
     Grid,
+    _point,
     assemble_hamiltonian,
     choose_box,
     edge_rotation,
@@ -102,7 +103,7 @@ class TestFunction:
             raise ValidationError("test functions support dimension 1 or 2")
         self.kind = kind
         self.dimension = int(dimension)
-        self.center = np.asarray(center, dtype=float).reshape(self.dimension)
+        self.center = _point(center, self.dimension, "center")
         self.params = dict(params)
 
     @classmethod
@@ -155,7 +156,7 @@ class TestFunction:
         """The test function x -> g((x - x0) / eps)."""
         if eps <= 0.0:
             raise ValidationError("rescale needs eps > 0")
-        x0 = np.asarray(x0, dtype=float).reshape(self.dimension)
+        x0 = _point(x0, self.dimension, "x0")
         if self.kind == "gaussian_bump":
             return TestFunction.gaussian_bump(
                 self.dimension,
@@ -400,10 +401,7 @@ def _one_dimensional_x0(V, x0, experiment):
             f"{experiment} runs the n=1 pipeline; higher dimensions use "
             "the analytic free-Laplacian kernels"
         )
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != 1:
-        raise ValidationError(f"x0 needs 1 component, got {x0.size}")
-    return float(x0[0])
+    return float(_point(x0, 1, "x0")[0])
 
 
 def bulk_convergence(
@@ -823,7 +821,7 @@ def mesoscopic_variance_scan(
     n = V.dimension
     if not 0.0 < beta < 1.0:
         raise ValidationError("beta must lie in (0, 1)")
-    x0v = np.asarray(x0, dtype=float).reshape(n)
+    x0v = _point(x0, n, "x0")
     V_x0 = _value_at(V, x0v)
     if not V_x0 < mu:
         raise ValidationError("mesoscopic scan requires V(x0) < mu")

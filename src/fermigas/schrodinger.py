@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -177,27 +178,66 @@ def _fix_signs(vecs):
     return vecs
 
 
+# levels further apart than this fraction of ||T|| get separate inverse
+# iterations; the vectors of two such clusters stay orthogonal to about
+# eps ||T|| / gap <= 2e-10, well inside the DPP's 1e-8 gate
+_CLUSTER_GAP = 1e-6
+
+
+def _tridiagonal_eigenvectors(d, e, vals):
+    """Unit eigenvectors of tridiag(e, d, e) at the ascending vals.
+
+    One inverse-iteration (dstein) call per cluster of levels closer than
+    _CLUSTER_GAP * ||T||; dstein orthogonalises only within a call.  Given
+    all levels at once it would take any gap below 1e-3 ||T|| as a cluster,
+    and on a fine grid that re-orthogonalises every vector against all
+    earlier ones at O(N^2 G) cost.
+    """
+    G = d.size
+    tnorm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0))
+    gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
+    edges = np.flatnonzero(gaps > _CLUSTER_GAP * tnorm)  # 0, cuts..., N
+    iblock = np.ones(G, dtype=np.int32)  # one unsplit block ...
+    isplit = np.zeros(G, dtype=np.int32)
+    isplit[0] = G  # ... ending at row G
+    vecs = np.empty((G, vals.size))
+    for a, b in zip(edges[:-1], edges[1:]):
+        z, info = dstein(d, e, vals[a:b], iblock, isplit)
+        if info != 0:
+            raise NumericalError(
+                f"inverse iteration failed for levels {a} to {b - 1} "
+                f"(dstein info={info})"
+            )
+        vecs[:, a:b] = z
+    return vecs
+
+
 def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
-    n=1 uses the direct tridiagonal subset-by-value solver; n=2 runs
-    shift-inverted Lanczos below the spectrum, enlarging the block until the
-    whole window [min, cap] is certified captured.
+    n=1 finds the eigenvalues in (min, cap] by bisection, then the
+    eigenvectors by inverse iteration, one call per cluster of close levels;
+    n=2 runs shift-inverted Lanczos below the spectrum, enlarging the block
+    until the whole window [min, cap] is certified captured.
     """
     m = H.shape[0]
     if grid.interior_count != m:
         raise ValidationError("grid does not match the Hamiltonian size")
+    # both solvers give unit Euclidean columns; each branch rescales them to
+    # the weighted product
+    scale = math.sqrt(grid.weight)
     if grid.dimension == 1:
         d = H.diagonal().astype(float)
         e = np.asarray(H.diagonal(1), dtype=float)
         lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
         if lo >= cap:
             vals = np.empty(0)
-            vecs = np.empty((m, 0))
         else:
-            vals, vecs = eigh_tridiagonal(
-                d, e, select="v", select_range=(lo, cap)
+            vals = eigh_tridiagonal(
+                d, e, eigvals_only=True, select="v", select_range=(lo, cap)
             )
+        vecs = _tridiagonal_eigenvectors(d, e, vals)
+        np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
         row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
         diag = H.diagonal()
@@ -230,9 +270,10 @@ def eigensolve(H, cap, grid, hbar):
                 "eigensolve could not certify capturing all eigenvalues "
                 f"below {cap}; spectrum still inside the window at k={k}"
             )
-    vecs = np.ascontiguousarray(vecs, dtype=float)
-    # solver gives unit Euclidean columns; rescale to the weighted product
-    vecs = vecs / math.sqrt(grid.weight)
+        # not in place, nor in one expression: either raised weyl_2d's peak
+        # RSS by 6 MB, through the allocator's reuse of the freed blocks
+        vecs = np.ascontiguousarray(vecs, dtype=float)
+        vecs = vecs / scale
     return EigenSystem(
         hbar=float(hbar),
         mu_cap=float(cap),
@@ -242,20 +283,40 @@ def eigensolve(H, cap, grid, hbar):
     )
 
 
-def _interpolator(grid, columns):
+def _point(x, n, name):
+    """x as a vector of n floats, or a ValidationError that names it."""
+    p = np.asarray(x, dtype=float).reshape(-1)
+    if p.size != n:
+        plural = "" if n == 1 else "s"
+        raise ValidationError(f"{name} needs {n} component{plural}, got {p.size}")
+    return p
+
+
+def _interpolate(grid, columns, points):
+    """Multilinear interpolant of the interior columns at points (m, n).
+
+    The interpolator is built only on the axis nodes that bracket some
+    point, so no copy of the whole (G, K) block is made; boundary nodes
+    carry the Dirichlet zero.  Both searchsorted sides are kept, so a point
+    on a node finds the same node pair as on the full axis.
+    """
     mi = grid.points_per_axis - 2
-    K = columns.shape[1]
-    if grid.dimension == 1:
-        padded = np.zeros((mi + 2, K))
-        padded[1:-1, :] = columns
-        return RegularGridInterpolator(
-            (grid.axis,), padded, method="linear", bounds_error=True
-        )
-    padded = np.zeros((mi + 2, mi + 2, K))
-    padded[1:-1, 1:-1, :] = columns.reshape(mi, mi, K)
-    return RegularGridInterpolator(
-        (grid.axis, grid.axis), padded, method="linear", bounds_error=True
+    axis = grid.axis
+    nodes = []
+    for p in points.T:
+        i = np.concatenate([
+            np.searchsorted(axis, p, side="left"),
+            np.searchsorted(axis, p, side="right"),
+        ]) - 1
+        nodes.append(np.unique(np.clip(np.concatenate([i, i + 1]), 0, mi + 1)))
+    block = columns.reshape((mi,) * grid.dimension + (-1,))
+    values = block[np.ix_(*[np.clip(i - 1, 0, mi - 1) for i in nodes])]
+    for k, i in enumerate(nodes):
+        values[(slice(None),) * k + ((i == 0) | (i == mi + 1),)] = 0.0
+    interp = RegularGridInterpolator(
+        tuple(axis[i] for i in nodes), values, method="linear", bounds_error=True
     )
+    return interp(points)
 
 
 def rescaled_kernel(eigs, mu, x0, eps, U, x_list, y_list):
@@ -273,7 +334,7 @@ def rescaled_kernel(eigs, mu, x0, eps, U, x_list, y_list):
     U = np.asarray(U, dtype=float)
     if U.shape != (n, n) or not np.allclose(U @ U.T, np.eye(n), atol=1e-10):
         raise ValidationError("U must be an orthogonal n-by-n matrix")
-    x0 = np.asarray(x0, dtype=float).reshape(n)
+    x0 = _point(x0, n, "x0")
     xs = np.atleast_2d(np.asarray(x_list, dtype=float))
     ys = np.atleast_2d(np.asarray(y_list, dtype=float))
     px = x0[None, :] + eps * xs @ U  # rows: x0 + eps U^T x
@@ -289,9 +350,8 @@ def rescaled_kernel(eigs, mu, x0, eps, U, x_list, y_list):
         return KernelEvaluation(
             KernelKind.PROJECTOR, n, params, xs, ys, values
         )
-    interp = _interpolator(grid, vecs)
-    A = interp(px if n == 2 else px[:, 0])
-    B = interp(py if n == 2 else py[:, 0])
+    A = _interpolate(grid, vecs, px)
+    B = _interpolate(grid, vecs, py)
     values = (eps ** n) * (A @ B.T)
     return KernelEvaluation(KernelKind.PROJECTOR, n, params, xs, ys, values)
 

@@ -11,11 +11,13 @@ with a smooth chi makes the remainder O((eps^-2 + x)^-k) for every k, so for
 negative x the cutoff scale eps is shrunk until the stationary point of the
 phase sits well inside the untruncated window.  The Bessel oracle uses the
 Poisson integral representation.  Both are checked for self-consistency by
-halving the cutoff scale / doubling the quadrature budget.
+halving the cutoff scale / doubling the quadrature budget.  The Hermite
+functions give the exact eigenfunctions of the oscillator.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -87,3 +89,22 @@ def airy_sq_tail_oracle(x, upper=16.0):
                     limit=200, epsabs=1e-11)
     # beyond `upper` the integrand is below e^(-2*zeta(16)) ~ 1e-38
     return val
+
+
+def hermite_functions(N, x):
+    """psi_0..psi_{N-1} at x as an (N, len(x)) array.
+
+    psi_k(x) = H_k(x) exp(-x^2/2) / sqrt(2^k k! sqrt(pi)) by the normalised
+    three-term recurrence psi_k = sqrt(2/k) x psi_{k-1}
+    - sqrt((k-1)/k) psi_{k-2}, which stays finite where H_k and the
+    Gaussian separately overflow.
+    """
+    x = np.asarray(x, dtype=float)
+    psi = np.empty((N,) + x.shape)
+    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if N > 1:
+        psi[1] = math.sqrt(2.0) * x * psi[0]
+    for k in range(2, N):
+        psi[k] = (math.sqrt(2.0 / k) * x * psi[k - 1]
+                  - math.sqrt((k - 1) / k) * psi[k - 2])
+    return psi

@@ -162,10 +162,10 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
      "--hbar", "0.02", "--probes", "0"],
     ["sample"] + SOLVE + ["--trials", "-3", "--seed", "1"],
-    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "10",
-                       "--seed", "1", "--threads", "0"],
-    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "10",
-                       "--seed", "1", "--threads", "-5"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "0",
+                       "--seed", "1"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "-5",
+                       "--seed", "1"],
     WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "0"],
     WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "-1"],
     WEYL + ["--mu", "1", "--hbar", "0.05", "--resolution", "0"],

@@ -236,6 +236,16 @@ def test_convergence_rejects_extra_x0_components(harmonic, driver, x0):
         driver(harmonic, 1.0, x0, [0.05])
 
 
+def test_x0_and_center_of_the_wrong_length_are_rejected(harmonic):
+    g = TestFunction.gaussian_bump(1)
+    with pytest.raises(ValidationError, match="x0 needs 1 component, got 2"):
+        mesoscopic_variance_scan(harmonic, 1.0, [0.0, 5.0], [0.05], 0.5, g)
+    with pytest.raises(ValidationError, match="x0 needs 1 component, got 2"):
+        g.rescale([0.0, 5.0], 0.1)
+    with pytest.raises(ValidationError, match="center needs 2 components, got 1"):
+        TestFunction.gaussian_bump(2, [1.0])
+
+
 def test_edge_error_decays_faster_than_bulk(harmonic):
     rep = edge_convergence(harmonic, 1.0, 1.0, [0.02, 0.0025])
     err = rep.column("sup_error")

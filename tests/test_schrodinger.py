@@ -1,11 +1,17 @@
 """Grid, Hamiltonian assembly, eigensolver, projector and Agmon diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import eval_hermite
 
+from fermigas import schrodinger
 from fermigas.dpp import from_eigensystem
 from fermigas.errors import ValidationError
-from fermigas.kernels import bulk_kernel
+from fermigas.experiments import _solve_window
+from fermigas.kernels import bulk_kernel, bulk_scale, edge_scale
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import (
     EigenSystem,
@@ -17,6 +23,7 @@ from fermigas.schrodinger import (
     eigensolve,
     rescaled_kernel,
 )
+from oracles import hermite_functions
 
 
 def harmonic_eigensystem(hbar=0.05, L=3.0, ppa=1201, cap=1.0):
@@ -24,6 +31,15 @@ def harmonic_eigensystem(hbar=0.05, L=3.0, ppa=1201, cap=1.0):
     grid = Grid(1, L, ppa)
     H = assemble_hamiltonian(V, hbar, grid)
     return eigensolve(H, cap, grid, hbar)
+
+
+def eigen_errors(V, es):
+    """Weighted orthonormality defect and largest residual of unit vectors."""
+    v, w = es.eigenvectors, es.grid.weight
+    H = assemble_hamiltonian(V, es.hbar, es.grid)
+    orth = np.max(np.abs(v.T @ v * w - np.eye(v.shape[1])))
+    resid = np.max(np.abs(H @ v - v * es.eigenvalues)) * math.sqrt(w)
+    return orth, resid
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +166,82 @@ def test_eigensolve_empty_window():
     assert es.eigenvectors.shape[1] == 0
 
 
+def test_eigensolve_1d_eigenvalues_are_the_bisection_ones():
+    # the eigenvectors come from separate inverse iterations, the
+    # eigenvalues still from eigh_tridiagonal's own subset-by-value solve
+    V = parse_potential("x1^2")
+    es = _solve_window(V, 1.0, 0.01)
+    H = assemble_hamiltonian(V, 0.01, es.grid)
+    d, e = H.diagonal(), H.diagonal(1)
+    lo = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    vals, _ = eigh_tridiagonal(d, e, select="v", select_range=(lo, 1.0))
+    assert np.array_equal(es.eigenvalues, vals)
+
+
+DOUBLE_WELL = parse_potential("x1^4-2*x1^2")
+
+
+@pytest.mark.parametrize("hbar", [0.02, 0.05])
+def test_eigensolve_1d_separates_tunnelling_pairs(hbar):
+    # the double well's tunnelling pairs are equal in floating point at
+    # hbar=0.02 and 7.9e-12 apart at 0.05; each pair must share one inverse
+    # iteration, which orthogonalises the second vector against the first
+    es = _solve_window(DOUBLE_WELL, 0.5, hbar)
+    assert np.min(np.diff(es.eigenvalues)) <= 1e-11
+    orth, resid = eigen_errors(DOUBLE_WELL, es)
+    assert orth <= 1e-10
+    assert resid <= 1e-10
+
+
+def test_tunnelling_pairs_need_the_cluster_guard(monkeypatch):
+    # with every level in its own inverse iteration, both levels of a
+    # degenerate pair converge to the same vector
+    monkeypatch.setattr(schrodinger, "_CLUSTER_GAP", -1.0)
+    orth, _ = eigen_errors(DOUBLE_WELL, _solve_window(DOUBLE_WELL, 0.5, 0.02))
+    assert orth >= 0.5
+
+
+def test_hermite_functions_match_the_closed_form_and_are_orthonormal():
+    x = np.linspace(-20.0, 20.0, 20001)
+    psi = hermite_functions(100, x)
+    for k in range(11):
+        norm = math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
+        closed = eval_hermite(k, x) * np.exp(-0.5 * x * x) / norm
+        assert np.max(np.abs(psi[k] - closed)) <= 1e-13
+    gram = psi @ psi.T * (x[1] - x[0])
+    assert np.max(np.abs(gram - np.eye(100))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "x0, eps, window, bound",
+    [
+        # criterion 02: bulk point, probes on [-2, 2] bulk scales
+        (0.0, bulk_scale(0.01, 0.0, 1.0, 1), (-2.0, 2.0), 1.1e-3),
+        # criterion 03: turning point, probes on [-4, 2] edge scales
+        (1.0, edge_scale(0.01, 2.0), (-4.0, 2.0), 4.95e-3),
+    ],
+    ids=["bulk", "edge"],
+)
+def test_grid_projector_against_the_exact_oscillator_projector(
+    x0, eps, window, bound
+):
+    # -hbar^2 d^2/dx^2 + x^2 has the eigenfunctions
+    # hbar^{-1/4} psi_k(x / sqrt(hbar)) at hbar (2k + 1); the bound is the
+    # grid's discretisation error, 1.086e-3 (bulk) and 4.901e-3 (edge) in
+    # microscopic units, on every node of the window
+    hbar = 0.01
+    es = _solve_window(parse_potential("x1^2"), 1.0, hbar)
+    _, vecs = es.below(1.0)
+    assert vecs.shape[1] == 50
+    x = es.grid.interior_axis
+    u = (x - x0) / eps
+    idx = np.flatnonzero((u >= window[0]) & (u <= window[1]))
+    phi = hermite_functions(50, x[idx] / math.sqrt(hbar)) / hbar ** 0.25
+    grid_kernel = vecs[idx] @ vecs[idx].T
+    exact = phi.T @ phi
+    assert eps * np.max(np.abs(grid_kernel - exact)) <= bound
+
+
 def test_eigensolve_2d_isotropic_harmonic():
     V = parse_potential("x1^2 + x2^2")
     grid = Grid(2, 1.5, 61)
@@ -264,6 +356,12 @@ def test_rescaled_kernel_probe_outside_box():
     es = harmonic_eigensystem()
     with pytest.raises(ValidationError, match="outside"):
         rescaled_kernel(es, 1.0, [2.9], 0.1, np.eye(1), [[5.0]], [[0.0]])
+
+
+def test_rescaled_kernel_rejects_x0_of_the_wrong_length():
+    es = harmonic_eigensystem()
+    with pytest.raises(ValidationError, match="x0 needs 1 component, got 2"):
+        rescaled_kernel(es, 1.0, [0.0, 5.0], 0.1, np.eye(1), [[0.0]], [[0.0]])
 
 
 def test_rescaled_kernel_requires_orthogonal_map():
