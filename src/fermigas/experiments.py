@@ -39,7 +39,10 @@ from .kernels import (
 from .potential import grad_potential, parse_potential
 from .schrodinger import (
     Grid,
+    _diagonal_potential,
     _point,
+    _solve_peak_bytes,
+    _weyl_count,
     assemble_hamiltonian,
     choose_box,
     edge_rotation,
@@ -69,6 +72,14 @@ __all__ = [
 # |g| is treated as zero outside the support radius once it drops below this
 _SUPPORT_FLOOR = 1e-12
 
+# a solve whose estimated peak memory (schrodinger._solve_peak_bytes) would
+# exceed this is refused before its grid is built
+_MEMORY_BUDGET = 2 * 1024 ** 3
+
+# points per axis: the floor of every solve grid, and the lattice of the
+# Weyl estimate behind the memory check
+_MIN_POINTS_PER_AXIS = 201
+
 
 def _smooth_step(u):
     """C-infinity ramp equal to 1 for u <= 0 and 0 for u >= 1."""
@@ -94,6 +105,8 @@ class TestFunction:
       1 inside |x - c| <= radius, 0 outside radius + smoothing;
     * ``custom(expr, support_radius)``: any parsed expression together with
       a radius outside which it is declared negligible.
+
+    The center c defaults to the origin of the given dimension.
     """
 
     __test__ = False  # not a pytest case despite the name
@@ -103,17 +116,19 @@ class TestFunction:
             raise ValidationError("test functions support dimension 1 or 2")
         self.kind = kind
         self.dimension = int(dimension)
+        if center is None:  # the origin
+            center = np.zeros(self.dimension)
         self.center = _point(center, self.dimension, "center")
         self.params = dict(params)
 
     @classmethod
-    def gaussian_bump(cls, dimension, center=0.0, width=1.0):
+    def gaussian_bump(cls, dimension, center=None, width=1.0):
         if width <= 0.0:
             raise ValidationError("gaussian bump needs width > 0")
         return cls("gaussian_bump", dimension, center, {"width": float(width)})
 
     @classmethod
-    def smooth_indicator(cls, dimension, center=0.0, radius=1.0, smoothing=0.5):
+    def smooth_indicator(cls, dimension, center=None, radius=1.0, smoothing=0.5):
         if radius <= 0.0 or smoothing <= 0.0:
             raise ValidationError(
                 "smooth indicator needs radius > 0 and smoothing > 0"
@@ -134,7 +149,7 @@ class TestFunction:
         return cls(
             "custom",
             expr.dimension,
-            np.zeros(expr.dimension),
+            None,
             {"expr": expr, "support_radius": float(support_radius)},
         )
 
@@ -269,7 +284,8 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
     The grid spacing follows c_h * hbar^{3/2}: the finite-difference
     eigenvalue defect then stays an O(hbar) fraction of the level spacing,
     which the convergence drivers need so the discretization error scales
-    with the same power as the semiclassical one.
+    with the same power as the semiclassical one.  A solve whose estimated
+    peak memory exceeds _MEMORY_BUDGET is refused before its grid is built.
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
@@ -278,10 +294,32 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
     if c_h <= 0.0:
         raise ValidationError("resolution must be positive")
     L = choose_box(V, mu, margin)
+    n = V.dimension
     target = c_h * hbar ** 1.5
-    ppa = max(int(math.ceil(2.0 * L / target)) + 1, 201)
-    grid = Grid(V.dimension, L, ppa)
-    H = assemble_hamiltonian(V, hbar, grid)
+    steps = 2.0 * L / target if target > 0.0 else math.inf  # per axis
+    if not math.isfinite(steps):
+        raise ValidationError(f"hbar={hbar:g} is too small to resolve")
+    ppa = max(int(math.ceil(steps)) + 1, _MIN_POINTS_PER_AXIS)
+    grid = Grid(n, L, _MIN_POINTS_PER_AXIS)
+    if ppa == _MIN_POINTS_PER_AXIS:
+        # the floor lattice is the solve grid: V is evaluated once, for H
+        H = assemble_hamiltonian(V, hbar, grid)
+        pot = _diagonal_potential(H, grid, hbar)
+    else:
+        H = None
+        pot = V(grid.interior_points())
+    N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
+    m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
+    need = _solve_peak_bytes(n, m, N_est)
+    if not need <= _MEMORY_BUDGET:  # nan is refused too
+        raise ValidationError(
+            f"hbar={hbar:g} needs about {need / 1024 ** 3:.3g} GiB at the "
+            f"solve's peak, for about {N_est:.3g} levels on {m:.3g} nodes, "
+            f"over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget"
+        )
+    if H is None:
+        grid = Grid(n, L, ppa)
+        H = assemble_hamiltonian(V, hbar, grid)
     return eigensolve(H, mu, grid, hbar)
 
 
@@ -452,12 +490,13 @@ def edge_convergence(
 # law of large numbers in Wasserstein distance
 
 
-def _reference_cdf(V, mu, grid):
-    """Limiting-density CDF tabulated on a fine axis covering the box."""
+def _reference_cdf(V, mu, grid, Z):
+    """Limiting-density CDF tabulated on a fine axis covering the box; Z is
+    weyl_constant(V, mu, 1)."""
     lo = -grid.half_width
     hi = grid.half_width
     taxis = np.linspace(lo, hi, 8001)
-    dens = density_of_states(V, mu, 1, taxis[:, None])
+    dens = density_of_states(V, mu, 1, taxis[:, None], Z)
     cdf = cumulative_trapezoid(dens, taxis, initial=0.0)
     return taxis, cdf
 
@@ -485,13 +524,14 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    Z = weyl_constant(V, mu, 1)  # one cubature for every hbar
     rows = []
     for ih, hb in enumerate(hbars):
         eigs = _solve_window(V, mu, hb, margin=margin, c_h=c_h)
         dpp = from_eigensystem(eigs, mu)
         if dpp.N == 0:
             raise ValidationError("no levels below mu: the process is empty")
-        taxis, ref_cdf = _reference_cdf(V, mu, eigs.grid)
+        taxis, ref_cdf = _reference_cdf(V, mu, eigs.grid, Z)
         configs = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
         w1 = np.array([
             w1_to_reference(c.points[:, 0], taxis, ref_cdf) for c in configs

@@ -305,12 +305,13 @@ def weyl_constant(V, mu, n):
     return float(res.estimate)
 
 
-def density_of_states(V, mu, n, x):
+def density_of_states(V, mu, n, x, Z):
     """Normalized limiting density Z^{-1} (mu - V(x))_+^{n/2}.
 
-    x has shape (..., n); the result has shape (...).
+    x has shape (..., n); the result has shape (...).  Z is
+    weyl_constant(V, mu, n), taken from the caller so that one cubature
+    serves every evaluation (lln_wasserstein's whole hbar list).
     """
-    Z = weyl_constant(V, mu, n)
     if Z <= 0.0:
         raise ValidationError(
             "density_of_states is undefined: the droplet {V <= mu} is empty"

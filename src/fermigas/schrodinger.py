@@ -17,11 +17,12 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 from scipy.ndimage import distance_transform_edt
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .kernels import KernelEvaluation, KernelKind
 from .potential import _MAX_HALF_WIDTH, droplet_half_width
+from .specfun import unit_ball_volume
 
 __all__ = [
     "Grid",
@@ -170,11 +171,19 @@ class EigenSystem:
 
 
 def _fix_signs(vecs):
-    # Lanczos returns eigenvectors up to sign; pin each one for reproducibility
-    for k in range(vecs.shape[1]):
-        idx = np.argmax(np.abs(vecs[:, k]))
-        if vecs[idx, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
+    """Pin each column's sign in place: its first entry of at least half the
+    column's largest magnitude is made positive.
+
+    Lanczos and inverse iteration return eigenvectors up to sign.  The
+    largest entry itself would pick between the two mirror-image peaks of an
+    odd eigenfunction in a symmetric well, which a last-bit change swaps;
+    the first entry past half the peak, scanned from one end, stays put.
+    """
+    half = 0.5 * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
+    big = vecs >= half  # booleans, not a float copy of |vecs|
+    big |= vecs <= -half
+    first = np.argmax(big, axis=0)
+    vecs *= np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return vecs
 
 
@@ -185,7 +194,8 @@ _CLUSTER_GAP = 1e-6
 
 
 def _tridiagonal_eigenvectors(d, e, vals):
-    """Unit eigenvectors of tridiag(e, d, e) at the ascending vals.
+    """Unit eigenvectors of tridiag(e, d, e) at the ascending vals, with
+    pinned signs.
 
     One inverse-iteration (dstein) call per cluster of levels closer than
     _CLUSTER_GAP * ||T||; dstein orthogonalises only within a call.  Given
@@ -208,8 +218,57 @@ def _tridiagonal_eigenvectors(d, e, vals):
                 f"inverse iteration failed for levels {a} to {b - 1} "
                 f"(dstein info={info})"
             )
-        vecs[:, a:b] = z
+        # pinned per cluster: the temporaries of pinning all N columns at
+        # once would add 27 MB to the peak RSS at G=33,941, N=400
+        vecs[:, a:b] = _fix_signs(z)
     return vecs
+
+
+def _weyl_count(pot, cap, hbar, spacing, n):
+    """Weyl estimate of the levels <= cap from potential values on a lattice.
+
+    omega_n h^n sum_i (cap - pot_i)_+^{n/2} / (2 pi hbar)^n: the phase-space
+    volume of {p^2 + V <= cap} in units of (2 pi hbar)^n, by a Riemann sum
+    over the nodes.
+    """
+    fill = np.sum(np.maximum(cap - pot, 0.0) ** (0.5 * n))
+    # a float product, which overflows to inf where ** would raise
+    scale = math.prod([spacing / (2.0 * math.pi * hbar)] * n)
+    return unit_ball_volume(n) * float(fill) * scale
+
+
+def _diagonal_potential(H, grid, hbar):
+    """V on the interior nodes, read off H's diagonal: V plus the
+    Laplacian's 2n hbar^2 / h^2."""
+    n, h = grid.dimension, grid.spacing
+    return H.diagonal() - 2.0 * n * hbar * hbar / (h * h)
+
+
+def _lanczos_block(m, N_est):
+    """First Lanczos block for about N_est levels among m nodes."""
+    est = 1.2 * N_est + 8.0
+    return m - 1 if not est < m - 1 else math.ceil(est)
+
+
+def _solve_peak_bytes(n, m, N_est):
+    """Estimated peak bytes of a solve with about N_est levels on m interior
+    nodes, its eigenvectors included.
+
+    1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
+    the Agmon check makes.  2-D, for the first Lanczos call: eigsh's
+    Lanczos basis and Ritz block (ncv columns each), the k returned
+    vectors, ARPACK's ncv (ncv + 8) work array, and the LU of H - sigma I,
+    whose minimum-degree fill took 33-37 m log2 m bytes of RSS for m from
+    1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a huge
+    grid gives inf rather than an OverflowError.
+    """
+    N = min(N_est, m)
+    if n == 1:
+        return 16.0 * m * N
+    k = _lanczos_block(m, N_est)
+    ncv = min(m, max(2.0 * k + 1.0, 20.0))
+    lu = 48.0 * m * math.log2(m)
+    return 8.0 * (m * (2.0 * ncv + k) + ncv * (ncv + 8.0)) + lu
 
 
 def eigensolve(H, cap, grid, hbar):
@@ -217,8 +276,10 @@ def eigensolve(H, cap, grid, hbar):
 
     n=1 finds the eigenvalues in (min, cap] by bisection, then the
     eigenvectors by inverse iteration, one call per cluster of close levels;
-    n=2 runs shift-inverted Lanczos below the spectrum, enlarging the block
-    until the whole window [min, cap] is certified captured.
+    n=2 runs shift-inverted Lanczos below the spectrum on one
+    minimum-degree LU of H - sigma I, with the block sized from the Weyl
+    count of the grid, and doubles the block until the whole window
+    [min, cap] is certified captured.
     """
     m = H.shape[0]
     if grid.interior_count != m:
@@ -243,16 +304,28 @@ def eigensolve(H, cap, grid, hbar):
         diag = H.diagonal()
         gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
         sigma = gersh_lo - 1.0
-        k = min(m - 1, 16)
+        pot = _diagonal_potential(H, grid, hbar)
+        N_est = _weyl_count(pot, cap, hbar, grid.spacing, grid.dimension)
+        if not math.isfinite(N_est):
+            raise ValidationError(
+                f"hbar={hbar:g} is too small for the grid: the Weyl count of "
+                f"the levels <= {cap:g} is not finite"
+            )
+        k = _lanczos_block(m, N_est)
+        # H - sigma I is positive definite: a symmetric minimum-degree
+        # ordering fills it in less than eigsh's own COLAMD factor, and every
+        # doubling round reuses this one factor
+        lu = splu((H - sigma * sp.identity(m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
         # a fixed start vector: without one ARPACK seeds each call from OS
         # entropy and the eigenvectors differ in the last bits from run to
         # run; not a constant, which is orthogonal to every odd eigenfunction
         # of a symmetric well
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
         vals = vecs = None
-        for _ in range(6):  # block sizes 16, 32, ..., 512
+        for _ in range(6):  # the Weyl-sized block and five doublings
             try:
-                w, u = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
+                w, u = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
             except ArpackNoConvergence as exc:
                 raise NumericalError(
                     f"Lanczos failed to converge at block size {k}: {exc}"
@@ -273,12 +346,12 @@ def eigensolve(H, cap, grid, hbar):
         # not in place, nor in one expression: either raised weyl_2d's peak
         # RSS by 6 MB, through the allocator's reuse of the freed blocks
         vecs = np.ascontiguousarray(vecs, dtype=float)
-        vecs = vecs / scale
+        vecs = _fix_signs(vecs / scale)
     return EigenSystem(
         hbar=float(hbar),
         mu_cap=float(cap),
         eigenvalues=np.asarray(vals, dtype=float),
-        eigenvectors=_fix_signs(vecs),
+        eigenvectors=vecs,
         grid=grid,
     )
 

@@ -305,6 +305,22 @@ def test_agmon_rejects_delta_before_solving(delta, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potential, hbar", [
+    ("x1^2", "1e-9"),          # G about 4.7e13 nodes, N about 5e8
+    ("x1^2+x2^2", "0.005"),    # G = 4242^2 nodes, N about 5000
+])
+def test_grids_over_the_memory_budget_exit_one_before_solving(
+        potential, hbar, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid over the budget was assembled or solved")
+
+    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
+    monkeypatch.setattr("fermigas.experiments.eigensolve", no_build)
+    code = main(["weyl", "--potential", potential, "--mu", "1", "--hbar", hbar])
+    assert code == 1
+    assert "GiB budget" in capsys.readouterr().err
+
+
 def test_negative_coordinates_parse(tmp_path):
     code, text = run(["converge-bulk", "--potential", "x1^2", "--mu", "1",
                       "--x0", "-0.3", "--hbar", "0.02"], tmp_path)

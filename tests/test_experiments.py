@@ -28,6 +28,7 @@ from fermigas.experiments import (
     w1_to_reference,
     weyl_check,
 )
+from fermigas.kernels import weyl_constant
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import Grid
 
@@ -246,6 +247,16 @@ def test_x0_and_center_of_the_wrong_length_are_rejected(harmonic):
         TestFunction.gaussian_bump(2, [1.0])
 
 
+@pytest.mark.parametrize("make", [
+    TestFunction.gaussian_bump, TestFunction.smooth_indicator,
+], ids=["gaussian_bump", "smooth_indicator"])
+def test_test_functions_default_to_the_origin(make):
+    for n in (1, 2):
+        g = make(n)
+        np.testing.assert_array_equal(g.center, np.zeros(n))
+        assert g(np.zeros((1, n)))[0] == 1.0
+
+
 def test_edge_error_decays_faster_than_bulk(harmonic):
     rep = edge_convergence(harmonic, 1.0, 1.0, [0.02, 0.0025])
     err = rep.column("sup_error")
@@ -279,14 +290,23 @@ def test_w1_of_exact_step_cdf_is_zero():
 
 
 def test_reference_cdf_is_monotone_unit_mass(harmonic):
-    taxis, cdf = _reference_cdf(harmonic, 1.0, Grid(1, 2.0, 101))
+    Z = weyl_constant(harmonic, 1.0, 1)
+    taxis, cdf = _reference_cdf(harmonic, 1.0, Grid(1, 2.0, 101), Z)
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0, abs=1e-4)
     assert np.all(np.diff(cdf) >= -1e-15)
 
 
-def test_lln_distance_shrinks_with_hbar(harmonic):
+def test_lln_distance_shrinks_with_hbar(harmonic, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return weyl_constant(*args)
+
+    monkeypatch.setattr("fermigas.experiments.weyl_constant", counting)
     rep = lln_wasserstein(harmonic, 1.0, [0.05, 0.02], 200, RngState(11))
+    assert len(calls) == 1  # one cubature serves both hbar
     means = rep.column("mean_w1")
     assert means[1] < means[0]
     assert rep.column("q10")[0] > 0.0

@@ -286,19 +286,21 @@ def test_weyl_constant_rejects_unsupported_dimension():
 
 def test_density_of_states_harmonic():
     V = parse_potential("x1^2")
-    got = density_of_states(V, 1.0, 1, [0.0])
+    Z = weyl_constant(V, 1.0, 1)
+    got = density_of_states(V, 1.0, 1, [0.0], Z)
     assert got == pytest.approx(2.0 / math.pi, abs=1e-8)
-    assert density_of_states(V, 1.0, 1, [2.0]) == 0.0
+    assert density_of_states(V, 1.0, 1, [2.0], Z) == 0.0
 
 
 def test_density_of_states_normalizes_to_one():
     from scipy.integrate import tanhsinh
 
     V = parse_potential("x1^2")
+    Z = weyl_constant(V, 1.0, 1)
     # tanh-sinh nodes cluster at the square-root zeros at +-1; each call
     # evaluates the density on a whole array of nodes
     res = tanhsinh(
-        lambda t: density_of_states(V, 1.0, 1, t[..., None]),
+        lambda t: density_of_states(V, 1.0, 1, t[..., None], Z),
         -1.0,
         1.0,
         atol=1e-10,
@@ -311,17 +313,20 @@ def test_density_of_states_normalizes_to_one():
 def test_density_of_states_on_point_arrays(text):
     V = parse_potential(text)
     n = V.dimension
+    Z = weyl_constant(V, 1.0, n)
     pts = np.random.default_rng(4).uniform(-1.2, 1.2, size=(4, n))
-    got = density_of_states(V, 1.0, n, pts)
+    got = density_of_states(V, 1.0, n, pts, Z)
     assert got.shape == (4,)
-    want = [density_of_states(V, 1.0, n, p) for p in pts]
+    want = [density_of_states(V, 1.0, n, p, Z) for p in pts]
     np.testing.assert_array_equal(got, want)
 
 
 def test_density_of_states_empty_droplet_fails():
     V = parse_potential("x1^2")
+    Z = weyl_constant(V, -1.0, 1)
+    assert Z == 0.0
     with pytest.raises(ValidationError):
-        density_of_states(V, -1.0, 1, [0.0])
+        density_of_states(V, -1.0, 1, [0.0], Z)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,22 @@ def test_eigensolve_orthogonality():
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
 
+def test_sign_pinning_agrees_on_a_column_and_its_mirror_image():
+    # an odd profile, exactly antisymmetric, whose right peak is one part in
+    # 1e15 higher; mirrored, the left peak is.  Pinning by the largest entry
+    # would keep both as they are, which are opposite in sign.
+    r = np.linspace(0.01, 3.0, 300)
+    half = r * np.exp(-r * r)
+    odd = np.concatenate([-half[::-1], [0.0], half])
+    odd[np.argmax(odd)] *= 1.0 + 1e-15
+    cols = np.column_stack([odd, odd[::-1], -odd, np.zeros_like(odd)])
+    pinned = schrodinger._fix_signs(cols.copy())
+    np.testing.assert_allclose(pinned[:, 1], pinned[:, 0], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(pinned[:, 0], pinned[:, 2])
+    assert np.all(pinned[:300, 0] > 0.0)  # the left lobe, met first, is positive
+    np.testing.assert_array_equal(np.abs(pinned), np.abs(cols))
+
+
 def test_second_order_convergence():
     exact = 0.95  # tenth harmonic level at hbar = 0.05
     err = []
@@ -252,12 +268,29 @@ def test_eigensolve_2d_isotropic_harmonic():
     assert np.max(np.abs(G - np.eye(3))) <= 1e-8
 
 
-def test_eigensolve_2d_block_growth():
-    # 21 levels below the cap forces the Lanczos block to enlarge past 16
+def oscillator_2d_solve(monkeypatch):
+    """x1^2 + x2^2 at hbar=0.08 on a coarse grid (21 levels <= 1), with the
+    block size of every Lanczos call recorded."""
+    ks = []
+    eigsh = schrodinger.eigsh
+
+    def counting(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "eigsh", counting)
     V = parse_potential("x1^2 + x2^2")
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(V, 0.08, grid)
-    es = eigensolve(H, 1.0, grid, 0.08)
+    return eigensolve(H, 1.0, grid, 0.08), ks
+
+
+def test_eigensolve_2d_block_growth(monkeypatch):
+    # no Weyl estimate: the block starts at 8 and doubles until the cap is
+    # passed, all on one factorization
+    monkeypatch.setattr(schrodinger, "_weyl_count", lambda *args: 0.0)
+    es, ks = oscillator_2d_solve(monkeypatch)
+    assert ks == [8, 16, 32]
     assert es.eigenvalues.size == 21
     exact = np.sort(
         [0.16 * (k1 + k2 + 1) for k1 in range(7) for k2 in range(7)]
@@ -265,6 +298,47 @@ def test_eigensolve_2d_block_growth():
     exact = exact[exact <= 1.0]
     # coarse grid, so only window completeness and rough locations matter here
     assert np.allclose(es.eigenvalues, exact, atol=1.5e-2)
+
+
+def test_eigensolve_2d_weyl_block_needs_one_call(monkeypatch):
+    es, ks = oscillator_2d_solve(monkeypatch)
+    assert len(ks) == 1
+    assert es.eigenvalues.size == 21
+
+
+def test_eigensolve_2d_rejects_a_non_finite_weyl_count():
+    # (h / 2 pi hbar)^2 overflows: a ValidationError, not an OverflowError
+    # from rounding an infinite block size
+    V = parse_potential("x1^2 + x2^2")
+    grid = Grid(2, 1.5, 61)
+    H = assemble_hamiltonian(V, 1e-160, grid)
+    with pytest.raises(ValidationError, match="not finite"):
+        eigensolve(H, 1.0, grid, 1e-160)
+
+
+def test_solve_peak_estimate():
+    m = 199.0 ** 2
+    assert schrodinger._solve_peak_bytes(1, 199.0, 20.0) == 16.0 * 199 * 20
+    # x1^2 + x2^2 at hbar = 0.07 (N = 28 on 199^2 nodes): k = 42, and the
+    # solve's RSS grew by 83 MB; at hbar = 0.03 (N = 136 on 288^2 nodes)
+    # by 535 MB, estimated 648 MB
+    assert schrodinger._lanczos_block(m, 25.5) == 39
+    assert 83e6 < schrodinger._solve_peak_bytes(2, m, 25.5) < 1.25 * 83e6
+    # a grid too big for a float gives inf, not an OverflowError
+    assert schrodinger._solve_peak_bytes(2, 1e200 * 1e200, 5.0) == math.inf
+    assert schrodinger._solve_peak_bytes(2, m, math.inf) > 8.0 * m * m
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, 1.0 / (2.0 * 0.05)),       # levels hbar (2j + 1) <= 1
+    (2, 1.0 / (8.0 * 0.05 ** 2)),  # 2 hbar (j1 + j2 + 1) <= 1
+], ids=["1d", "2d"])
+def test_weyl_count_of_the_oscillator(n, want):
+    grid = Grid(n, 1.5, 401)
+    V = parse_potential("x1^2" if n == 1 else "x1^2 + x2^2")
+    got = schrodinger._weyl_count(V(grid.interior_points()), 1.0, 0.05,
+                                  grid.spacing, n)
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_eigensolve_2d_is_reproducible():
