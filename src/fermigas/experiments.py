@@ -295,7 +295,7 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
         raise ValidationError("resolution must be positive")
     L = choose_box(V, mu, margin)
     n = V.dimension
-    target = c_h * hbar ** 1.5
+    target = c_h * hbar * math.sqrt(hbar)  # inf, not an OverflowError
     steps = 2.0 * L / target if target > 0.0 else math.inf  # per axis
     if not math.isfinite(steps):
         raise ValidationError(f"hbar={hbar:g} is too small to resolve")

@@ -126,6 +126,8 @@ def assemble_hamiltonian(V, hbar, grid):
     h = grid.spacing
     mi = grid.points_per_axis - 2
     c = hbar * hbar / (h * h)
+    if not math.isfinite(c * c):  # bisection squares the off-diagonal -c
+        raise ValidationError(f"hbar={hbar:g} is too large for the grid")
     lap1 = sp.diags(
         [
             -c * np.ones(mi - 1),
@@ -187,24 +189,34 @@ def _fix_signs(vecs):
     return vecs
 
 
-# levels further apart than this fraction of ||T|| get separate inverse
+# levels further apart than this fraction of ||H|| get separate inverse
 # iterations; the vectors of two such clusters stay orthogonal to about
-# eps ||T|| / gap <= 2e-10, well inside the DPP's 1e-8 gate
+# eps ||H|| / gap <= 2e-10, well inside the DPP's 1e-8 gate
 _CLUSTER_GAP = 1e-6
 
 
-def _tridiagonal_eigenvectors(d, e, vals):
-    """Unit eigenvectors of tridiag(e, d, e) at the ascending vals, with
-    pinned signs.
+def _tridiagonal_eigenvectors(H, cap):
+    """(vals, vecs): the eigenpairs of the tridiagonal H with eigenvalue <=
+    cap, ascending, with unit columns and pinned signs.
 
-    One inverse-iteration (dstein) call per cluster of levels closer than
-    _CLUSTER_GAP * ||T||; dstein orthogonalises only within a call.  Given
-    all levels at once it would take any gap below 1e-3 ||T|| as a cluster,
-    and on a fine grid that re-orthogonalises every vector against all
-    earlier ones at O(N^2 G) cost.
+    Bisection (dstebz) counts the levels and places each to 1e-4 of the
+    cluster gap.  One inverse-iteration (dstein) call per cluster of levels
+    closer than _CLUSTER_GAP * ||H|| then shrinks the vector error by that
+    1e-4 on each of its three or more solves, and Rayleigh-Ritz on the
+    cluster gives the eigenvalues to O(eps ||H||).  dstein orthogonalises
+    only within a call; given all levels at once it would re-orthogonalise
+    every vector against all earlier ones at O(N^2 G) cost on a fine grid.
     """
+    d = H.diagonal().astype(float)
+    e = np.asarray(H.diagonal(1), dtype=float)
     G = d.size
-    tnorm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0))
+    emax = float(np.max(np.abs(e), initial=0.0))
+    tnorm = float(np.max(np.abs(d))) + 2.0 * emax
+    lo = float(np.min(d)) - 2.0 * emax - 1.0
+    vals = np.empty(0) if lo >= cap else eigh_tridiagonal(
+        d, e, eigvals_only=True, select="v", select_range=(lo, cap),
+        tol=1e-4 * _CLUSTER_GAP * tnorm,
+    )
     gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
     edges = np.flatnonzero(gaps > _CLUSTER_GAP * tnorm)  # 0, cuts..., N
     iblock = np.ones(G, dtype=np.int32)  # one unsplit block ...
@@ -218,10 +230,13 @@ def _tridiagonal_eigenvectors(d, e, vals):
                 f"inverse iteration failed for levels {a} to {b - 1} "
                 f"(dstein info={info})"
             )
+        ritz, rot = np.linalg.eigh(z.T @ (H @ z))
+        # the bisection count decides which levels exist, not the rounding
+        vals[a:b] = np.minimum(ritz, cap)
         # pinned per cluster: the temporaries of pinning all N columns at
         # once would add 27 MB to the peak RSS at G=33,941, N=400
-        vecs[:, a:b] = _fix_signs(z)
-    return vecs
+        vecs[:, a:b] = _fix_signs(z @ rot)
+    return vals, vecs
 
 
 def _weyl_count(pot, cap, hbar, spacing, n):
@@ -274,12 +289,14 @@ def _solve_peak_bytes(n, m, N_est):
 def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
-    n=1 finds the eigenvalues in (min, cap] by bisection, then the
-    eigenvectors by inverse iteration, one call per cluster of close levels;
-    n=2 runs shift-inverted Lanczos below the spectrum on one
-    minimum-degree LU of H - sigma I, with the block sized from the Weyl
-    count of the grid, and doubles the block until the whole window
-    [min, cap] is certified captured.
+    n=1 counts and places the levels in (min, cap] by bisection to 1e-10
+    ||H||, then finds the eigenvectors by inverse iteration and the
+    eigenvalues by Rayleigh-Ritz, one call per cluster of close levels;
+    n=2 runs shift-inverted Lanczos on one minimum-degree LU of H - sigma I,
+    with sigma a tenth of the window [gersh_lo, cap] below the Gershgorin
+    bound gersh_lo and the block sized from the Weyl count of the grid, and
+    doubles the block until the whole window is certified captured.  A cap
+    at or below gersh_lo gives no levels and no factorisation.
     """
     m = H.shape[0]
     if grid.interior_count != m:
@@ -288,22 +305,16 @@ def eigensolve(H, cap, grid, hbar):
     # the weighted product
     scale = math.sqrt(grid.weight)
     if grid.dimension == 1:
-        d = H.diagonal().astype(float)
-        e = np.asarray(H.diagonal(1), dtype=float)
-        lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
-        if lo >= cap:
-            vals = np.empty(0)
-        else:
-            vals = eigh_tridiagonal(
-                d, e, eigvals_only=True, select="v", select_range=(lo, cap)
-            )
-        vecs = _tridiagonal_eigenvectors(d, e, vals)
+        vals, vecs = _tridiagonal_eigenvectors(H, cap)
         np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
         row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
         diag = H.diagonal()
         gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
-        sigma = gersh_lo - 1.0
+        if cap <= gersh_lo:  # Gershgorin: every level lies above gersh_lo
+            return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
+        # scaled to the window, whatever the energy units
+        sigma = gersh_lo - 0.1 * (cap - gersh_lo)
         pot = _diagonal_potential(H, grid, hbar)
         N_est = _weyl_count(pot, cap, hbar, grid.spacing, grid.dimension)
         if not math.isfinite(N_est):
@@ -452,12 +463,14 @@ class AgmonReport:
     delta: float
     bound: float                 # 1 + 2 mu / delta
     eigenvalues: np.ndarray
-    norms: np.ndarray            # weighted norm of e^{f_delta/hbar} v_k
+    norms: np.ndarray            # per level RMS of |e^{f_delta/hbar} v_k|
     distance: np.ndarray         # dist(node, {V <= mu + delta}) per interior node
 
 
 def agmon_check(eigs, V, mu, delta):
-    """Weighted norms of e^{f_delta/hbar} v_k for every eigenvalue <= mu.
+    """Weighted norms of e^{f_delta/hbar} v_k for every eigenvalue <= mu,
+    each the RMS over the v_k of its level (eigenvalues equal to 1e-9
+    relative), so that no basis choice inside a degenerate level shows.
 
     f_delta(x) = delta * dist(x, {V <= mu + delta}) with the distance taken
     to the nearest interior node of the sublevel set, by an exact Euclidean
@@ -478,7 +491,9 @@ def agmon_check(eigs, V, mu, delta):
     weighted = np.multiply(
         np.exp(delta * dist / eigs.hbar)[:, None], vecs, order="F"
     )
-    norms = np.sqrt(np.sum(weighted * weighted, axis=0) * grid.weight)
+    sq = np.sum(weighted * weighted, axis=0) * grid.weight
+    same = np.isclose(lam[:, None], lam[None, :], rtol=1e-9, atol=0.0)
+    norms = np.sqrt(same @ sq / same.sum(axis=1))
     return AgmonReport(
         delta=float(delta),
         bound=1.0 + 2.0 * mu / delta,

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, exit codes, determinism."""
 
+import dataclasses
 import math
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 from fermigas.cli import _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
+from fermigas.experiments import _solve_window
 from oracles import airy_oracle, airy_prime_oracle
 
 
@@ -195,7 +197,11 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     # probes out to |x| = 63 around x0 = 0, in a box of half-width 1.5
     ["converge-bulk", "--potential", "x1^2", "--mu", "1", "--x0", "0",
      "--hbar", "0.02", "--window", "-1000:1000", "--probes", "5"],
+    # hbar^1.5 overflows; (hbar / h)^2 overflows
+    WEYL + ["--mu", "1", "--hbar", "1e300"],
+    WEYL + ["--mu", "1", "--hbar", "1e200"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -291,6 +297,43 @@ def test_agmon_norms_stay_under_bound(tmp_path):
     assert bound == pytest.approx(11.0)
     for r in rows:
         assert float(r[cols.index("weighted_norm")]) <= bound
+
+
+def test_agmon_norms_do_not_depend_on_the_basis_of_a_degenerate_level(
+    tmp_path, monkeypatch
+):
+    # x1^2 + x2^2 has pairs of levels equal up to rounding, swapped by
+    # x1 <-> x2; any orthonormal basis of a pair is an eigenbasis, and the
+    # CSV must read the same whichever one the solver returns
+    solved = []
+
+    def solve_once(*args, **kwargs):
+        if not solved:
+            solved.append(_solve_window(*args, **kwargs))
+        return solved[0]
+
+    def rotated(*args, **kwargs):
+        es = solve_once(*args, **kwargs)
+        lam, v = es.eigenvalues, es.eigenvectors.copy()
+        pairs = np.flatnonzero(np.isclose(lam[:-1], lam[1:], rtol=1e-9, atol=0))
+        assert pairs.size >= 5
+        c, s = math.cos(0.5), math.sin(0.5)
+        for i in pairs:
+            a, b = v[:, i].copy(), v[:, i + 1].copy()
+            v[:, i], v[:, i + 1] = c * a - s * b, s * a + c * b
+        return dataclasses.replace(es, eigenvectors=v)
+
+    argv = ["agmon", "--potential", "x1^2+x2^2", "--mu", "1", "--hbar", "0.1",
+            "--delta", "0.2"]
+    norms = []
+    for solve in (solve_once, rotated):
+        monkeypatch.setattr("fermigas.cli._solve_window", solve)
+        code, text = run(argv, tmp_path)
+        assert code == 0
+        cols, rows = data_rows(text)
+        norms.append([float(r[cols.index("weighted_norm")]) for r in rows])
+    assert len(norms[0]) == 15
+    np.testing.assert_allclose(norms[1], norms[0], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("delta", ["5", "0"])

@@ -182,19 +182,52 @@ def test_eigensolve_empty_window():
     assert es.eigenvectors.shape[1] == 0
 
 
-def test_eigensolve_1d_eigenvalues_are_the_bisection_ones():
-    # the eigenvectors come from separate inverse iterations, the
-    # eigenvalues still from eigh_tridiagonal's own subset-by-value solve
-    V = parse_potential("x1^2")
-    es = _solve_window(V, 1.0, 0.01)
-    H = assemble_hamiltonian(V, 0.01, es.grid)
+DOUBLE_WELL = parse_potential("x1^4-2*x1^2")
+
+
+def full_bisection(V, hbar, grid, cap):
+    """The levels <= cap of the 1-D H by bisection to the last bit."""
+    H = assemble_hamiltonian(V, hbar, grid)
     d, e = H.diagonal(), H.diagonal(1)
     lo = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
-    vals, _ = eigh_tridiagonal(d, e, select="v", select_range=(lo, 1.0))
-    assert np.array_equal(es.eigenvalues, vals)
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                            select_range=(lo, cap))
 
 
-DOUBLE_WELL = parse_potential("x1^4-2*x1^2")
+@pytest.mark.parametrize("text, mu, hbar", [
+    ("x1^2", 1.0, 0.01),
+    ("x1^2", 1.0, 0.0025),  # G=11,999, N=200
+    ("x1^4-2*x1^2", 0.5, 0.02),
+    ("x1^4-2*x1^2", 0.5, 0.05),
+])
+def test_eigensolve_1d_eigenvalues_match_full_bisection(text, mu, hbar):
+    # the bisection stops at 1e-10 ||H||; Rayleigh-Ritz on the inverse
+    # iteration's vectors brings the levels back to rounding: 4.0e-14 here
+    # at hbar=0.0025, where ||H|| is about 400, and 8.0e-14 at 0.00125
+    V = parse_potential(text)
+    es = _solve_window(V, mu, hbar)
+    exact = full_bisection(V, hbar, es.grid, mu)
+    assert es.eigenvalues.size == exact.size
+    assert np.max(np.abs(es.eigenvalues - exact)) <= 1e-12
+    orth, resid = eigen_errors(V, es)
+    assert orth <= 1e-10
+    assert resid <= 1e-10
+
+
+def test_eigensolve_1d_cap_on_a_level_keeps_the_level():
+    # with cap on a level or one float either side, the levels the
+    # bisection counts stay: none is dropped by a Ritz value that rounds
+    # above cap
+    V = parse_potential("x1^2")
+    grid = Grid(1, 1.5, 1501)
+    H = assemble_hamiltonian(V, 0.01, grid)
+    levels = full_bisection(V, 0.01, grid, 1.0)
+    assert levels.size == 50
+    for lam in levels:
+        for cap in (np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)):
+            es = eigensolve(H, cap, grid, 0.01)
+            assert es.eigenvalues.max() <= cap
+            assert es.below(cap)[1].shape[1] == es.eigenvalues.size
 
 
 @pytest.mark.parametrize("hbar", [0.02, 0.05])
@@ -304,6 +337,39 @@ def test_eigensolve_2d_weyl_block_needs_one_call(monkeypatch):
     es, ks = oscillator_2d_solve(monkeypatch)
     assert len(ks) == 1
     assert es.eigenvalues.size == 21
+
+
+def test_eigensolve_2d_empty_window_factors_nothing(monkeypatch):
+    # Gershgorin puts every level above the cap: no LU, no Lanczos
+    def fail(*args, **kwargs):
+        raise AssertionError("no factorisation or Lanczos call expected")
+
+    monkeypatch.setattr(schrodinger, "splu", fail)
+    monkeypatch.setattr(schrodinger, "eigsh", fail)
+    grid = Grid(2, 1.5, 61)
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2 + 1"), 0.08, grid)
+    es = eigensolve(H, 0.5, grid, 0.08)
+    assert es.eigenvalues.size == 0
+    assert es.eigenvectors.shape == (59 * 59, 0)
+
+
+def test_eigensolve_calls_the_solvers_the_benchmark_tracer_wraps(monkeypatch):
+    # perfbench/tracer.py times these two module attributes; a solve that
+    # stopped calling them through the module would drop out of its trace
+    calls = {"eigh_tridiagonal": 0, "eigsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(schrodinger, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, name, counted)
+    harmonic_eigensystem()
+    assert calls == {"eigh_tridiagonal": 1, "eigsh": 0}
+    grid = Grid(2, 1.5, 61)
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.08, grid)
+    eigensolve(H, 1.0, grid, 0.08)
+    assert calls == {"eigh_tridiagonal": 1, "eigsh": 1}
 
 
 def test_eigensolve_2d_rejects_a_non_finite_weyl_count():
