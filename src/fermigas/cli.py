@@ -63,6 +63,9 @@ class _Parser(argparse.ArgumentParser):
 # one value per pair of points
 _MAX_POINTS = 2001
 
+# most coordinates a kernel --n may ask for: potentials stop at x3
+_MAX_DIMENSION = 3
+
 
 def _finite_float(text):
     try:
@@ -84,13 +87,14 @@ def _positive_int(text):
     return value
 
 
-def _point_count(text):
-    value = _positive_int(text)
-    if value > _MAX_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"at most {_MAX_POINTS} points, got {value}"
-        )
-    return value
+def _at_most(cap, noun):
+    """A parser of positive integers up to cap."""
+    def parse(text):
+        value = _positive_int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap} {noun}, got {value}")
+        return value
+    return parse
 
 
 def _float_list(text):
@@ -216,9 +220,7 @@ def _run_kernel(args):
         eigs = _solve_window(
             V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
         )
-        return rescaled_kernel(
-            eigs, args.mu, np.zeros(n), 1.0, np.eye(n), pts, pts
-        ).to_csv()
+        return rescaled_kernel(eigs, args.mu, pts).to_csv()
     if args.kind in ("sine", "airy") and n != 1:
         raise ValidationError(f"the {args.kind} kernel is one-dimensional")
     kind, params, fn = {
@@ -416,8 +418,8 @@ def _build_parser():
              [common, solver])
     sp.add_argument("--kind", required=True,
                     choices=["bulk", "edge", "free", "sine", "airy", "projector"])
-    sp.add_argument("--n", type=_positive_int, default=1,
-                    help="dimension (default 1)")
+    sp.add_argument("--n", type=_at_most(_MAX_DIMENSION, "dimensions"),
+                    default=1, help="dimension (default 1)")
     sp.add_argument("--mu", type=_finite_float, default=1.0,
                     help="energy for free/projector kinds (default 1.0)")
     sp.add_argument("--window", type=_axis_window, default="-2:2:0.1",
@@ -441,7 +443,8 @@ def _build_parser():
         sp.add_argument("--hbar", type=_float_list, required=True)
         sp.add_argument("--window", type=_pair_window, default=deftext,
                         help=f"lo:hi probe window (default {deftext})")
-        sp.add_argument("--probes", type=_point_count, default=17)
+        sp.add_argument("--probes", type=_at_most(_MAX_POINTS, "points"),
+                        default=17)
 
     sp = add("sample", _run_sample, "draw exact point configurations",
              [common, solver])

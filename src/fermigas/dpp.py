@@ -36,19 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngState:
-    """Counter-based RNG state: (seed, counter) pins the sample stream."""
+    """Counter-based Philox4x64 state: (seed, counter) pins the sample stream."""
 
     seed: int
     counter: int = 0
-    algorithm: str = "philox4x64"
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if self.counter < 0:
             raise ValidationError("counter must be nonnegative")
-        if self.algorithm != "philox4x64":
-            raise ValidationError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self):
         return np.random.Generator(
@@ -57,7 +54,7 @@ class RngState:
 
     def stream(self, k):
         """Independent derived stream number k."""
-        return RngState(self.seed, self.counter + 1 + int(k), self.algorithm)
+        return RngState(self.seed, self.counter + 1 + int(k))
 
 
 @dataclass

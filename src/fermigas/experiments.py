@@ -39,15 +39,12 @@ from .kernels import (
 from .potential import grad_potential, parse_potential
 from .schrodinger import (
     Grid,
-    _diagonal_potential,
-    _point,
     _solve_peak_bytes,
     _weyl_count,
     assemble_hamiltonian,
     choose_box,
     edge_rotation,
     eigensolve,
-    rescaled_kernel,
 )
 from .specfun import unit_ball_volume
 
@@ -79,6 +76,15 @@ _MEMORY_BUDGET = 2 * 1024 ** 3
 # points per axis: the floor of every solve grid, and the lattice of the
 # Weyl estimate behind the memory check
 _MIN_POINTS_PER_AXIS = 201
+
+
+def _point(x, n, name):
+    """x as a vector of n floats, or a ValidationError that names it."""
+    p = np.asarray(x, dtype=float).reshape(-1)
+    if p.size != n:
+        plural = "" if n == 1 else "s"
+        raise ValidationError(f"{name} needs {n} component{plural}, got {p.size}")
+    return p
 
 
 def _smooth_step(u):
@@ -301,13 +307,7 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
         raise ValidationError(f"hbar={hbar:g} is too small to resolve")
     ppa = max(int(math.ceil(steps)) + 1, _MIN_POINTS_PER_AXIS)
     grid = Grid(n, L, _MIN_POINTS_PER_AXIS)
-    if ppa == _MIN_POINTS_PER_AXIS:
-        # the floor lattice is the solve grid: V is evaluated once, for H
-        H = assemble_hamiltonian(V, hbar, grid)
-        pot = _diagonal_potential(H, grid, hbar)
-    else:
-        H = None
-        pot = V(grid.interior_points())
+    pot = V(grid.interior_points())
     N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
     m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
     need = _solve_peak_bytes(n, m, N_est)
@@ -317,9 +317,8 @@ def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
             f"solve's peak, for about {N_est:.3g} levels on {m:.3g} nodes, "
             f"over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget"
         )
-    if H is None:
-        grid = Grid(n, L, ppa)
-        H = assemble_hamiltonian(V, hbar, grid)
+    grid = Grid(n, L, ppa)
+    H = assemble_hamiltonian(V, hbar, grid)
     return eigensolve(H, mu, grid, hbar)
 
 
@@ -346,7 +345,7 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     for hbar in hbar_list:
         eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
         counts.append(eigs.below(mu)[0].size)
-    Z = weyl_constant(V, mu, n)
+    Z = weyl_constant(V, mu)
     norm = unit_ball_volume(n) * Z / (2.0 * math.pi) ** n
     rows = []
     for hbar, count in zip(hbar_list, counts):
@@ -371,48 +370,41 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
 # bulk and edge convergence
 
 
-def _snap_probes(grid, x0_coord, eps, targets):
-    """Move probe offsets so the physical points land on grid nodes.
-
-    Interpolation between nodes is only first order, which would pollute the
-    convergence rates; on the nodes the rescaled kernel is exact.  A probe
-    that lands outside the interior nodes raises.
-    """
-    ax = grid.interior_axis
-    phys = x0_coord + eps * np.asarray(targets, dtype=float)
-    idx = np.round((phys - ax[0]) / grid.spacing).astype(int)
-    if np.min(idx) < 0 or np.max(idx) >= ax.size:
-        raise ValidationError(
-            f"a probe lies outside the box of half-width {grid.half_width:g}"
-        )
-    return np.unique((ax[idx] - x0_coord) / eps)
-
-
 def _kernel_convergence(
     experiment, V, mu, x0c, hbar_list, window, probes, margin, c_h,
     scale, frame, reference,
 ):
     """Sup-distance between the rescaled projector and a limiting kernel.
 
-    scale(hbar) is the microscopic length, frame the probe rotation and
+    scale(hbar) is the microscopic length eps, frame the probe rotation and
     reference(u, v) the limiting kernel at probe offsets u and v, which
-    broadcast.
+    broadcast.  Each probe moves to its nearest interior node, where the
+    projector is exact: eps Pi there is a product of the filled eigenvectors'
+    node rows.  A probe outside the interior nodes raises.
     """
     t0 = time.perf_counter()
     # frame^T e_1 is the probe direction; offsets along it carry its sign
     signed = float(frame[0, 0])
+    targets = np.linspace(window[0], window[1], probes)
     rows = []
     prev_err = None
     for hbar in hbar_list:
         eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
         eps = scale(hbar)
-        us = _snap_probes(
-            eigs.grid, x0c, eps * signed, np.linspace(window[0], window[1], probes)
-        )
-        pts = us.reshape(-1, 1)
-        sampled = rescaled_kernel(eigs, mu, [x0c], eps, frame, pts, pts)
-        ref = reference(us[:, None], us[None, :])
-        err = float(np.max(np.abs(sampled.values - ref)))
+        grid = eigs.grid
+        ax = grid.interior_axis
+        phys = x0c + eps * signed * targets
+        idx = np.round((phys - ax[0]) / grid.spacing).astype(int)
+        if np.min(idx) < 0 or np.max(idx) >= ax.size:
+            raise ValidationError(
+                f"a probe lies outside the box of half-width {grid.half_width:g}"
+            )
+        idx = np.unique(idx)
+        us = (ax[idx] - x0c) / (eps * signed)
+        R = eigs.below(mu)[1][idx]
+        err = float(np.max(np.abs(
+            eps * (R @ R.T) - reference(us[:, None], us[None, :])
+        )))
         ratio = math.nan if prev_err is None else err / prev_err
         rows.append((float(hbar), float(eps), err, ratio))
         prev_err = err
@@ -492,11 +484,11 @@ def edge_convergence(
 
 def _reference_cdf(V, mu, grid, Z):
     """Limiting-density CDF tabulated on a fine axis covering the box; Z is
-    weyl_constant(V, mu, 1)."""
+    weyl_constant(V, mu)."""
     lo = -grid.half_width
     hi = grid.half_width
     taxis = np.linspace(lo, hi, 8001)
-    dens = density_of_states(V, mu, 1, taxis[:, None], Z)
+    dens = density_of_states(V, mu, taxis[:, None], Z)
     cdf = cumulative_trapezoid(dens, taxis, initial=0.0)
     return taxis, cdf
 
@@ -524,7 +516,7 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    Z = weyl_constant(V, mu, 1)  # one cubature for every hbar
+    Z = weyl_constant(V, mu)  # one cubature for every hbar
     rows = []
     for ih, hb in enumerate(hbars):
         eigs = _solve_window(V, mu, hb, margin=margin, c_h=c_h)
@@ -632,16 +624,11 @@ def sigma_n_squared(n):
 
 
 def _ball_difference_volume(n, d):
-    """Volume of B(0,1) minus a unit ball whose center is d away."""
+    """Volume of B(0,1) minus a unit ball whose center is d away, elementwise."""
+    d = np.clip(d, 0.0, 2.0)
     if n == 1:
-        return min(float(d), 2.0)
-    d = float(d)
-    if d >= 2.0:
-        return math.pi
-    if d <= 0.0:
-        return 0.0
-    lens = 2.0 * math.acos(0.5 * d) - 0.5 * d * math.sqrt(4.0 - d * d)
-    return math.pi - lens
+        return d
+    return math.pi - (2.0 * np.arccos(0.5 * d) - 0.5 * d * np.sqrt(4.0 - d * d))
 
 
 def _fourier_sq_lattice(g):
@@ -709,14 +696,7 @@ def free_variance_exact(n, mu, g):
         total = inner + unit_ball_volume(n) * outer
         return pref * surface * total
     w2, xi, dxi = _fourier_sq_lattice(g)
-    d = np.sqrt(np.sum(xi * xi, axis=1)) / mu
-    if n == 1:
-        vol = np.minimum(d, 2.0)
-    else:
-        dc = np.clip(d, 0.0, 2.0)
-        vol = math.pi - (
-            2.0 * np.arccos(0.5 * dc) - 0.5 * dc * np.sqrt(4.0 - dc * dc)
-        )
+    vol = _ball_difference_volume(n, np.sqrt(np.sum(xi * xi, axis=1)) / mu)
     return pref * float(np.sum(w2 * vol)) * dxi
 
 

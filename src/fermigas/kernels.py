@@ -281,9 +281,10 @@ def free_laplacian_window(n, mu, half, step):
 _WEYL_TOL = {1: (1e-14, 1e-13), 2: (2e-8, 1e-9)}
 
 
-def weyl_constant(V, mu, n):
-    """Z = int (mu - V)_+^{n/2} dx over the droplet bounding box."""
-    n = int(n)
+def weyl_constant(V, mu):
+    """Z = int (mu - V)_+^{n/2} dx over the droplet bounding box, n the
+    dimension of V."""
+    n = V.dimension
     if n not in (1, 2):
         raise ValidationError("weyl_constant supports n in {1, 2}")
     half = droplet_half_width(V, mu)
@@ -305,17 +306,19 @@ def weyl_constant(V, mu, n):
     return float(res.estimate)
 
 
-def density_of_states(V, mu, n, x, Z):
+def density_of_states(V, mu, x, Z):
     """Normalized limiting density Z^{-1} (mu - V(x))_+^{n/2}.
 
-    x has shape (..., n); the result has shape (...).  Z is
-    weyl_constant(V, mu, n), taken from the caller so that one cubature
+    x has shape (..., n) with n the dimension of V; the result has shape
+    (...).  Z is
+    weyl_constant(V, mu), taken from the caller so that one cubature
     serves every evaluation (lln_wasserstein's whole hbar list).
     """
     if Z <= 0.0:
         raise ValidationError(
             "density_of_states is undefined: the droplet {V <= mu} is empty"
         )
+    n = V.dimension
     pts = np.asarray(x, dtype=float)
     vals = V(pts.reshape(-1, n)).reshape(pts.shape[:-1])
     return np.maximum(mu - vals, 0.0) ** (0.5 * n) / Z

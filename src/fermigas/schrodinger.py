@@ -3,9 +3,11 @@
 A truncated box with Dirichlet boundary carries a second-order central
 difference Hamiltonian.  Its eigenpairs below an energy cap form an
 EigenSystem, and EigenSystem.below(mu) selects the filled levels <= mu that
-every consumer shares: the projector kernel rescaled microscopically around
-an interior point, the DPP and the Agmon-weighted norms, which quantify how
-strongly eigenfunctions stick to the classically allowed region.
+every consumer shares: the convergence drivers, which read the projector
+off the rows of grid nodes, the projector table of the kernel command,
+interpolated between nodes, the DPP and the Agmon-weighted norms, which
+quantify how strongly eigenfunctions stick to the classically allowed
+region.
 """
 
 import math
@@ -367,15 +369,6 @@ def eigensolve(H, cap, grid, hbar):
     )
 
 
-def _point(x, n, name):
-    """x as a vector of n floats, or a ValidationError that names it."""
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size != n:
-        plural = "" if n == 1 else "s"
-        raise ValidationError(f"{name} needs {n} component{plural}, got {p.size}")
-    return p
-
-
 def _interpolate(grid, columns, points):
     """Multilinear interpolant of the interior columns at points (m, n).
 
@@ -403,41 +396,27 @@ def _interpolate(grid, columns, points):
     return interp(points)
 
 
-def rescaled_kernel(eigs, mu, x0, eps, U, x_list, y_list):
-    """eps^n Pi(x0 + eps U^T x, x0 + eps U^T y) on the probe rectangle.
+def rescaled_kernel(eigs, mu, points):
+    """Pi(x, y) on every pair of the points (m, n): the projector onto the
+    levels <= mu, as the kernel command tabulates it.
 
-    Pi projects onto the levels <= mu.  Eigenfunctions are interpolated
-    bilinearly between grid nodes, so probe spacings should stay a few grid
-    spacings wide.  Probes outside the box raise.
+    Eigenfunctions are interpolated multilinearly between grid nodes, so
+    point spacings should stay a few grid spacings wide.  Points outside
+    the box raise.  The params record eps = 1 and x0 = 0: the rescaling
+    is the identity.
     """
     lam, vecs = eigs.below(mu)
     grid = eigs.grid
     n = grid.dimension
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
-    U = np.asarray(U, dtype=float)
-    if U.shape != (n, n) or not np.allclose(U @ U.T, np.eye(n), atol=1e-10):
-        raise ValidationError("U must be an orthogonal n-by-n matrix")
-    x0 = _point(x0, n, "x0")
-    xs = np.atleast_2d(np.asarray(x_list, dtype=float))
-    ys = np.atleast_2d(np.asarray(y_list, dtype=float))
-    px = x0[None, :] + eps * xs @ U  # rows: x0 + eps U^T x
-    py = x0[None, :] + eps * ys @ U
-    L = grid.half_width
-    if np.max(np.abs(px)) > L or np.max(np.abs(py)) > L:
-        raise ValidationError("a rescaled probe point lies outside the box")
-    params = {"hbar": eigs.hbar, "mu": float(mu), "eps": float(eps)}
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if np.max(np.abs(pts)) > grid.half_width:
+        raise ValidationError("a kernel point lies outside the box")
+    params = {"hbar": eigs.hbar, "mu": float(mu), "eps": 1.0}
     for k in range(n):
-        params[f"x0_{k + 1}"] = float(x0[k])
-    if lam.size == 0:
-        values = np.zeros((xs.shape[0], ys.shape[0]))
-        return KernelEvaluation(
-            KernelKind.PROJECTOR, n, params, xs, ys, values
-        )
-    A = _interpolate(grid, vecs, px)
-    B = _interpolate(grid, vecs, py)
-    values = (eps ** n) * (A @ B.T)
-    return KernelEvaluation(KernelKind.PROJECTOR, n, params, xs, ys, values)
+        params[f"x0_{k + 1}"] = 0.0
+    # no filled level leaves no columns to interpolate
+    A = _interpolate(grid, vecs, pts) if lam.size else np.zeros((len(pts), 0))
+    return KernelEvaluation(KernelKind.PROJECTOR, n, params, pts, pts, A @ A.T)
 
 
 def edge_rotation(grad):

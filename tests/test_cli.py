@@ -200,6 +200,11 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     # hbar^1.5 overflows; (hbar / h)^2 overflows
     WEYL + ["--mu", "1", "--hbar", "1e300"],
     WEYL + ["--mu", "1", "--hbar", "1e200"],
+    # kernel dimensions past x3, refused before a (2 pi)^n or an array of
+    # n coordinates per point
+    ["kernel", "--kind", "bulk", "--n", "4"],
+    ["kernel", "--kind", "bulk", "--n", "100000000"],
+    ["kernel", "--kind", "edge", "--n", "1000"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):

@@ -81,8 +81,6 @@ def test_from_eigensystem_empty_below_ground_state(fermions):
 def test_rng_state_validation():
     with pytest.raises(ValidationError):
         RngState(-1)
-    with pytest.raises(ValidationError):
-        RngState(3, algorithm="mt19937")
     a = RngState(9).stream(4)
     assert (a.seed, a.counter) == (9, 5)
 

@@ -290,7 +290,7 @@ def test_w1_of_exact_step_cdf_is_zero():
 
 
 def test_reference_cdf_is_monotone_unit_mass(harmonic):
-    Z = weyl_constant(harmonic, 1.0, 1)
+    Z = weyl_constant(harmonic, 1.0)
     taxis, cdf = _reference_cdf(harmonic, 1.0, Grid(1, 2.0, 101), Z)
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0, abs=1e-4)

@@ -236,27 +236,27 @@ def test_edge_quadrature_requires_positive_s_max():
 
 def test_weyl_constant_harmonic_1d():
     V = parse_potential("x1^2")
-    assert weyl_constant(V, 1.0, 1) == pytest.approx(math.pi / 2, abs=1e-8)
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, abs=1e-8)
 
 
 def test_weyl_constant_radial_2d():
     V = parse_potential("x1^2 + x2^2")
     # int (1 - r^2)_+ over the plane = 2 pi int_0^1 (1 - r^2) r dr = pi/2
-    assert weyl_constant(V, 1.0, 2) == pytest.approx(math.pi / 2, abs=1e-6)
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, abs=1e-6)
 
 
 def test_weyl_constant_off_centre_closed_forms():
     # 1-d: (mu - V)_+^{1/2} with V = (x1 + 0.1)^2 - 0.01 integrates to
     # pi (mu + 0.01) / 2
     V = parse_potential("x1^2+0.2*x1")
-    assert weyl_constant(V, 1.0, 1) == pytest.approx(
+    assert weyl_constant(V, 1.0) == pytest.approx(
         math.pi * 1.01 / 2, abs=1e-12
     )
     # 2-d: V = V_min + (x - x*)^T A (x - x*) with det A = 0.9375 and
     # V_min = -0.006, so Z = (pi/2) (mu - V_min)^2 / sqrt(det A)
     V = parse_potential("(x1-0.3)^2 + x2^2 + 0.5*x1*x2")
     want = 0.5 * math.pi * 1.006 ** 2 / math.sqrt(0.9375)
-    assert weyl_constant(V, 1.0, 2) == pytest.approx(want, abs=1e-6)
+    assert weyl_constant(V, 1.0) == pytest.approx(want, abs=1e-6)
 
 
 def test_weyl_constant_reports_non_convergence(monkeypatch):
@@ -269,38 +269,38 @@ def test_weyl_constant_reports_non_convergence(monkeypatch):
 
     monkeypatch.setattr(kernels, "cubature", stalled)
     with pytest.raises(NumericalError):
-        weyl_constant(parse_potential("x1^2"), 1.0, 1)
+        weyl_constant(parse_potential("x1^2"), 1.0)
 
 
 def test_weyl_constant_empty_droplet():
     V = parse_potential("x1^2")
-    assert weyl_constant(V, 0.0, 1) == 0.0
-    assert weyl_constant(V, -0.5, 1) == 0.0
+    assert weyl_constant(V, 0.0) == 0.0
+    assert weyl_constant(V, -0.5) == 0.0
 
 
 def test_weyl_constant_rejects_unsupported_dimension():
     V = parse_potential("x1^2 + x2^2 + x3^2")
     with pytest.raises(ValidationError):
-        weyl_constant(V, 1.0, 3)
+        weyl_constant(V, 1.0)
 
 
 def test_density_of_states_harmonic():
     V = parse_potential("x1^2")
-    Z = weyl_constant(V, 1.0, 1)
-    got = density_of_states(V, 1.0, 1, [0.0], Z)
+    Z = weyl_constant(V, 1.0)
+    got = density_of_states(V, 1.0, [0.0], Z)
     assert got == pytest.approx(2.0 / math.pi, abs=1e-8)
-    assert density_of_states(V, 1.0, 1, [2.0], Z) == 0.0
+    assert density_of_states(V, 1.0, [2.0], Z) == 0.0
 
 
 def test_density_of_states_normalizes_to_one():
     from scipy.integrate import tanhsinh
 
     V = parse_potential("x1^2")
-    Z = weyl_constant(V, 1.0, 1)
+    Z = weyl_constant(V, 1.0)
     # tanh-sinh nodes cluster at the square-root zeros at +-1; each call
     # evaluates the density on a whole array of nodes
     res = tanhsinh(
-        lambda t: density_of_states(V, 1.0, 1, t[..., None], Z),
+        lambda t: density_of_states(V, 1.0, t[..., None], Z),
         -1.0,
         1.0,
         atol=1e-10,
@@ -313,20 +313,20 @@ def test_density_of_states_normalizes_to_one():
 def test_density_of_states_on_point_arrays(text):
     V = parse_potential(text)
     n = V.dimension
-    Z = weyl_constant(V, 1.0, n)
+    Z = weyl_constant(V, 1.0)
     pts = np.random.default_rng(4).uniform(-1.2, 1.2, size=(4, n))
-    got = density_of_states(V, 1.0, n, pts, Z)
+    got = density_of_states(V, 1.0, pts, Z)
     assert got.shape == (4,)
-    want = [density_of_states(V, 1.0, n, p, Z) for p in pts]
+    want = [density_of_states(V, 1.0, p, Z) for p in pts]
     np.testing.assert_array_equal(got, want)
 
 
 def test_density_of_states_empty_droplet_fails():
     V = parse_potential("x1^2")
-    Z = weyl_constant(V, -1.0, 1)
+    Z = weyl_constant(V, -1.0)
     assert Z == 0.0
     with pytest.raises(ValidationError):
-        density_of_states(V, -1.0, 1, [0.0], Z)
+        density_of_states(V, -1.0, [0.0], Z)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from scipy.special import eval_hermite
 from fermigas import schrodinger
 from fermigas.dpp import from_eigensystem
 from fermigas.errors import ValidationError
-from fermigas.experiments import _solve_window
-from fermigas.kernels import bulk_kernel, bulk_scale, edge_scale
+from fermigas.experiments import _solve_window, bulk_convergence, edge_convergence
+from fermigas.kernels import bulk_scale, edge_scale
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import (
     EigenSystem,
@@ -469,45 +469,46 @@ def test_projector_rejects_mu_above_cap():
 
 
 # ---------------------------------------------------------------------------
-# rescaled kernel
+# the projector at the convergence probes and in the kernel table
 
 
-def test_rescaled_kernel_exact_on_nodes():
-    es = harmonic_eigensystem()
-    h = es.grid.spacing
-    x0 = [es.grid.interior_axis[600]]
-    probes = np.array([[-2.0], [0.0], [3.0]])
-    ke = rescaled_kernel(es, 1.0, x0, h, np.eye(1), probes, probes)
-    P = projector_matrix(es, 1.0)
-    idx = [598, 600, 603]
-    assert np.allclose(ke.values, h * P[np.ix_(idx, idx)], atol=1e-14)
+def test_bulk_convergence_reads_the_projector_on_nodes(monkeypatch):
+    # against a zero limit the sup error is eps max |Pi| over the nodes
+    # nearest the probes
+    monkeypatch.setattr("fermigas.experiments.bulk_kernel", lambda n, x, y: 0.0)
+    V = parse_potential("x1^2")
+    rep = bulk_convergence(V, 1.0, 0.0, [0.02])
+    es = _solve_window(V, 1.0, 0.02)
+    eps = bulk_scale(0.02, 0.0, 1.0, 1)
+    ax = es.grid.interior_axis
+    probes = eps * np.linspace(-2.0, 2.0, 17)
+    idx = np.round((probes - ax[0]) / es.grid.spacing).astype(int)
+    want = eps * np.max(np.abs(projector_matrix(es, 1.0)[np.ix_(idx, idx)]))
+    assert rep.column("sup_error")[0] == pytest.approx(want, rel=1e-15)
 
 
-def test_rescaled_kernel_approaches_sine_kernel():
-    es = harmonic_eigensystem()
-    eps = np.pi * 0.05  # bulk scale at the center of the well
-    z = np.linspace(-1.0, 1.0, 5)[:, None]
-    ke = rescaled_kernel(es, 1.0, [0.0], eps, np.eye(1), z, z)
-    ref = np.array([[bulk_kernel(1, a, b) for b in z] for a in z])
-    assert np.max(np.abs(ke.values - ref)) <= 0.1
+def test_edge_convergence_does_not_interpolate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the convergence drivers read grid nodes")
+
+    monkeypatch.setattr(schrodinger, "_interpolate", refuse)
+    rep = edge_convergence(parse_potential("x1^2"), 1.0, 1.0, [0.02])
+    assert np.isfinite(rep.column("sup_error")[0])
+
+
+def test_edge_convergence_mirrors_across_an_even_potential():
+    # the left edge probes along -x1; mirrored probes give the same error
+    V = parse_potential("x1^4-x1^2")
+    x0 = 1.1687708944803676
+    left = edge_convergence(V, 0.5, -x0, [0.02, 0.01]).column("sup_error")
+    right = edge_convergence(V, 0.5, x0, [0.02, 0.01]).column("sup_error")
+    np.testing.assert_allclose(left, right, rtol=1e-12, atol=0.0)
 
 
 def test_rescaled_kernel_probe_outside_box():
     es = harmonic_eigensystem()
     with pytest.raises(ValidationError, match="outside"):
-        rescaled_kernel(es, 1.0, [2.9], 0.1, np.eye(1), [[5.0]], [[0.0]])
-
-
-def test_rescaled_kernel_rejects_x0_of_the_wrong_length():
-    es = harmonic_eigensystem()
-    with pytest.raises(ValidationError, match="x0 needs 1 component, got 2"):
-        rescaled_kernel(es, 1.0, [0.0, 5.0], 0.1, np.eye(1), [[0.0]], [[0.0]])
-
-
-def test_rescaled_kernel_requires_orthogonal_map():
-    es = harmonic_eigensystem()
-    with pytest.raises(ValidationError, match="orthogonal"):
-        rescaled_kernel(es, 1.0, [0.0], 0.1, np.array([[2.0]]), [[0.0]], [[0.0]])
+        rescaled_kernel(es, 1.0, [[5.0]])
 
 
 # ---------------------------------------------------------------------------
