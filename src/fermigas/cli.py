@@ -196,8 +196,17 @@ def _parse_function(spec, n):
 # subcommand runners
 
 
+def _grid_potential(text):
+    """A potential for a grid solve: grids exist in 1-D and 2-D only."""
+    V = parse_potential(text)
+    if V.dimension > 2:
+        raise ValidationError(f"the potential has dimension {V.dimension}; "
+                              "grid solves support dimensions 1 and 2")
+    return V
+
+
 def _run_weyl(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     rep = weyl_check(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
@@ -214,7 +223,7 @@ def _run_kernel(args):
             raise ValidationError(
                 "kernel --kind projector needs --potential and --hbar"
             )
-        V = parse_potential(args.potential)
+        V = _grid_potential(args.potential)
         if V.dimension != n:
             raise ValidationError("--n disagrees with the potential dimension")
         eigs = _solve_window(
@@ -241,7 +250,7 @@ def _run_kernel(args):
 
 
 def _run_converge(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     rep = args.driver(
         V,
         args.mu,
@@ -256,7 +265,7 @@ def _run_converge(args):
 
 
 def _run_sample(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     eigs = _solve_window(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
@@ -315,7 +324,7 @@ def _run_seminorm(args):
 
 
 def _run_clt(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     eigs = _solve_window(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
@@ -330,7 +339,7 @@ def _run_clt(args):
 
 
 def _run_lln(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     rep = lln_wasserstein(
         V,
         args.mu,
@@ -344,7 +353,7 @@ def _run_lln(args):
 
 
 def _run_agmon(args):
-    V = parse_potential(args.potential)
+    V = _grid_potential(args.potential)
     if not 0.0 < args.delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
     eigs = _solve_window(

@@ -31,6 +31,7 @@ __all__ = [
     "EigenSystem",
     "choose_box",
     "assemble_hamiltonian",
+    "level_count",
     "eigensolve",
     "rescaled_kernel",
     "edge_rotation",
@@ -254,17 +255,29 @@ def _weyl_count(pot, cap, hbar, spacing, n):
     return unit_ball_volume(n) * float(fill) * scale
 
 
-def _diagonal_potential(H, grid, hbar):
-    """V on the interior nodes, read off H's diagonal: V plus the
-    Laplacian's 2n hbar^2 / h^2."""
-    n, h = grid.dimension, grid.spacing
-    return H.diagonal() - 2.0 * n * hbar * hbar / (h * h)
+def level_count(H, cap):
+    """Number of eigenvalues of the symmetric H below cap: the negative
+    pivots of an LDL^T of H - cap I, by Sylvester's law of inertia.
 
-
-def _lanczos_block(m, N_est):
-    """First Lanczos block for about N_est levels among m nodes."""
-    est = 1.2 * N_est + 8.0
-    return m - 1 if not est < m - 1 else math.ceil(est)
+    SuperLU in symmetric mode without pivoting factors H - cap I on a
+    symmetric minimum-degree ordering as L D L^T, U = D L^T.  A level
+    within rounding of cap may be counted or not, so callers that need an
+    exact count keep cap between levels; bisection (the 1-D eigensolve)
+    counts (lo, cap] instead.  A singular factor, a row exchange or a zero
+    or non-finite pivot leaves the inertia undefined: NumericalError.
+    """
+    try:
+        lu = splu((H - cap * sp.identity(H.shape[0])).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericalError(f"no inertia count at cap={cap:g}: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(np.isfinite(pivots) & (pivots != 0.0))):
+        raise NumericalError(f"no inertia count at cap={cap:g}: a row "
+                             "exchange or a zero or non-finite pivot")
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 def _solve_peak_bytes(n, m, N_est):
@@ -272,8 +285,8 @@ def _solve_peak_bytes(n, m, N_est):
     nodes, its eigenvectors included.
 
     1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
-    the Agmon check makes.  2-D, for the first Lanczos call: eigsh's
-    Lanczos basis and Ritz block (ncv columns each), the k returned
+    the Agmon check makes.  2-D, for the Lanczos call at k = N: eigsh's
+    Lanczos basis and Ritz block (ncv columns each), the N returned
     vectors, ARPACK's ncv (ncv + 8) work array, and the LU of H - sigma I,
     whose minimum-degree fill took 33-37 m log2 m bytes of RSS for m from
     1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a huge
@@ -282,10 +295,9 @@ def _solve_peak_bytes(n, m, N_est):
     N = min(N_est, m)
     if n == 1:
         return 16.0 * m * N
-    k = _lanczos_block(m, N_est)
-    ncv = min(m, max(2.0 * k + 1.0, 20.0))
+    ncv = min(m, max(2.0 * N + 1.0, 20.0))
     lu = 48.0 * m * math.log2(m)
-    return 8.0 * (m * (2.0 * ncv + k) + ncv * (ncv + 8.0)) + lu
+    return 8.0 * (m * (2.0 * ncv + N) + ncv * (ncv + 8.0)) + lu
 
 
 def eigensolve(H, cap, grid, hbar):
@@ -294,11 +306,11 @@ def eigensolve(H, cap, grid, hbar):
     n=1 counts and places the levels in (min, cap] by bisection to 1e-10
     ||H||, then finds the eigenvectors by inverse iteration and the
     eigenvalues by Rayleigh-Ritz, one call per cluster of close levels;
-    n=2 runs shift-inverted Lanczos on one minimum-degree LU of H - sigma I,
-    with sigma a tenth of the window [gersh_lo, cap] below the Gershgorin
-    bound gersh_lo and the block sized from the Weyl count of the grid, and
-    doubles the block until the whole window is certified captured.  A cap
-    at or below gersh_lo gives no levels and no factorisation.
+    n=2 counts the N levels below cap by inertia (level_count), then makes
+    one shift-inverted Lanczos call for exactly N levels, certified by the
+    top one lying at or below cap, on one minimum-degree LU of H - sigma I,
+    sigma a tenth of the window [gersh_lo, cap] below the Gershgorin bound
+    gersh_lo.  N = 0 gives no levels and no Lanczos call.
     """
     m = H.shape[0]
     if grid.interior_count != m:
@@ -310,24 +322,18 @@ def eigensolve(H, cap, grid, hbar):
         vals, vecs = _tridiagonal_eigenvectors(H, cap)
         np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
+        N = level_count(H, cap)
+        if N == 0:
+            return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
+        if N >= m - 1:  # eigsh's bound on k
+            raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
         row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
         diag = H.diagonal()
         gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
-        if cap <= gersh_lo:  # Gershgorin: every level lies above gersh_lo
-            return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
         # scaled to the window, whatever the energy units
         sigma = gersh_lo - 0.1 * (cap - gersh_lo)
-        pot = _diagonal_potential(H, grid, hbar)
-        N_est = _weyl_count(pot, cap, hbar, grid.spacing, grid.dimension)
-        if not math.isfinite(N_est):
-            raise ValidationError(
-                f"hbar={hbar:g} is too small for the grid: the Weyl count of "
-                f"the levels <= {cap:g} is not finite"
-            )
-        k = _lanczos_block(m, N_est)
         # H - sigma I is positive definite: a symmetric minimum-degree
-        # ordering fills it in less than eigsh's own COLAMD factor, and every
-        # doubling round reuses this one factor
+        # ordering fills it in less than eigsh's own COLAMD factor
         lu = splu((H - sigma * sp.identity(m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
         OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
         # a fixed start vector: without one ARPACK seeds each call from OS
@@ -335,38 +341,21 @@ def eigensolve(H, cap, grid, hbar):
         # run; not a constant, which is orthogonal to every odd eigenfunction
         # of a symmetric well
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-        vals = vecs = None
-        for _ in range(6):  # the Weyl-sized block and five doublings
-            try:
-                w, u = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
-            except ArpackNoConvergence as exc:
-                raise NumericalError(
-                    f"Lanczos failed to converge at block size {k}: {exc}"
-                ) from exc
-            order = np.argsort(w)
-            w = w[order]
-            u = u[:, order]
-            if w[-1] > cap or k >= m - 1:
-                keep = w <= cap
-                vals, vecs = w[keep], u[:, keep]
-                break
-            k = min(m - 1, 2 * k)
-        if vals is None:
-            raise NumericalError(
-                "eigensolve could not certify capturing all eigenvalues "
-                f"below {cap}; spectrum still inside the window at k={k}"
-            )
-        # not in place, nor in one expression: either raised weyl_2d's peak
-        # RSS by 6 MB, through the allocator's reuse of the freed blocks
-        vecs = np.ascontiguousarray(vecs, dtype=float)
+        try:
+            vals, vecs = eigsh(H, k=N, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+        except ArpackNoConvergence as exc:
+            raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
+        order = np.argsort(vals)
+        vals = vals[order]
+        if not vals[-1] <= cap:
+            raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
+                                 f"among the {N} levels the inertia counts")
+        # not in place, nor in one expression: either raised a 2-D solve's
+        # peak RSS by 6 MB, through the allocator's reuse of the freed blocks
+        vecs = np.ascontiguousarray(vecs[:, order], dtype=float)
         vecs = _fix_signs(vecs / scale)
-    return EigenSystem(
-        hbar=float(hbar),
-        mu_cap=float(cap),
-        eigenvalues=np.asarray(vals, dtype=float),
-        eigenvectors=vecs,
-        grid=grid,
-    )
+    return EigenSystem(float(hbar), float(cap), np.asarray(vals, dtype=float),
+                       vecs, grid)
 
 
 def _interpolate(grid, columns, points):

@@ -205,6 +205,10 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["kernel", "--kind", "bulk", "--n", "4"],
     ["kernel", "--kind", "bulk", "--n", "100000000"],
     ["kernel", "--kind", "edge", "--n", "1000"],
+    # potentials in x3: grids exist in dimensions 1 and 2 only
+    ["weyl", "--potential", "x1^2+x2^2+x3^2", "--mu", "1", "--hbar", "0.2"],
+    ["sample", "--potential", "x1^2+x2^2+x3^2", "--mu", "1", "--hbar", "0.2",
+     "--seed", "1"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):

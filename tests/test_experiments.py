@@ -191,6 +191,21 @@ def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):
         weyl_check(V, 1.0, [0.1], margin=-1.0)
 
 
+def test_weyl_counts_by_inertia_without_eigenvectors(monkeypatch):
+    # x1^2 + x2^2 has the levels 2 hbar (j1 + j2 + 1), j1 + j2 = t held
+    # t + 1 times: 15, 28 and 55 of them lie below 1 at these hbar
+    def no_solve(*args, **kwargs):
+        raise AssertionError("weyl_check computed eigenvectors")
+
+    monkeypatch.setattr("fermigas.schrodinger.eigsh", no_solve)
+    monkeypatch.setattr("fermigas.experiments.eigensolve", no_solve)
+    # the counts alone are under test: Z = pi / 2 in closed form
+    monkeypatch.setattr("fermigas.experiments.weyl_constant",
+                        lambda V, mu: 0.5 * math.pi)
+    rep = weyl_check(parse_potential("x1^2 + x2^2"), 1.0, [0.1, 0.07, 0.05])
+    assert rep.column("count").tolist() == [15, 28, 55]
+
+
 def test_weyl_count_scales_with_mu(harmonic):
     one = weyl_check(harmonic, 1.0, [0.02]).column("count")[0]
     two = weyl_check(harmonic, 2.0, [0.02]).column("count")[0]

@@ -9,8 +9,13 @@ from scipy.special import eval_hermite
 
 from fermigas import schrodinger
 from fermigas.dpp import from_eigensystem
-from fermigas.errors import ValidationError
-from fermigas.experiments import _solve_window, bulk_convergence, edge_convergence
+from fermigas.errors import NumericalError, ValidationError
+from fermigas.experiments import (
+    _solve_grid,
+    _solve_window,
+    bulk_convergence,
+    edge_convergence,
+)
 from fermigas.kernels import bulk_scale, edge_scale
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import (
@@ -230,6 +235,48 @@ def test_eigensolve_1d_cap_on_a_level_keeps_the_level():
             assert es.below(cap)[1].shape[1] == es.eigenvalues.size
 
 
+def test_level_count_between_levels_is_exact():
+    # inertia counts the levels below cap: a cap at the midpoint of levels
+    # j and j + 1 counts j + 1, and a cap within a float of level j counts
+    # it or not, by rounding
+    grid = Grid(1, 1.5, 1501)
+    H = assemble_hamiltonian(parse_potential("x1^2"), 0.01, grid)
+    levels = eigensolve(H, 1.0, grid, 0.01).eigenvalues
+    assert levels.size == 50
+    for j, mid in enumerate(0.5 * (levels[:-1] + levels[1:])):
+        assert schrodinger.level_count(H, mid) == j + 1
+    for j, lam in enumerate(levels):
+        for cap in (np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)):
+            assert schrodinger.level_count(H, cap) in (j, j + 1)
+
+
+@pytest.mark.parametrize("text, mu, hbar, want", [
+    ("x1^2", 1.0, 0.01, 50),
+    ("x1^2", 1.0, 0.00125, 400),  # G=33,941
+    ("x1^4-2*x1^2", 0.5, 0.02, 46),
+])
+def test_level_count_matches_the_bisection_count_1d(text, mu, hbar, want):
+    # the 1-D eigensolve keeps the levels the bisection counts in (lo, mu];
+    # that count comes from Sturm sequences at the ends and does not depend
+    # on the bisection's tolerance, so a coarse one gives it cheaply
+    grid, H = _solve_grid(parse_potential(text), mu, hbar)
+    d, e = H.diagonal(), H.diagonal(1)
+    lo = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    bisected = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                select_range=(lo, mu), tol=1.0)
+    assert schrodinger.level_count(H, mu) == bisected.size == want
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2"])
+@pytest.mark.parametrize("hbar", [0.1, 0.07])
+def test_level_count_matches_the_eigensolve_count_2d(text, hbar):
+    grid = Grid(2, 1.5, 61)
+    H = assemble_hamiltonian(parse_potential(text), hbar, grid)
+    es = eigensolve(H, 1.0, grid, hbar)
+    assert es.eigenvalues.size > 0
+    assert schrodinger.level_count(H, 1.0) == es.eigenvalues.size
+
+
 @pytest.mark.parametrize("hbar", [0.02, 0.05])
 def test_eigensolve_1d_separates_tunnelling_pairs(hbar):
     # the double well's tunnelling pairs are equal in floating point at
@@ -301,9 +348,9 @@ def test_eigensolve_2d_isotropic_harmonic():
     assert np.max(np.abs(G - np.eye(3))) <= 1e-8
 
 
-def oscillator_2d_solve(monkeypatch):
-    """x1^2 + x2^2 at hbar=0.08 on a coarse grid (21 levels <= 1), with the
-    block size of every Lanczos call recorded."""
+def test_eigensolve_2d_one_lanczos_call_at_the_inertia_count(monkeypatch):
+    # x1^2 + x2^2 at hbar=0.08 on a coarse grid: 21 levels <= 1, all from
+    # one Lanczos call that asks for exactly the inertia count
     ks = []
     eigsh = schrodinger.eigsh
 
@@ -315,16 +362,8 @@ def oscillator_2d_solve(monkeypatch):
     V = parse_potential("x1^2 + x2^2")
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(V, 0.08, grid)
-    return eigensolve(H, 1.0, grid, 0.08), ks
-
-
-def test_eigensolve_2d_block_growth(monkeypatch):
-    # no Weyl estimate: the block starts at 8 and doubles until the cap is
-    # passed, all on one factorization
-    monkeypatch.setattr(schrodinger, "_weyl_count", lambda *args: 0.0)
-    es, ks = oscillator_2d_solve(monkeypatch)
-    assert ks == [8, 16, 32]
-    assert es.eigenvalues.size == 21
+    es = eigensolve(H, 1.0, grid, 0.08)
+    assert ks == [21]
     exact = np.sort(
         [0.16 * (k1 + k2 + 1) for k1 in range(7) for k2 in range(7)]
     )
@@ -333,22 +372,25 @@ def test_eigensolve_2d_block_growth(monkeypatch):
     assert np.allclose(es.eigenvalues, exact, atol=1.5e-2)
 
 
-def test_eigensolve_2d_weyl_block_needs_one_call(monkeypatch):
-    es, ks = oscillator_2d_solve(monkeypatch)
-    assert len(ks) == 1
-    assert es.eigenvalues.size == 21
+def test_eigensolve_2d_empty_window_runs_no_lanczos(monkeypatch):
+    # every level lies above the cap: the inertia count, one LU, is 0 and
+    # no Lanczos call follows
+    lus = []
+    splu = schrodinger.splu
 
+    def counting(*args, **kwargs):
+        lus.append(kwargs)
+        return splu(*args, **kwargs)
 
-def test_eigensolve_2d_empty_window_factors_nothing(monkeypatch):
-    # Gershgorin puts every level above the cap: no LU, no Lanczos
     def fail(*args, **kwargs):
-        raise AssertionError("no factorisation or Lanczos call expected")
+        raise AssertionError("no Lanczos call expected")
 
-    monkeypatch.setattr(schrodinger, "splu", fail)
+    monkeypatch.setattr(schrodinger, "splu", counting)
     monkeypatch.setattr(schrodinger, "eigsh", fail)
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(parse_potential("x1^2 + x2^2 + 1"), 0.08, grid)
     es = eigensolve(H, 0.5, grid, 0.08)
+    assert len(lus) == 1
     assert es.eigenvalues.size == 0
     assert es.eigenvectors.shape == (59 * 59, 0)
 
@@ -372,24 +414,25 @@ def test_eigensolve_calls_the_solvers_the_benchmark_tracer_wraps(monkeypatch):
     assert calls == {"eigh_tridiagonal": 1, "eigsh": 1}
 
 
-def test_eigensolve_2d_rejects_a_non_finite_weyl_count():
-    # (h / 2 pi hbar)^2 overflows: a ValidationError, not an OverflowError
-    # from rounding an infinite block size
+def test_eigensolve_2d_singular_shift_is_a_numerical_error():
+    # at hbar=1e-160 the kinetic part underflows and H - I is singular where
+    # V = 1 at a node: no inertia count, and a NumericalError (exit 2), not
+    # a traceback from the factorisation
     V = parse_potential("x1^2 + x2^2")
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(V, 1e-160, grid)
-    with pytest.raises(ValidationError, match="not finite"):
+    with pytest.raises(NumericalError, match="no inertia count"):
         eigensolve(H, 1.0, grid, 1e-160)
 
 
 def test_solve_peak_estimate():
     m = 199.0 ** 2
     assert schrodinger._solve_peak_bytes(1, 199.0, 20.0) == 16.0 * 199 * 20
-    # x1^2 + x2^2 at hbar = 0.07 (N = 28 on 199^2 nodes): k = 42, and the
-    # solve's RSS grew by 83 MB; at hbar = 0.03 (N = 136 on 288^2 nodes)
-    # by 535 MB, estimated 648 MB
-    assert schrodinger._lanczos_block(m, 25.5) == 39
-    assert 83e6 < schrodinger._solve_peak_bytes(2, m, 25.5) < 1.25 * 83e6
+    # x1^2 + x2^2 at hbar = 0.07 (N = 28, N_est = 25.5 on 199^2 nodes):
+    # the solve, with its Lanczos call at k = 28, grew RSS by 65 MB,
+    # estimated 70 MB; at hbar = 0.03 (N = 136 on 288^2 nodes) by 418 MB,
+    # estimated 528 MB
+    assert 65e6 < schrodinger._solve_peak_bytes(2, m, 25.5) < 1.25 * 65e6
     # a grid too big for a float gives inf, not an OverflowError
     assert schrodinger._solve_peak_bytes(2, 1e200 * 1e200, 5.0) == math.inf
     assert schrodinger._solve_peak_bytes(2, m, math.inf) > 8.0 * m * m
