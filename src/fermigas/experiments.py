@@ -36,13 +36,12 @@ from .kernels import (
     free_kernel_radial,
     weyl_constant,
 )
-from .potential import grad_potential, parse_potential
+from .potential import choose_box, grad_potential, parse_potential
 from .schrodinger import (
     Grid,
     _solve_peak_bytes,
     _weyl_count,
     assemble_hamiltonian,
-    choose_box,
     edge_rotation,
     eigensolve,
     level_count,

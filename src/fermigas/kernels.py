@@ -6,7 +6,8 @@ the closed-form 1-d Airy kernel, the semiclassical density of states, the
 Weyl-law constant, and the two microscopic scales.  Every kernel and the
 density take point arrays that broadcast: points (..., n) give values (...),
 and the 1-d Airy kernel maps coordinate arrays.  The edge kernel integrates
-all of its point pairs with one scipy.integrate.quad_vec call.
+all of its point pairs with one scipy.integrate.quad_vec call, and the 2-d
+Weyl constant is one cubature of exact line sections over choose_box's box.
 """
 
 import math
@@ -15,9 +16,10 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import cubature, quad, quad_vec
+from scipy.optimize.elementwise import find_minimum, find_root
 
 from .errors import NumericalError, ValidationError
-from .potential import droplet_half_width
+from .potential import choose_box, droplet_half_width
 from .specfun import (
     airy_ai,
     airy_ai_prime,
@@ -276,29 +278,93 @@ def free_laplacian_window(n, mu, half, step):
     )
 
 
-# cubature (atol, rtol) per dimension; with no endpoint extrapolation at the
-# square-root turning points, 1-d Z needs the tight pair to reach ~1e-13
-_WEYL_TOL = {1: (1e-14, 1e-13), 2: (2e-8, 1e-9)}
+# 2-d Z: samples on each line's lattice, Gauss-Legendre rule per piece
+_LINE_SAMPLES = 257
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _refined_roots(g, lo, hi, args=()):
+    roots = find_root(g, (lo, hi), args=args)
+    if not np.all(roots.success):
+        raise NumericalError("Weyl constant: a root refinement failed")
+    return roots.x
+
+
+def _section_edges(g, t):
+    """The x1 on the lattice t where the sections {g(., x1) > 0} appear or
+    vanish: roots of the line maximum, refined about its sampled peak."""
+    def top(x1):
+        v = g(t, x1[:, None])
+        j = np.clip(np.argmax(v, axis=1), 1, t.size - 2)
+        peak = find_minimum(g, (t[j - 1], t[j], t[j + 1]), args=(x1, -1.0))
+        return np.fmax(v.max(axis=1), -peak.f_x)  # nan: no bracket
+
+    inside = top(t) > 0.0
+    k = np.flatnonzero(inside[1:] != inside[:-1])
+    return _refined_roots(top, t[k], t[k + 1])
+
+
+def _line_sections(g, t, x1):
+    """int (g(x2, x1))_+ dx2 over the lattice t, for each x1 of a batch.
+
+    Sampled extrema of the wrong sign within one second difference of zero
+    are split at their find_minimum point, so that a crossing pair between
+    two samples shows; the refined sign changes cut the lines into pieces
+    of one sign, each integrated by Gauss-Legendre."""
+    line, x2 = np.repeat(np.arange(x1.size), t.size), np.tile(t, x1.size)
+    v = g(t, x1[:, None])
+    val, mid, d2, slope = v.ravel(), v[:, 1:-1], np.diff(v, 2), np.diff(v)
+    i, j = np.nonzero((slope[:, 1:] * slope[:, :-1] <= 0.0)
+                      & (np.abs(mid) <= np.abs(d2)) & ((mid > 0.0) == (d2 > 0.0)))
+    if i.size:
+        sign = np.where(d2[i, j] > 0.0, 1.0, -1.0)  # minimise g at dips
+        ext = find_minimum(g, (t[j], t[j + 1], t[j + 2]), args=(x1[i], sign))
+        new = (sign * ext.f_x > 0.0) != (mid[i, j] > 0.0)
+        at = (i * t.size + j + 1 + (ext.x > t[j + 1]))[new]  # keeps order
+        line, x2 = np.insert(line, at, i[new]), np.insert(x2, at, ext.x[new])
+        val = np.insert(val, at, (sign * ext.f_x)[new])
+    k = np.flatnonzero((line[1:] == line[:-1]) & np.diff(val > 0.0))
+    roots = _refined_roots(g, x2[k], x2[k + 1], (x1[line[k]],))
+    at = 2 * line[k] + 1  # cuts per line: t[0], its roots in order, t[-1]
+    cut = np.insert(np.tile(t[[0, -1]], x1.size), at, roots)
+    cut_line = np.insert(np.repeat(np.arange(x1.size), 2), at, line[k])
+    same = cut_line[1:] == cut_line[:-1]
+    a, b, piece = cut[:-1][same], cut[1:][same], cut_line[1:][same]
+    half = 0.5 * (b - a)[:, None]
+    f = g(0.5 * (a + b)[:, None] + half * _GL_NODES, x1[piece, None])
+    return np.bincount(piece, np.maximum(f, 0.0) * half @ _GL_WEIGHTS, x1.size)
 
 
 def weyl_constant(V, mu):
-    """Z = int (mu - V)_+^{n/2} dx over the droplet bounding box, n the
-    dimension of V."""
+    """Z = int (mu - V)_+^{n/2} dx, n the dimension of V, by one cubature.
+
+    In 1-d it spans the scanned droplet plus 0.25.  In 2-d it integrates
+    over x1 the line sections int (mu - V)_+ dx2 on choose_box's box at
+    level mu, widened by a lattice step, its regions split where sections
+    appear or vanish; all kinks sit on ends, so Z is good to ~1e-12.
+    """
     n = V.dimension
     if n not in (1, 2):
         raise ValidationError("weyl_constant supports n in {1, 2}")
     half = droplet_half_width(V, mu)
     if half == 0.0:
         return 0.0
-    L = half + 0.25  # integrand vanishes outside the droplet anyway
-    atol, rtol = _WEYL_TOL[n]
-    res = cubature(
-        lambda x: np.maximum(mu - V(x), 0.0) ** (0.5 * n),
-        np.full(n, -L),
-        np.full(n, L),
-        atol=atol,
-        rtol=rtol,
-    )
+    if n == 1:
+        L = half + 0.25  # integrand vanishes outside the droplet anyway
+        f, edges = lambda x: np.maximum(mu - V(x), 0.0) ** 0.5, []
+        # no endpoint extrapolation at the square-root turning points
+        tol = (1e-14, 1e-13)
+    else:
+        def g(x2, x1, sign=1.0):
+            return sign * (mu - V(np.stack(np.broadcast_arrays(x1, x2), -1)))
+
+        # V >= mu on the box boundary, one lattice step inside the lines' ends
+        L = choose_box(V, mu, 0.0) * (_LINE_SAMPLES - 1) / (_LINE_SAMPLES - 3)
+        t = np.linspace(-L, L, _LINE_SAMPLES)
+        f, edges = lambda x: _line_sections(g, t, x[:, 0]), _section_edges(g, t)
+        tol = (1e-13, 1e-12)
+    res = cubature(f, [-L], [L], atol=tol[0], rtol=tol[1],
+                   points=[[e] for e in edges])
     if res.status != "converged":
         raise NumericalError(
             f"Weyl-constant cubature did not converge: error {res.error:.3e}"

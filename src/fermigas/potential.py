@@ -1,4 +1,4 @@
-"""Potential expression DSL: parser, evaluator, printer, gradient.
+"""Potential expression DSL: parser, evaluator, printer, gradient, droplet box.
 
 Grammar (ASCII, with unicode multiply/divide accepted as aliases):
 
@@ -29,6 +29,7 @@ __all__ = [
     "parse_potential",
     "grad_potential",
     "droplet_half_width",
+    "choose_box",
 ]
 
 _FUNCTIONS = ("exp", "cos", "sin")
@@ -468,3 +469,33 @@ def droplet_half_width(V, level):
                 )
             outer = max(outer, np.max(np.abs(pts[below[-1]])))
     return outer
+
+
+def choose_box(V, M, margin):
+    """Smallest half-width on a 0.5-lattice that safely contains {V <= M}.
+
+    The box must dominate the droplet of level M + margin and satisfy
+    V >= M + margin everywhere on its boundary, so that the Dirichlet
+    truncation cannot disturb spectra below M.
+    """
+    level = M + margin
+    inner = droplet_half_width(V, level)  # raises when unconfined
+    n = V.dimension
+    L = 0.5 * max(1.0, math.ceil(inner / 0.5))
+    while L <= _MAX_HALF_WIDTH:
+        if L >= inner and _boundary_min(V, L, n) >= level:
+            return L
+        L += 0.5
+    raise ValidationError(
+        f"no box with boundary above {level} found out to half-width "
+        f"{_MAX_HALF_WIDTH:g}"
+    )
+
+
+def _boundary_min(V, L, n):
+    if n == 1:
+        return float(np.min(V(np.array([[-L], [L]]))))
+    t = np.linspace(-L, L, 257)
+    s = np.full_like(t, L)
+    sides = [np.column_stack(e) for e in ((-s, t), (s, t), (t, -s), (t, s))]
+    return float(np.min(V(np.concatenate(sides))))

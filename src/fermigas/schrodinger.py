@@ -23,13 +23,11 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .kernels import KernelEvaluation, KernelKind
-from .potential import _MAX_HALF_WIDTH, droplet_half_width
 from .specfun import unit_ball_volume
 
 __all__ = [
     "Grid",
     "EigenSystem",
-    "choose_box",
     "assemble_hamiltonian",
     "level_count",
     "eigensolve",
@@ -85,41 +83,6 @@ class Grid:
             return ax[:, None]
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         return np.column_stack([X.ravel(), Y.ravel()])
-
-
-def choose_box(V, M, margin):
-    """Smallest half-width on a 0.5-lattice that safely contains {V <= M}.
-
-    The box must dominate the droplet of level M + margin and satisfy
-    V >= M + margin everywhere on its boundary, so that the Dirichlet
-    truncation cannot disturb spectra below M.
-    """
-    level = M + margin
-    inner = droplet_half_width(V, level)  # raises when unconfined
-    n = V.dimension
-    L = 0.5 * max(1.0, math.ceil(inner / 0.5))
-    while L <= _MAX_HALF_WIDTH:
-        if L >= inner and _boundary_min(V, L, n) >= level:
-            return L
-        L += 0.5
-    raise ValidationError(
-        f"no box with boundary above {level} found out to half-width "
-        f"{_MAX_HALF_WIDTH:g}"
-    )
-
-
-def _boundary_min(V, L, n):
-    if n == 1:
-        pts = np.array([[-L], [L]])
-        return float(np.min(V(pts)))
-    t = np.linspace(-L, L, 257)
-    edges = [
-        np.column_stack([np.full_like(t, -L), t]),
-        np.column_stack([np.full_like(t, L), t]),
-        np.column_stack([t, np.full_like(t, -L)]),
-        np.column_stack([t, np.full_like(t, L)]),
-    ]
-    return float(min(np.min(V(e)) for e in edges))
 
 
 def assemble_hamiltonian(V, hbar, grid):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermigas import kernels
 from fermigas.cli import _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import _solve_window
@@ -78,6 +79,29 @@ def test_numerical_error_exits_two(monkeypatch, capsys):
     code = main(["weyl", "--potential", "x1^2", "--mu", "1", "--hbar", "0.05"])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field, message", [
+    ("cubature", "status", "did not converge"),
+    ("find_root", "success", "root refinement failed"),
+])
+def test_weyl_2d_quadrature_failures_exit_two(monkeypatch, capsys, name,
+                                              field, message):
+    # the outer cubature of the line sections stalls, or a root refinement
+    # fails: either way the 2-D Weyl constant is a numerical error
+    real = getattr(kernels, name)
+
+    def failed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        setattr(res, field, "not_converged" if field == "status"
+                else np.zeros_like(res.success))
+        return res
+
+    monkeypatch.setattr(kernels, name, failed)
+    code = main(["weyl", "--potential", "x1^2+x2^2", "--mu", "1",
+                 "--hbar", "0.1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

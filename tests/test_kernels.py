@@ -22,7 +22,7 @@ from fermigas.kernels import (
     free_laplacian_kernel,
     weyl_constant,
 )
-from fermigas.potential import parse_potential
+from fermigas.potential import PotentialExpr, parse_potential
 from fermigas.specfun import airy_ai, bessel_j, unit_ball_volume
 
 # J_1(1) frozen from the Poisson-integral oracle
@@ -242,7 +242,7 @@ def test_weyl_constant_harmonic_1d():
 def test_weyl_constant_radial_2d():
     V = parse_potential("x1^2 + x2^2")
     # int (1 - r^2)_+ over the plane = 2 pi int_0^1 (1 - r^2) r dr = pi/2
-    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, abs=1e-6)
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, rel=1e-11)
 
 
 def test_weyl_constant_off_centre_closed_forms():
@@ -256,7 +256,73 @@ def test_weyl_constant_off_centre_closed_forms():
     # V_min = -0.006, so Z = (pi/2) (mu - V_min)^2 / sqrt(det A)
     V = parse_potential("(x1-0.3)^2 + x2^2 + 0.5*x1*x2")
     want = 0.5 * math.pi * 1.006 ** 2 / math.sqrt(0.9375)
-    assert weyl_constant(V, 1.0) == pytest.approx(want, abs=1e-6)
+    assert weyl_constant(V, 1.0) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("text, mu, det", [
+    ("x1^2 + 2*x2^2", 1.0, 2.0),
+    ("x1^2 + x2^2", 0.3, 1.0),
+    # a needle along (1, 2) that the droplet scan's eight rays miss:
+    # A = [[400.01, -199.98], [-199.98, 100.04]] has det A = 25
+    ("100*(2*x1-x2)^2 + 0.01*(x1+2*x2)^2", 1.0, 25.0),
+    # the droplet starts at x1 = -0.001, a sliver before x1 = 0, where the
+    # outer cubature first bisects its range: no node of the left half lies
+    # in the sliver unless the regions also split at the droplet's x1 ends
+    ("4*(x1-0.499)^2 + x2^2", 1.0, 4.0),
+])
+def test_weyl_constant_2d_quadratic_forms(text, mu, det):
+    # Z = int (mu - x^T A x)_+ dx = pi mu^2 / (2 sqrt(det A))
+    want = 0.5 * math.pi * mu ** 2 / math.sqrt(det)
+    assert weyl_constant(parse_potential(text), mu) == pytest.approx(
+        want, rel=1e-11
+    )
+
+
+@pytest.mark.parametrize("A, mu, roots, want", [
+    # two droplets, |x1| in [sqrt(1 - sqrt(1/2)), sqrt(1 + sqrt(1/2))]
+    ("x1^4 - 2*x1^2", -0.5,
+     [(-math.sqrt(1 + 0.5 ** 0.5), -math.sqrt(1 - 0.5 ** 0.5)),
+      (math.sqrt(1 - 0.5 ** 0.5), math.sqrt(1 + 0.5 ** 0.5))],
+     0.4071200905402),
+    # one droplet whose boundary wiggles; its ends solve A(x1) = 1
+    ("x1^2 + 0.3*cos(5*x1)", 1.0, None, 1.745237083803),
+])
+def test_weyl_constant_2d_separable(A, mu, roots, want):
+    # V = A(x1) + x2^2: the x2 section of (mu - V)_+ is
+    # (4/3) (mu - A(x1))_+^{3/2}, left to a 1-d quad between the roots
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    a = parse_potential(A)
+    if roots is None:
+        r = brentq(lambda x: float(a(x)) - mu, 0.5, 1.2, xtol=1e-15)
+        roots = [(-r, r)]
+    exact = sum(
+        quad(lambda x: 4.0 / 3.0 * max(mu - float(a(x)), 0.0) ** 1.5,
+             lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+        for lo, hi in roots
+    )
+    assert exact == pytest.approx(want, rel=1e-12)
+    Z = weyl_constant(parse_potential(f"{A} + x2^2"), mu)
+    assert Z == pytest.approx(exact, rel=1e-11)
+
+
+def test_weyl_constant_2d_calls_the_potential_on_batches(monkeypatch):
+    # every x1 batch of the outer cubature costs one lattice call, the
+    # root refinement's calls and one Gauss-Legendre call, not a product
+    # cubature's thousands of calls
+    calls = []
+    call = PotentialExpr.__call__
+
+    def counting(self, point):
+        calls.append(np.shape(point))
+        return call(self, point)
+
+    monkeypatch.setattr(PotentialExpr, "__call__", counting)
+    assert weyl_constant(parse_potential("x1^2 + x2^2"), 1.0) == (
+        pytest.approx(math.pi / 2, rel=1e-11)
+    )
+    assert len(calls) < 2000
 
 
 def test_weyl_constant_reports_non_convergence(monkeypatch):
@@ -268,8 +334,9 @@ def test_weyl_constant_reports_non_convergence(monkeypatch):
         return res
 
     monkeypatch.setattr(kernels, "cubature", stalled)
-    with pytest.raises(NumericalError):
-        weyl_constant(parse_potential("x1^2"), 1.0)
+    for text in ("x1^2", "x1^2 + x2^2"):
+        with pytest.raises(NumericalError):
+            weyl_constant(parse_potential(text), 1.0)
 
 
 def test_weyl_constant_empty_droplet():

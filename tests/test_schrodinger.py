@@ -17,13 +17,12 @@ from fermigas.experiments import (
     edge_convergence,
 )
 from fermigas.kernels import bulk_scale, edge_scale
-from fermigas.potential import parse_potential
+from fermigas.potential import choose_box, parse_potential
 from fermigas.schrodinger import (
     EigenSystem,
     Grid,
     agmon_check,
     assemble_hamiltonian,
-    choose_box,
     edge_rotation,
     eigensolve,
     rescaled_kernel,
