@@ -66,6 +66,10 @@ _MAX_POINTS = 2001
 # most coordinates a kernel --n may ask for: potentials stop at x3
 _MAX_DIMENSION = 3
 
+# most --trials a sampling command may ask for: every trial keeps its
+# stream and its points, about 1 KB each, until the report is written
+_MAX_TRIALS = 100_000
+
 
 def _finite_float(text):
     try:
@@ -295,8 +299,9 @@ def _run_sample(args):
 
 def _run_variance(args):
     g = _parse_function(args.function, args.n)
-    exact = free_variance_exact(args.n, args.mu, g)
+    # first: it refuses a mu whose lattice cannot fit before any work
     brute = free_variance_bruteforce(args.n, args.mu, g)
+    exact = free_variance_exact(args.n, args.mu, g)
     asym = free_variance_asymptotic(args.n, args.mu, g)
     gap = abs(exact - brute) / exact if exact > 0.0 else math.nan
     rep = ExperimentReport(
@@ -407,6 +412,7 @@ def _build_parser():
         description="Numerical experiments on semiclassical free fermions.",
     )
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    trials = _at_most(_MAX_TRIALS, "trials")
     table = {}
 
     def add(name, runner, helptext, parents):
@@ -460,7 +466,7 @@ def _build_parser():
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)
-    sp.add_argument("--trials", type=_positive_int, default=1)
+    sp.add_argument("--trials", type=trials, default=1)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("variance", _run_variance,
@@ -481,7 +487,7 @@ def _build_parser():
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)
     sp.add_argument("--function", required=True)
-    sp.add_argument("--trials", type=_positive_int, default=1000)
+    sp.add_argument("--trials", type=trials, default=1000)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("lln", _run_lln, "Wasserstein distance to the limiting density",
@@ -489,7 +495,7 @@ def _build_parser():
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_float_list, required=True)
-    sp.add_argument("--trials", type=_positive_int, default=100)
+    sp.add_argument("--trials", type=trials, default=100)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet",

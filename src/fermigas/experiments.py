@@ -36,7 +36,7 @@ from .kernels import (
     free_kernel_radial,
     weyl_constant,
 )
-from .potential import choose_box, grad_potential, parse_potential
+from .potential import choose_box, grad_potential, lattice, parse_potential
 from .schrodinger import (
     Grid,
     _solve_peak_bytes,
@@ -69,9 +69,13 @@ __all__ = [
 # |g| is treated as zero outside the support radius once it drops below this
 _SUPPORT_FLOOR = 1e-12
 
-# a solve whose estimated peak memory (schrodinger._solve_peak_bytes) would
-# exceed this is refused before its grid is built
+# a solve or brute-force lattice whose estimated peak memory would exceed
+# this is refused before any array is built
 _MEMORY_BUDGET = 2 * 1024 ** 3
+
+# peak bytes of free_variance_bruteforce per node of its offset lattice
+# (2m - 1)^n, measured at 58 in 2-d and 78 in 1-d
+_OFFSET_BYTES = 80
 
 # points per axis: the floor of every solve grid, and the lattice of the
 # Weyl estimate behind the memory check
@@ -428,8 +432,8 @@ def _kernel_convergence(
 def _one_dimensional_x0(V, x0, experiment):
     if V.dimension != 1:
         raise ValidationError(
-            f"{experiment} runs the n=1 pipeline; higher dimensions use "
-            "the analytic free-Laplacian kernels"
+            f"{experiment} supports dimension 1 only; the potential has "
+            f"dimension {V.dimension}"
         )
     return float(_point(x0, 1, "x0")[0])
 
@@ -511,7 +515,7 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     """
     t0 = time.perf_counter()
     if V.dimension != 1:
-        raise ValidationError("lln_wasserstein uses the exact n=1 CDF formula")
+        raise ValidationError("lln_wasserstein supports dimension 1 only")
     hbars = [float(h) for h in np.atleast_1d(hbar)]
     trials = int(trials)
     if trials < 1:
@@ -644,19 +648,8 @@ def _fourier_sq_lattice(g):
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
     norm = (h / math.sqrt(2.0 * math.pi)) ** n
-    if n == 1:
-        vals = g(ax.reshape(-1, 1))
-        ghat = np.fft.fft(vals) * norm
-        xi = (2.0 * math.pi * np.fft.fftfreq(m, d=h)).reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        vals = g(pts).reshape(m, m)
-        ghat = np.fft.fft2(vals) * norm
-        freq = 2.0 * math.pi * np.fft.fftfreq(m, d=h)
-        FX, FY = np.meshgrid(freq, freq, indexing="ij")
-        xi = np.column_stack([FX.ravel(), FY.ravel()])
-        ghat = ghat.ravel()
+    ghat = np.fft.fftn(g(lattice(ax, n)).reshape((m,) * n)).ravel() * norm
+    xi = lattice(2.0 * math.pi * np.fft.fftfreq(m, d=h), n)
     dxi = (2.0 * math.pi / (m * h)) ** n
     return np.abs(ghat) ** 2, xi, dxi
 
@@ -708,19 +701,12 @@ def _lattice_autocorrelation(g, n, ax, h):
     = 2 ||g||^2 - 2 (g * g~)(z), clamped at zero against rounding.
     """
     m = ax.size
-    if n == 1:
-        vals = g(ax.reshape(-1, 1))
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        vals = g(np.column_stack([X.ravel(), Y.ravel()])).reshape(m, m)
+    vals = g(lattice(ax, n)).reshape((m,) * n)
     corr = fftconvolve(vals, np.flip(vals)) * h ** n
     l2 = float(np.sum(vals * vals)) * h ** n
-    k = np.arange(-(m - 1), m)
-    if n == 1:
-        dist = np.abs(k) * h
-    else:
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        dist = np.sqrt((KX * KX + KY * KY).astype(float)) * h
+    # the root of an integer square is exact: 1-d distances stay |k| h
+    k = lattice(np.arange(-(m - 1), m), n)
+    dist = np.sqrt(np.sum(k * k, axis=1)).reshape(corr.shape) * h
     big_d = np.maximum(2.0 * l2 - 2.0 * corr, 0.0)
     return vals, l2, dist, big_d
 
@@ -739,7 +725,15 @@ def free_variance_bruteforce(n, mu, g):
         raise ValidationError("mu must be positive")
     R = g.bounding_radius()
     h = min(math.pi / (4.5 * mu), R / 25.0)
-    m = int(math.ceil(2.0 * R / h)) + 1
+    cells = 2.0 * R / h if h > 0.0 else math.inf  # per axis
+    need = _OFFSET_BYTES * (2.0 * cells + 1.0) ** n
+    if not need <= _MEMORY_BUDGET:
+        raise ValidationError(
+            f"mu={mu:g} needs about {need / 1024 ** 3:.3g} GiB for the "
+            f"brute-force lattice, over the {_MEMORY_BUDGET / 1024 ** 3:g} "
+            "GiB budget"
+        )
+    m = int(math.ceil(cells)) + 1
     ax = -R + h * np.arange(m)
     _, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
     Z = (m - 1) * h  # lattice sum out to the inscribed-ball radius
@@ -807,11 +801,8 @@ def sigma_slobodeckij(g):
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
     vals, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
-    if n == 1:
-        grad_sq = float(np.sum(np.gradient(vals, h) ** 2)) * h
-    else:
-        gx, gy = np.gradient(vals, h)
-        grad_sq = float(np.sum(gx * gx + gy * gy)) * h ** 2
+    grads = np.reshape(np.gradient(vals, h), (n,) + vals.shape)
+    grad_sq = float(np.sum(sum(gk * gk for gk in grads))) * h ** n
     cut = 4 * h
     Z = (m - 1) * h
     ring = (dist > cut) & (dist <= Z)

@@ -6,8 +6,9 @@ the closed-form 1-d Airy kernel, the semiclassical density of states, the
 Weyl-law constant, and the two microscopic scales.  Every kernel and the
 density take point arrays that broadcast: points (..., n) give values (...),
 and the 1-d Airy kernel maps coordinate arrays.  The edge kernel integrates
-all of its point pairs with one scipy.integrate.quad_vec call, and the 2-d
-Weyl constant is one cubature of exact line sections over choose_box's box.
+all of its point pairs with one scipy.integrate.quad_vec call, and the Weyl
+constant is one cubature over x1 on choose_box's box in every dimension, split
+at the droplet's x1 ends, of exact line sections in 2-d.
 """
 
 import math
@@ -19,7 +20,7 @@ from scipy.integrate import cubature, quad, quad_vec
 from scipy.optimize.elementwise import find_minimum, find_root
 
 from .errors import NumericalError, ValidationError
-from .potential import choose_box, droplet_half_width
+from .potential import choose_box, lattice
 from .specfun import (
     airy_ai,
     airy_ai_prime,
@@ -177,14 +178,10 @@ class EdgeQuadrature:
             s_max = max(1.0, 40.0 - min(x1, y1))
         if s_max <= 0.0:
             raise ValidationError("s_max must be positive")
-        pref = (
-            unit_ball_volume(n - 1) / (2.0 * math.pi) ** (n - 1)
-            if n >= 2
-            else 1.0
-        )
+        pref = unit_ball_volume(n - 1) / (2.0 * math.pi) ** (n - 1)
 
         def tail_integrand(s):
-            trans = pref * s ** (0.5 * (n - 1)) if n >= 2 else 1.0
+            trans = pref * s ** (0.5 * (n - 1))
             return _airy_envelope(x1 + s) * _airy_envelope(y1 + s) * trans
 
         # past this point the envelope is far below double precision
@@ -259,17 +256,8 @@ def free_laplacian_window(n, mu, half, step):
     if mu < 0.0:
         raise ValidationError("free_laplacian_window requires mu >= 0")
     m = int(round(2.0 * half / step)) + 1
-    ax = -half + step * np.arange(m)
-    if n == 1:
-        pts = ax[:, None]
-        di = np.arange(m)
-        sq = (di[:, None] - di[None, :]) ** 2
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        di = np.repeat(np.arange(m), m)
-        dj = np.tile(np.arange(m), m)
-        sq = (di[:, None] - di[None, :]) ** 2 + (dj[:, None] - dj[None, :]) ** 2
+    pts = lattice(-half + step * np.arange(m), n)
+    sq = sum((d[:, None] - d[None, :]) ** 2 for d in lattice(np.arange(m), n).T)
     uniq, inv = np.unique(sq, return_inverse=True)
     radii = step * np.sqrt(uniq.astype(float))
     values = free_kernel_radial(n, mu, radii)[inv].reshape(sq.shape)
@@ -278,7 +266,7 @@ def free_laplacian_window(n, mu, half, step):
     )
 
 
-# 2-d Z: samples on each line's lattice, Gauss-Legendre rule per piece
+# Z: samples on the x1 lattice and each 2-d line, Gauss-Legendre per piece
 _LINE_SAMPLES = 257
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -290,15 +278,18 @@ def _refined_roots(g, lo, hi, args=()):
     return roots.x
 
 
-def _section_edges(g, t):
-    """The x1 on the lattice t where the sections {g(., x1) > 0} appear or
-    vanish: roots of the line maximum, refined about its sampled peak."""
+def _line_max(g, t):
+    """x1 -> max of g(., x1) on the lattice t, refined about its peak."""
     def top(x1):
         v = g(t, x1[:, None])
         j = np.clip(np.argmax(v, axis=1), 1, t.size - 2)
         peak = find_minimum(g, (t[j - 1], t[j], t[j + 1]), args=(x1, -1.0))
         return np.fmax(v.max(axis=1), -peak.f_x)  # nan: no bracket
+    return top
 
+
+def _sign_changes(top, t):
+    """Roots of top, refined between the samples of t where its sign flips."""
     inside = top(t) > 0.0
     k = np.flatnonzero(inside[1:] != inside[:-1])
     return _refined_roots(top, t[k], t[k + 1])
@@ -338,33 +329,31 @@ def _line_sections(g, t, x1):
 def weyl_constant(V, mu):
     """Z = int (mu - V)_+^{n/2} dx, n the dimension of V, by one cubature.
 
-    In 1-d it spans the scanned droplet plus 0.25.  In 2-d it integrates
-    over x1 the line sections int (mu - V)_+ dx2 on choose_box's box at
-    level mu, widened by a lattice step, its regions split where sections
-    appear or vanish; all kinks sit on ends, so Z is good to ~1e-12.
+    The cubature runs over x1 on choose_box's box at level mu, widened by a
+    lattice step, its regions split where the droplet's x1 sections appear
+    or vanish: the sign changes of mu - V in 1-d, of the line maximum in
+    2-d.  In 2-d the integrand is the exact line section int (mu - V)_+
+    dx2.  All kinks sit on region ends, so Z is good to ~1e-12.
     """
     n = V.dimension
     if n not in (1, 2):
         raise ValidationError("weyl_constant supports n in {1, 2}")
-    half = droplet_half_width(V, mu)
-    if half == 0.0:
-        return 0.0
+    # V >= mu on the box boundary, one lattice step inside the lattice's ends
+    L = choose_box(V, mu, 0.0) * (_LINE_SAMPLES - 1) / (_LINE_SAMPLES - 3)
+    t = np.linspace(-L, L, _LINE_SAMPLES)
     if n == 1:
-        L = half + 0.25  # integrand vanishes outside the droplet anyway
-        f, edges = lambda x: np.maximum(mu - V(x), 0.0) ** 0.5, []
+        top = lambda x: mu - V(x)
+        f = lambda x: np.maximum(top(x), 0.0) ** 0.5
         # no endpoint extrapolation at the square-root turning points
         tol = (1e-14, 1e-13)
     else:
         def g(x2, x1, sign=1.0):
             return sign * (mu - V(np.stack(np.broadcast_arrays(x1, x2), -1)))
 
-        # V >= mu on the box boundary, one lattice step inside the lines' ends
-        L = choose_box(V, mu, 0.0) * (_LINE_SAMPLES - 1) / (_LINE_SAMPLES - 3)
-        t = np.linspace(-L, L, _LINE_SAMPLES)
-        f, edges = lambda x: _line_sections(g, t, x[:, 0]), _section_edges(g, t)
+        top, f = _line_max(g, t), lambda x: _line_sections(g, t, x[:, 0])
         tol = (1e-13, 1e-12)
     res = cubature(f, [-L], [L], atol=tol[0], rtol=tol[1],
-                   points=[[e] for e in edges])
+                   points=[[e] for e in _sign_changes(top, t)])
     if res.status != "converged":
         raise NumericalError(
             f"Weyl-constant cubature did not converge: error {res.error:.3e}"

@@ -28,6 +28,7 @@ __all__ = [
     "PotentialExpr",
     "parse_potential",
     "grad_potential",
+    "lattice",
     "droplet_half_width",
     "choose_box",
 ]
@@ -432,6 +433,11 @@ def grad_potential(V, x):
     return np.imag(np.broadcast_to(values, (n,))) / _STEP
 
 
+def lattice(ax, n):
+    """The points of ax^n as an (ax.size**n, n) array, x1-major."""
+    return np.stack(np.meshgrid(*[ax] * n, indexing="ij"), -1).reshape(-1, n)
+
+
 # the farthest any droplet scan or box reaches, and the scan's radial step
 _MAX_HALF_WIDTH = 64.0
 _SCAN_STEP = 0.05
@@ -440,24 +446,15 @@ _SCAN_STEP = 0.05
 def droplet_half_width(V, level):
     """Outermost |x|_inf among scanned points with V < level, by outward scan.
 
-    Scans axis directions and (for n >= 2) diagonal rays.  Raises when the
-    sublevel set still shows up at _MAX_HALF_WIDTH, which signals an
-    unconfined potential.
+    Scans the rays along every nonzero direction in {-1, 0, 1}^n: axes and
+    diagonals.  Raises when the sublevel set still shows up at
+    _MAX_HALF_WIDTH, which signals an unconfined potential.
     """
-    n = V.dimension
-    directions = []
-    if n == 1:
-        directions = [np.array([1.0]), np.array([-1.0])]
-    else:
-        for kx in (-1, 0, 1):
-            for ky in (-1, 0, 1):
-                d = np.array([kx, ky], dtype=float)[:n]
-                if np.any(d != 0.0):
-                    directions.append(d / np.linalg.norm(d))
     radii = np.arange(_SCAN_STEP, _MAX_HALF_WIDTH + _SCAN_STEP, _SCAN_STEP)
     outer = 0.0
-    for d in directions:
-        pts = radii[:, None] * d[None, :]
+    dirs = lattice(np.array([-1.0, 0.0, 1.0]), V.dimension)
+    for d in dirs[np.any(dirs != 0.0, axis=1)]:
+        pts = radii[:, None] * (d / np.linalg.norm(d))
         vals = V(pts)
         below = np.nonzero(vals < level)[0]
         if below.size:
@@ -479,11 +476,12 @@ def choose_box(V, M, margin):
     truncation cannot disturb spectra below M.
     """
     level = M + margin
+    if V.dimension > 2:  # before a 257^n boundary lattice
+        raise ValidationError("boxes exist in dimensions 1 and 2 only")
     inner = droplet_half_width(V, level)  # raises when unconfined
-    n = V.dimension
     L = 0.5 * max(1.0, math.ceil(inner / 0.5))
     while L <= _MAX_HALF_WIDTH:
-        if L >= inner and _boundary_min(V, L, n) >= level:
+        if L >= inner and _boundary_min(V, L) >= level:
             return L
         L += 0.5
     raise ValidationError(
@@ -492,10 +490,7 @@ def choose_box(V, M, margin):
     )
 
 
-def _boundary_min(V, L, n):
-    if n == 1:
-        return float(np.min(V(np.array([[-L], [L]]))))
-    t = np.linspace(-L, L, 257)
-    s = np.full_like(t, L)
-    sides = [np.column_stack(e) for e in ((-s, t), (s, t), (t, -s), (t, s))]
-    return float(np.min(V(np.concatenate(sides))))
+def _boundary_min(V, L):
+    # linspace ends are exactly -L and L, so this picks the box's faces
+    pts = lattice(np.linspace(-L, L, 257), V.dimension)
+    return float(np.min(V(pts[np.any(np.abs(pts) == L, axis=1)])))

@@ -23,6 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .kernels import KernelEvaluation, KernelKind
+from .potential import lattice
 from .specfun import unit_ball_volume
 
 __all__ = [
@@ -78,11 +79,7 @@ class Grid:
 
     def interior_points(self):
         """Interior nodes as an (m, n) array, x1-major ordering."""
-        ax = self.interior_axis
-        if self.dimension == 1:
-            return ax[:, None]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return lattice(self.interior_axis, self.dimension)
 
 
 def assemble_hamiltonian(V, hbar, grid):
@@ -103,11 +100,9 @@ def assemble_hamiltonian(V, hbar, grid):
         offsets=(-1, 0, 1),
         format="csr",
     )
-    if grid.dimension == 1:
-        kinetic = lap1
-    else:
-        eye = sp.identity(mi, format="csr")
-        kinetic = sp.kron(lap1, eye) + sp.kron(eye, lap1)
+    kinetic = lap1
+    for _ in range(grid.dimension - 1):
+        kinetic = sp.kronsum(kinetic, lap1)
     pot = V(grid.interior_points())
     if not np.all(np.isfinite(pot)):
         raise ValidationError("the potential is not finite at an interior node")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from fermigas import kernels
-from fermigas.cli import _parse_function, main
+from fermigas.cli import _build_parser, _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import _solve_window
 from oracles import airy_oracle, airy_prime_oracle
@@ -233,6 +234,10 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["weyl", "--potential", "x1^2+x2^2+x3^2", "--mu", "1", "--hbar", "0.2"],
     ["sample", "--potential", "x1^2+x2^2+x3^2", "--mu", "1", "--hbar", "0.2",
      "--seed", "1"],
+    # brute-force variance lattices over the memory budget: 134 TiB, and an
+    # infinite point count
+    ["variance", "--n", "2", "--mu", "1e6", "--function", "indicator:radius=1"],
+    ["variance", "--n", "1", "--mu", "1e308", "--function", "gaussian:width=1"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
@@ -397,6 +402,36 @@ def test_grids_over_the_memory_budget_exit_one_before_solving(
     assert "GiB budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample"] + SOLVE + ["--seed", "1"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--seed", "1"],
+    ["lln"] + SOLVE + ["--seed", "1"],
+])
+def test_trials_above_the_cap_exit_one_before_solving(argv, monkeypatch,
+                                                     capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the --trials check")
+
+    monkeypatch.setattr("fermigas.cli._solve_window", no_solve)
+    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    assert main(argv + ["--trials", "100001"]) == 1
+    assert "at most 100000 trials" in capsys.readouterr().err
+    assert _build_parser()[0].parse_args(argv + ["--trials", "100000"]).trials \
+        == 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge-bulk", "--x0", "0,0", "--hbar", "0.05"],
+    ["converge-edge", "--x0", "1,0", "--hbar", "0.05"],
+    ["lln", "--hbar", "0.05", "--seed", "1"],
+])
+def test_one_dimensional_commands_name_their_dimension(argv, capsys):
+    assert main(argv + ["--potential", "x1^2+x2^2", "--mu", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "supports dimension 1 only" in err
+    assert "Traceback" not in err
+
+
 def test_negative_coordinates_parse(tmp_path):
     code, text = run(["converge-bulk", "--potential", "x1^2", "--mu", "1",
                       "--x0", "-0.3", "--hbar", "0.02"], tmp_path)
@@ -475,6 +510,22 @@ def test_parse_function_rejects_garbage():
         _parse_function("custom:radius=5", 1)
     with pytest.raises(ValidationError):
         _parse_function("gaussian:center=0:0,width=1", 1)
+
+
+# ---------------------------------------------------------------------------
+# README grammar
+
+
+def test_readme_commands_parse_and_cover_every_subcommand():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```sh")[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("fermigas ")]
+    parser, table = _build_parser()
+    for argv in commands:  # a mismatch exits through the parser's error
+        assert parser.parse_args(argv).subcommand == argv[0]
+    assert {argv[0] for argv in commands} == set(table)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,10 @@ def test_edge_quadrature_requires_positive_s_max():
 
 def test_weyl_constant_harmonic_1d():
     V = parse_potential("x1^2")
-    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, abs=1e-8)
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2, abs=1e-13)
+    # a droplet |x1| < 0.032 that lies inside the scan's first radius 0.05
+    V = parse_potential("100*x1^2")
+    assert weyl_constant(V, 0.1) == pytest.approx(math.pi / 200, abs=1e-13)
 
 
 def test_weyl_constant_radial_2d():
@@ -252,6 +255,10 @@ def test_weyl_constant_off_centre_closed_forms():
     assert weyl_constant(V, 1.0) == pytest.approx(
         math.pi * 1.01 / 2, abs=1e-12
     )
+    # the droplet starts at x1 = -0.001, a sliver before the point x1 = 0
+    # where the cubature first bisects a range symmetric about 0
+    V = parse_potential("4*(x1-0.499)^2")
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 4, abs=1e-13)
     # 2-d: V = V_min + (x - x*)^T A (x - x*) with det A = 0.9375 and
     # V_min = -0.006, so Z = (pi/2) (mu - V_min)^2 / sqrt(det A)
     V = parse_potential("(x1-0.3)^2 + x2^2 + 0.5*x1*x2")

@@ -14,8 +14,10 @@ from fermigas.potential import (
     Pow,
     PotentialExpr,
     Var,
+    choose_box,
     droplet_half_width,
     grad_potential,
+    lattice,
     parse_potential,
 )
 
@@ -246,6 +248,18 @@ def test_grad_potential_rejects_wrong_dimension():
         grad_potential(V, [1.0])
 
 
+def test_lattice_is_x1_major_in_every_dimension():
+    ax = np.array([-1.0, 0.5, 2.0])
+    assert lattice(ax, 1).shape == (3, 1)
+    np.testing.assert_array_equal(lattice(ax, 1)[:, 0], ax)
+    pts = lattice(ax, 2)
+    np.testing.assert_array_equal(pts[:, 0], np.repeat(ax, 3))
+    np.testing.assert_array_equal(pts[:, 1], np.tile(ax, 3))
+    assert lattice(ax, 3).shape == (27, 3)
+    np.testing.assert_array_equal(lattice(ax, 3)[:9], np.column_stack(
+        [np.full(9, -1.0), np.repeat(ax, 3), np.tile(ax, 3)]))
+
+
 def test_droplet_half_width_quadratic():
     V = parse_potential("x1^2")
     w = droplet_half_width(V, 1.0)
@@ -268,3 +282,9 @@ def test_droplet_half_width_radial_2d():
 def test_droplet_half_width_unconfined():
     with pytest.raises(ValidationError, match="unconfined"):
         droplet_half_width(parse_potential("-x1^2"), 1.0)
+
+
+def test_choose_box_refuses_three_dimensions():
+    # grids stop at 2-d; a 3-d face lattice would hold 257^3 points
+    with pytest.raises(ValidationError, match="dimensions 1 and 2"):
+        choose_box(parse_potential("x1^2 + x2^2 + x3^2"), 1.0, 1.0)
