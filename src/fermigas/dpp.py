@@ -5,9 +5,14 @@ K orthonormal feature rows on G grid nodes and spectral weights q_k in
 [0, 1]; its weighted kernel matrix is M = B^T B with B = sqrt(q) features.
 The fermion ground state is the projection case q = 1, whose rows are the
 weighted eigenfunctions below the Fermi level; chain-rule sampling then
-draws exactly N nodes.  Other kernels are mixtures of projections, sampled
-by Bernoulli(q_k) thinning of the rows first.  Means, variances,
-covariances and Laplace functionals are exact finite traces and
+draws exactly N nodes.  The chain rule inverts each step's CDF over all G
+nodes when G < 4 N^2 (the dense path), and otherwise descends a binary
+tree of bucket Gram matrices to one bucket of 2N nodes (the tree path of
+Gillenwater, Kulesza, Mariet and Vassilvitskii, ICML 2019).  Both invert
+the same CDF at the same uniforms, so they pick the same nodes unless a
+uniform falls within rounding of a CDF step.  Other kernels are mixtures of
+projections, sampled by Bernoulli(q_k) thinning of the rows first.  Means,
+variances, covariances and Laplace functionals are exact finite traces and
 determinants of the K x K compressions B diag(f) B^T, on the same grid the
 sampler uses.
 """
@@ -198,13 +203,112 @@ def from_kernel(kernel_eval):
     return DPP(U[:, keep].T, xs, weight, q[keep])
 
 
-# Bytes allowed for one block of T trials' (T, G) residual array plus its
-# (T, K, K) basis stack; near 1 MB the GEMMs are already fast and peak RSS
+# Bytes allowed for one block of T trials' working arrays: the dense path's
+# (T, G) residuals plus its (T, K, K) bases, or the tree path's K x K and
+# K x 2K per-trial arrays; near 1 MB the GEMMs are already fast and peak RSS
 # stays where the eigensolve puts it.
 _BLOCK_BYTES = 1 << 20
 
+# The tree path runs when G >= _TREE_NODES_PER_K2 * K^2.  Its build costs
+# about one dense draw (G K^2 flops) and each step O(K^2 log G) per trial,
+# against the dense step's O(K G).  Measured on 64 draws of random
+# orthonormal features (2-vCPU Xeon, one BLAS thread), tree time / dense
+# time at G = 2, 3, 4, 6 K^2 was 1.01, 0.86, 0.60, 0.47 for K = 15 and
+# 1.14, 0.88, 0.64, 0.41 for K = 40: break-even near 3 K^2.  Below K = 10
+# Python overhead sets break-even near G = 500, within 1 ms either way.
+_TREE_NODES_PER_K2 = 4
 
-def _chain_rule_sample(features, uniforms):
+
+def _check_mass(total):
+    if not np.all((total > 0.0) & (total < np.inf)):
+        raise NumericalError("chain-rule residual mass is not finite and positive")
+
+
+def _invert_cdf(dens, u, work):
+    """Per row, the first index whose normalised cumulative `dens` exceeds u.
+
+    As Generator.choice(p=...) does with one random(); `work` is scratch of
+    the shape of `dens`.
+    """
+    total = np.sum(dens, axis=1)
+    _check_mass(total)
+    np.divide(dens, total[:, None], out=work)
+    np.cumsum(work, axis=1, out=work)
+    work /= work[:, -1:]
+    return np.count_nonzero(work <= u[:, None], axis=1)
+
+
+def _gram_tree(features):
+    """Binary tree of bucket Grams for the tree-descent chain rule.
+
+    The G nodes are cut into buckets of 2K consecutive nodes (the last may
+    be shorter); levels[0][b] is S_b = sum_{j in b} phi_j phi_j^T, and node
+    i of each higher level sums nodes 2i and 2i + 1 of the one below (an
+    unpaired last node moves up alone), up to the one-node root.  Returns
+    the levels, leaves first, and their traces: about G K numbers in all,
+    as many as the features hold.
+    """
+    K, G = features.shape
+    size = 2 * K
+    full = G // size
+    leaves = np.empty((-(-G // size), K, K))
+    # bucket views of the features, no copy
+    F = features[:, :full * size].reshape(K, full, size).transpose(1, 0, 2)
+    np.matmul(F, F.transpose(0, 2, 1), out=leaves[:full])
+    if full < len(leaves):
+        tail = features[:, full * size:]
+        np.matmul(tail, tail.T, out=leaves[full])
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        low = levels[-1]
+        up = low[::2].copy()
+        up[:len(low) // 2] += low[1::2]
+        levels.append(up)
+    return levels, [np.trace(S, axis1=1, axis2=2) for S in levels]
+
+
+def _tree_pick(tree, features, sqnorm, Q, P, chosen, u):
+    """Next node of each trial by descending the Gram tree.
+
+    A tree node's residual mass is tr(S) - <S, P>_F, P = Q^T Q the trials'
+    projectors.  The target u * (root mass) walks down to one bucket, whose
+    residual densities ||phi_j||^2 - ||Q phi_j||^2 (chosen nodes zeroed)
+    are inverted as the dense path inverts all G.  A trial whose target
+    overshoots its bucket's mass by rounding takes the dense pick instead.
+    """
+    levels, traces = tree
+    K, G = features.shape
+    root = traces[-1][0] - np.einsum("ij,tij->t", levels[-1][0], P)
+    _check_mass(root)
+    target = u * root
+    node = np.zeros(u.size, dtype=int)
+    for S, tr in zip(levels[-2::-1], traces[-2::-1]):
+        left = 2 * node
+        mass = tr[left] - np.einsum("tij,tij->t", S[left], P)
+        right = (target >= mass) & (left + 1 < len(S))
+        target = np.where(right, target - mass, target)
+        node = left + right
+    idx = 2 * K * node[:, None] + np.arange(2 * K)
+    past = idx >= G
+    idx[past] = G - 1
+    proj = np.matmul(Q, features[:, idx].transpose(1, 0, 2))
+    dens = sqnorm[idx] - np.einsum("tsj,tsj->tj", proj, proj)
+    np.maximum(dens, 0.0, out=dens)
+    dens[past | np.any(idx[:, None, :] == chosen[:, :, None], axis=1)] = 0.0
+    j = np.count_nonzero(np.cumsum(dens, axis=1) <= target[:, None], axis=1)
+    miss = np.flatnonzero(j == idx.shape[1])
+    i = idx[np.arange(u.size), np.minimum(j, idx.shape[1] - 1)]
+    for t in miss:
+        d = sqnorm.copy()
+        for q in Q[t]:
+            d -= (q @ features) ** 2
+        np.maximum(d, 0.0, out=d)
+        d[chosen[t]] = 0.0
+        i[t] = _invert_cdf(d[None], u[t:t + 1], d[None].copy())[0]
+    return i
+
+
+def _chain_rule_sample(features, uniforms, tree=None):
     """Node indices (T, K) for T trials of the projection with rows `features`.
 
     Chain rule for a projection DPP (Hough-Krishnapur-Peres-Virag 2006,
@@ -214,24 +318,32 @@ def _chain_rule_sample(features, uniforms):
     Step s of trial t picks that node by inverting the CDF at
     uniforms[t, s], as Generator.choice(p=...) does with one random().
     Q[t] holds an orthonormal basis of that span, one row per chosen
-    column, each orthogonalised twice (CGS2); the squared residual norms
-    `dens` are updated by subtracting (q . phi_j)^2 for the new basis
-    vectors q, one GEMM for the block.  `features` is only read.
+    column, each orthogonalised twice (CGS2).
+
+    Without `tree` (dense path) the squared residual norms `dens` of all G
+    nodes are kept and updated by subtracting (q . phi_j)^2 for each new
+    basis vector q, one GEMM for the block.  With `tree` = _gram_tree(
+    features) (tree path, Gillenwater-Kulesza-Mariet-Vassilvitskii 2019)
+    each step descends the tree of bucket Grams and reads one bucket of 2K
+    nodes, carrying P = Q^T Q.  Both invert the same CDF at the same
+    uniform.  `features` is only read.
     """
     trials, n_pts = uniforms.shape
-    dens = np.tile(np.sum(features * features, axis=0), (trials, 1))
-    work = np.empty_like(dens)
+    sqnorm = np.sum(features * features, axis=0)
+    if tree is None:
+        dens = np.tile(sqnorm, (trials, 1))
+        work = np.empty_like(dens)
+        rows = np.arange(trials)
+    else:
+        P = np.zeros((trials, n_pts, n_pts))
     Q = np.empty((trials, n_pts, n_pts))
     chosen = np.empty((trials, n_pts), dtype=int)
-    rows = np.arange(trials)
     for step in range(n_pts):
-        total = np.sum(dens, axis=1)
-        if not np.all((total > 0.0) & (total < np.inf)):
-            raise NumericalError("chain-rule residual mass is not finite and positive")
-        np.divide(dens, total[:, None], out=work)
-        np.cumsum(work, axis=1, out=work)
-        work /= work[:, -1:]
-        i = np.count_nonzero(work <= uniforms[:, step, None], axis=1)
+        if tree is None:
+            i = _invert_cdf(dens, uniforms[:, step], work)
+        else:
+            i = _tree_pick(tree, features, sqnorm, Q[:, :step], P,
+                           chosen[:, :step], uniforms[:, step])
         chosen[:, step] = i
         v = features[:, i].T
         basis = Q[:, :step]
@@ -240,11 +352,14 @@ def _chain_rule_sample(features, uniforms):
             v = v - np.einsum("tsk,ts->tk", basis, coef)
         v /= np.sqrt(np.einsum("tk,tk->t", v, v))[:, None]
         Q[:, step] = v
-        np.matmul(v, features, out=work)
-        work *= work
-        dens -= work
-        np.maximum(dens, 0.0, out=dens)
-        dens[rows, i] = 0.0
+        if tree is None:
+            np.matmul(v, features, out=work)
+            work *= work
+            dens -= work
+            np.maximum(dens, 0.0, out=dens)
+            dens[rows, i] = 0.0
+        else:
+            P += v[:, :, None] * v[:, None, :]
     return chosen
 
 
@@ -256,9 +371,21 @@ def samples(dpp, rng_states):
     projection onto the kept rows, so each of their trials is its own
     block.  Each state's generator gives the thinning draws, then one
     uniform per chosen point.
+
+    A projection on G >= 4 N^2 nodes takes the chain rule's tree path: one
+    _gram_tree build per call, shared by every block, after which a step
+    reads O(log G) N x N Grams and one bucket of 2N nodes instead of all
+    G.  Smaller projections, and thinned kernels, whose kept rows change
+    from trial to trial, take the dense path.
     """
     states = list(rng_states)
-    per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
+    K, G = dpp.N, dpp.node_count
+    tree = None
+    if dpp.is_projection and 0 < _TREE_NODES_PER_K2 * K * K <= G:
+        tree = _gram_tree(dpp.features)
+    # tree path: Q, P, a gathered Gram (K^2 each), a bucket's features and
+    # their projections (2 K^2 each), in float64
+    per_trial = 8 * (G + K * K) if tree is None else 64 * K * K
     size = max(1, _BLOCK_BYTES // per_trial) if dpp.is_projection else 1
     configs = []
     for start in range(0, len(states), size):
@@ -268,7 +395,7 @@ def samples(dpp, rng_states):
         if not dpp.is_projection:
             feats = feats[rngs[0].random(dpp.N) < dpp.q]
         uniforms = np.array([rng.random(feats.shape[0]) for rng in rngs])
-        chosen = _chain_rule_sample(feats, uniforms)
+        chosen = _chain_rule_sample(feats, uniforms, tree)
         configs += [
             PointConfiguration(dpp.nodes[idx], idx, s.seed, s.counter)
             for s, idx in zip(block, chosen)

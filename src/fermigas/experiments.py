@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
-from scipy.signal import fftconvolve
 from scipy.special import j0, j1
 from scipy.stats import kstest
 
@@ -26,7 +25,7 @@ from .dpp import (
     samples,
     var_linear_stat,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kernels import (
     airy_kernel_1d,
     bulk_kernel,
@@ -666,7 +665,8 @@ def free_variance_exact(n, mu, g):
         raise ValidationError("free_variance_exact supports n in {1, 2}")
     if mu <= 0.0:
         raise ValidationError("mu must be positive")
-    pref = mu ** n / (2.0 * math.pi) ** n
+    # a float product, which overflows to inf where ** would raise
+    pref = math.prod([mu] * n) / (2.0 * math.pi) ** n
     profile = g.fourier_sq_profile()
     if profile is not None:
         surface = 2.0 if n == 1 else 2.0 * math.pi
@@ -687,10 +687,14 @@ def free_variance_exact(n, mu, g):
             epsabs=1e-13,
         )
         total = inner + unit_ball_volume(n) * outer
-        return pref * surface * total
-    w2, xi, dxi = _fourier_sq_lattice(g)
-    vol = _ball_difference_volume(n, np.sqrt(np.sum(xi * xi, axis=1)) / mu)
-    return pref * float(np.sum(w2 * vol)) * dxi
+        var = pref * surface * total
+    else:
+        w2, xi, dxi = _fourier_sq_lattice(g)
+        vol = _ball_difference_volume(n, np.sqrt(np.sum(xi * xi, axis=1)) / mu)
+        var = pref * float(np.sum(w2 * vol)) * dxi
+    if not math.isfinite(var):
+        raise NumericalError(f"free-field variance is not finite at mu={mu:g}")
+    return var
 
 
 def _lattice_autocorrelation(g, n, ax, h):
@@ -700,6 +704,9 @@ def _lattice_autocorrelation(g, n, ax, h):
     every lattice offset z and big_d(z) = int |g(x + z) - g(x)|^2 dx
     = 2 ||g||^2 - 2 (g * g~)(z), clamped at zero against rounding.
     """
+    # imported on use, so that only variance and seminorm load it
+    from scipy.signal import fftconvolve
+
     m = ax.size
     vals = g(lattice(ax, n)).reshape((m,) * n)
     corr = fftconvolve(vals, np.flip(vals)) * h ** n

@@ -279,31 +279,28 @@ def _refined_roots(g, lo, hi, args=()):
 
 
 def _line_max(g, t):
-    """x1 -> max of g(., x1) on the lattice t, refined about its peak."""
-    def top(x1):
+    """x1 -> sign * max of g(., x1) on the lattice t, refined about its peak.
+
+    It takes the (x, line, sign) arguments of g, the line ignored, so that
+    _crossings can split its wrong-sign extrema as it does g's."""
+    def top(x1, _=None, sign=1.0):
         v = g(t, x1[:, None])
         j = np.clip(np.argmax(v, axis=1), 1, t.size - 2)
         peak = find_minimum(g, (t[j - 1], t[j], t[j + 1]), args=(x1, -1.0))
-        return np.fmax(v.max(axis=1), -peak.f_x)  # nan: no bracket
+        return sign * np.fmax(v.max(axis=1), -peak.f_x)  # nan: no bracket
     return top
 
 
-def _sign_changes(top, t):
-    """Roots of top, refined between the samples of t where its sign flips."""
-    inside = top(t) > 0.0
-    k = np.flatnonzero(inside[1:] != inside[:-1])
-    return _refined_roots(top, t[k], t[k + 1])
+def _crossings(g, t, x1):
+    """Sign changes of g(., x1) along the lattice t, for each x1 of a batch.
 
-
-def _line_sections(g, t, x1):
-    """int (g(x2, x1))_+ dx2 over the lattice t, for each x1 of a batch.
-
-    Sampled extrema of the wrong sign within one second difference of zero
-    are split at their find_minimum point, so that a crossing pair between
-    two samples shows; the refined sign changes cut the lines into pieces
-    of one sign, each integrated by Gauss-Legendre."""
+    Returns (line, root): the x1 index of each crossing and its refined
+    position, line by line and in order along each line.  Sampled extrema
+    of the wrong sign within one second difference of zero are split at
+    their find_minimum point, so that a crossing pair between two samples
+    shows.  g(x, x1, sign) is sign * the function; it may ignore x1."""
     line, x2 = np.repeat(np.arange(x1.size), t.size), np.tile(t, x1.size)
-    v = g(t, x1[:, None])
+    v = np.broadcast_to(g(t, x1[:, None]), (x1.size, t.size))
     val, mid, d2, slope = v.ravel(), v[:, 1:-1], np.diff(v, 2), np.diff(v)
     i, j = np.nonzero((slope[:, 1:] * slope[:, :-1] <= 0.0)
                       & (np.abs(mid) <= np.abs(d2)) & ((mid > 0.0) == (d2 > 0.0)))
@@ -315,10 +312,18 @@ def _line_sections(g, t, x1):
         line, x2 = np.insert(line, at, i[new]), np.insert(x2, at, ext.x[new])
         val = np.insert(val, at, (sign * ext.f_x)[new])
     k = np.flatnonzero((line[1:] == line[:-1]) & np.diff(val > 0.0))
-    roots = _refined_roots(g, x2[k], x2[k + 1], (x1[line[k]],))
-    at = 2 * line[k] + 1  # cuts per line: t[0], its roots in order, t[-1]
+    return line[k], _refined_roots(g, x2[k], x2[k + 1], (x1[line[k]],))
+
+
+def _line_sections(g, t, x1):
+    """int (g(x2, x1))_+ dx2 over the lattice t, for each x1 of a batch.
+
+    The crossings cut the lines into pieces of one sign, each integrated by
+    Gauss-Legendre."""
+    line, roots = _crossings(g, t, x1)
+    at = 2 * line + 1  # cuts per line: t[0], its roots in order, t[-1]
     cut = np.insert(np.tile(t[[0, -1]], x1.size), at, roots)
-    cut_line = np.insert(np.repeat(np.arange(x1.size), 2), at, line[k])
+    cut_line = np.insert(np.repeat(np.arange(x1.size), 2), at, line)
     same = cut_line[1:] == cut_line[:-1]
     a, b, piece = cut[:-1][same], cut[1:][same], cut_line[1:][same]
     half = 0.5 * (b - a)[:, None]
@@ -331,9 +336,9 @@ def weyl_constant(V, mu):
 
     The cubature runs over x1 on choose_box's box at level mu, widened by a
     lattice step, its regions split where the droplet's x1 sections appear
-    or vanish: the sign changes of mu - V in 1-d, of the line maximum in
-    2-d.  In 2-d the integrand is the exact line section int (mu - V)_+
-    dx2.  All kinks sit on region ends, so Z is good to ~1e-12.
+    or vanish: the crossings of mu - V in 1-d, of the line maximum in 2-d.
+    In 2-d the integrand is the exact line section int (mu - V)_+ dx2.  All
+    kinks sit on region ends, so Z is good to ~1e-12.
     """
     n = V.dimension
     if n not in (1, 2):
@@ -342,7 +347,9 @@ def weyl_constant(V, mu):
     L = choose_box(V, mu, 0.0) * (_LINE_SAMPLES - 1) / (_LINE_SAMPLES - 3)
     t = np.linspace(-L, L, _LINE_SAMPLES)
     if n == 1:
-        top = lambda x: mu - V(x)
+        def top(x, _=None, sign=1.0):
+            return sign * (mu - V(x))
+
         f = lambda x: np.maximum(top(x), 0.0) ** 0.5
         # no endpoint extrapolation at the square-root turning points
         tol = (1e-14, 1e-13)
@@ -352,8 +359,9 @@ def weyl_constant(V, mu):
 
         top, f = _line_max(g, t), lambda x: _line_sections(g, t, x[:, 0])
         tol = (1e-13, 1e-12)
+    _, edges = _crossings(top, t, np.zeros(1))
     res = cubature(f, [-L], [L], atol=tol[0], rtol=tol[1],
-                   points=[[e] for e in _sign_changes(top, t)])
+                   points=[[e] for e in edges])
     if res.status != "converged":
         raise NumericalError(
             f"Weyl-constant cubature did not converge: error {res.error:.3e}"

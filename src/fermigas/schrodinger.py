@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
-from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
@@ -324,6 +322,9 @@ def _interpolate(grid, columns, points):
     carry the Dirichlet zero.  Both searchsorted sides are kept, so a point
     on a node finds the same node pair as on the full axis.
     """
+    # imported on use, so that only kernel --kind projector loads it
+    from scipy.interpolate import RegularGridInterpolator
+
     mi = grid.points_per_axis - 2
     axis = grid.axis
     nodes = []
@@ -402,6 +403,9 @@ def agmon_check(eigs, V, mu, delta):
     to the nearest interior node of the sublevel set, by an exact Euclidean
     distance transform of the node mask (0 on the set itself).
     """
+    # imported on use, so that only agmon loads it
+    from scipy.ndimage import distance_transform_edt
+
     if not 0.0 < delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
     if mu + delta > eigs.mu_cap + 1e-12:

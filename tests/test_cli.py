@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, exit codes, determinism."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -532,20 +533,47 @@ def test_readme_commands_parse_and_cover_every_subcommand():
 # installed entry point
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "w.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fermigas", "weyl", "--potential", "x1^2",
-         "--mu", "1", "--hbar", "0.05", "--out", str(out)],
-        capture_output=True, text=True, env=env,
+    proc = _run_python(
+        ["-m", "fermigas", "weyl", "--potential", "x1^2",
+         "--mu", "1", "--hbar", "0.05", "--out", str(out)]
     )
     assert proc.returncode == 0, proc.stderr
     assert "# experiment=weyl_check" in out.read_text()
+
+
+DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.ndimage")
+
+
+def test_cli_import_defers_the_scipy_packages_of_one_command_each():
+    # variance and seminorm use scipy.signal, kernel --kind projector
+    # scipy.interpolate and agmon scipy.ndimage: no module imports them at
+    # load time.  scipy.stats, which clt loads with the CLI, brings in the
+    # last two itself, so only scipy.signal stays out of sys.modules.
+    for path in sorted((SRC / "fermigas").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            assert not [m for m in names if m.startswith(DEFERRED)], path.name
+    proc = _run_python(
+        ["-c", "import sys, fermigas.cli; print('scipy.signal' in sys.modules)"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("fermigas") is None,

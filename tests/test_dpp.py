@@ -186,28 +186,36 @@ def test_sample_sequences_are_frozen(fermions):
 
 def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
     dpp, _ = fermions
-    # blocks of three trials, so ten states cross three block boundaries
+    # blocks of three dense or four tree trials, so ten states cross block
+    # boundaries on either path
     per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
     monkeypatch.setattr(dpp_module, "_BLOCK_BYTES", 3 * per_trial)
     xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
     thinned = from_kernel(KernelEvaluation(
         KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
     ))
-    for process in (dpp, thinned):
-        states = [RngState(55).stream(k) for k in range(10)]
-        block = samples(process, states)
-        assert len(block) == len(states)
-        for state, config in zip(states, block):
-            alone = sample(process, state)
-            assert np.array_equal(config.indices, alone.indices)
-            assert np.array_equal(config.points, alone.points)
-            assert (config.seed, config.counter) == (state.seed, state.counter)
+    for nodes_per_k2 in (4, 10 ** 9):  # the tree path, then the dense one
+        monkeypatch.setattr(dpp_module, "_TREE_NODES_PER_K2", nodes_per_k2)
+        for process in (dpp, thinned):
+            states = [RngState(55).stream(k) for k in range(10)]
+            block = samples(process, states)
+            assert len(block) == len(states)
+            for state, config in zip(states, block):
+                alone = sample(process, state)
+                assert np.array_equal(config.indices, alone.indices)
+                assert np.array_equal(config.points, alone.points)
+                assert (config.seed, config.counter) == (state.seed, state.counter)
 
 
-def test_two_dimensional_sample_sequences_are_frozen():
+@pytest.fixture(scope="module")
+def oscillator_2d():
     # x1^2 + x2^2 at hbar = 0.1: fifteen particles on 39,601 nodes
     eigs = _solve_window(parse_potential("x1^2+x2^2"), 1.0, 0.1)
-    dpp = from_eigensystem(eigs, 1.0)
+    return from_eigensystem(eigs, 1.0)
+
+
+def test_two_dimensional_sample_sequences_are_frozen(oscillator_2d):
+    dpp = oscillator_2d
     frozen = [
         [10616, 17409, 23587, 26133, 24031, 15785, 27359, 19618, 27400,
          19789, 28363, 21222, 6285, 15436, 15449],
@@ -228,6 +236,65 @@ def test_sampler_rejects_non_finite_residual_mass(fermions):
         sample(broken, RngState(3))
     with pytest.raises(NumericalError, match="residual mass"):
         samples(broken, [RngState(3).stream(k) for k in range(4)])
+    uniforms = np.full((2, dpp.N), 0.5)
+    for tree in (None, dpp_module._gram_tree(broken.features)):
+        with pytest.raises(NumericalError, match="residual mass"):
+            dpp_module._chain_rule_sample(broken.features, uniforms, tree)
+
+
+def random_features(K, G, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((G, K)))
+    return np.ascontiguousarray(Q.T)
+
+
+def both_paths(features, uniforms, tree=None):
+    dense = dpp_module._chain_rule_sample(features, uniforms)
+    if tree is None:
+        tree = dpp_module._gram_tree(features)
+    return dense, dpp_module._chain_rule_sample(features, uniforms, tree)
+
+
+def test_tree_and_dense_paths_pick_the_same_nodes(oscillator_2d):
+    uniforms = np.random.default_rng(5).random((12, oscillator_2d.N))
+    dense, tree = both_paths(oscillator_2d.features, uniforms)
+    assert np.array_equal(tree, dense)
+    # G = 4 K^2 + 1, the smallest G the tree path takes at K = 12, with an
+    # unpaired last bucket of one node
+    features = random_features(12, 4 * 12 * 12 + 1, seed=6)
+    assert features.shape[1] >= dpp_module._TREE_NODES_PER_K2 * 12 * 12
+    uniforms = np.random.default_rng(7).random((40, 12))
+    dense, tree = both_paths(features, uniforms)
+    assert np.array_equal(tree, dense)
+
+
+def test_tree_target_past_its_bucket_takes_the_dense_pick():
+    # every Gram below the root zeroed: each descent runs right to the last
+    # bucket, whose nodes carry no mass, so every pick is the dense fallback
+    K = 4
+    features = np.zeros((K, 80))
+    features[:, :72] = random_features(K, 72, seed=9)
+    levels, traces = dpp_module._gram_tree(features)
+    for S, tr in zip(levels[:-1], traces[:-1]):
+        S[:] = 0.0
+        tr[:] = 0.0
+    uniforms = np.random.default_rng(10).random((6, K))
+    dense, tree = both_paths(features, uniforms, (levels, traces))
+    assert np.array_equal(tree, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 300), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_tree_path_draws_distinct_in_range_nodes_as_dense(K, extra, trials, seed):
+    G = dpp_module._TREE_NODES_PER_K2 * K * K + extra
+    features = random_features(K, G, seed)
+    uniforms = np.random.default_rng(seed).random((trials, K))
+    dense, tree = both_paths(features, uniforms)
+    assert tree.shape == (trials, K)
+    assert np.all((tree >= 0) & (tree < G))
+    assert all(np.unique(row).size == K for row in tree)
+    assert np.array_equal(tree, dense)
 
 
 def test_sample_follows_the_exact_joint_law():

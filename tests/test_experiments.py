@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fermigas.dpp import RngState, from_eigensystem
-from fermigas.errors import ValidationError
+from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import (
     ExperimentReport,
     TestFunction,
@@ -398,6 +398,15 @@ def test_exact_matches_bruteforce_two_dim():
     exact = free_variance_exact(2, 10.0, g)
     brute = free_variance_bruteforce(2, 10.0, g)
     assert brute == pytest.approx(exact, rel=1e-4)
+
+
+def test_exact_variance_past_float_range_is_a_numerical_error():
+    # mu^2 / (2 pi)^2 overflows at mu = 1e308: a float product gives inf
+    # where mu ** 2 raised OverflowError, and the inf * 0 it meets is refused
+    for g in (TestFunction.gaussian_bump(2, (0.0, 0.0), 1.0),
+              TestFunction.smooth_indicator(2, (0.0, 0.0), 1.0, 0.5)):
+        with pytest.raises(NumericalError, match="not finite"):
+            free_variance_exact(2, 1e308, g)
 
 
 def test_constant_statistic_has_zero_variance():

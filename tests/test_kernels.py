@@ -259,6 +259,10 @@ def test_weyl_constant_off_centre_closed_forms():
     # where the cubature first bisects a range symmetric about 0
     V = parse_potential("4*(x1-0.499)^2")
     assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 4, abs=1e-13)
+    # the droplet [0.3007, 0.3027] falls between two x1 lattice samples: only
+    # the split at the sampled maximum of mu - V shows its two crossings
+    V = parse_potential("1000000*(x1-0.3017)^2")
+    assert weyl_constant(V, 1.0) == pytest.approx(math.pi / 2000, abs=1e-15)
     # 2-d: V = V_min + (x - x*)^T A (x - x*) with det A = 0.9375 and
     # V_min = -0.006, so Z = (pi/2) (mu - V_min)^2 / sqrt(det A)
     V = parse_potential("(x1-0.3)^2 + x2^2 + 0.5*x1*x2")
