@@ -80,6 +80,10 @@ _OFFSET_BYTES = 80
 # Weyl estimate behind the memory check
 _MIN_POINTS_PER_AXIS = 201
 
+# |width * rho| past which a gaussian bump's |ghat|^2 = exp(-(width rho)^2)
+# is 0.0 in floating point (it underflows from 27.3 on)
+_GAUSSIAN_CUTOFF = 30.0
+
 
 def _point(x, n, name):
     """x as a vector of n floats, or a ValidationError that names it."""
@@ -208,7 +212,11 @@ class TestFunction:
         n = self.dimension
 
         def profile(rho):
-            return w ** (2 * n) * np.exp(-(w * rho) ** 2)
+            wr = w * rho
+            # tested first: the square of a huge wr raises OverflowError
+            if abs(wr) > _GAUSSIAN_CUTOFF:
+                return 0.0
+            return w ** (2 * n) * np.exp(-wr ** 2)
 
         return profile
 
@@ -678,7 +686,10 @@ def free_variance_exact(n, mu, g):
                 * _ball_difference_volume(n, rho / mu)
             )
 
-        inner, _ = quad(integrand, 0.0, 2.0 * mu, limit=400, epsabs=1e-13)
+        # the profile is 0.0 past the cutoff: on all of [0, 2 mu] at a large
+        # mu, quad's nodes would step over the bump (0.0 at mu = 1e6)
+        top = min(2.0 * mu, _GAUSSIAN_CUTOFF / g.params["width"])
+        inner, _ = quad(integrand, 0.0, top, limit=400, epsabs=1e-13)
         outer, _ = quad(
             lambda rho: rho ** (n - 1) * profile(rho),
             2.0 * mu,

@@ -10,13 +10,15 @@ quantify how strongly eigenfunctions stick to the classically allowed
 region.
 """
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
+from scipy.linalg import cython_lapack, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
@@ -153,18 +155,152 @@ def _fix_signs(vecs):
 # eps ||H|| / gap <= 2e-10, well inside the DPP's 1e-8 gate
 _CLUSTER_GAP = 1e-6
 
+# the 1-D bisection runs on this many disjoint spectral slices; a constant,
+# so the levels never depend on the machine's CPU count
+_SLICES = 2
+
+# below this many nodes a 1-D solve runs its tasks on the calling thread
+# alone: on 2 vCPUs a second thread took 0.66-1.27 times the one-thread
+# time of the solve at G = 199 to 1,499 (above 1 in most runs), and
+# 0.54-0.76 times from G = 1,756 on
+_THREADED_NODES = 2000
+
+_LAPACK_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
+
+
+def _pointer(arg):
+    """A ctypes argument for a LAPACK routine: a bytes flag as it is, an int
+    or float by reference, an array as a ctypes view of its data (a third
+    of the cost of arg.ctypes.data), which keeps the array alive."""
+    if isinstance(arg, bytes):
+        return arg
+    if isinstance(arg, int):
+        return ctypes.byref(ctypes.c_int(arg))
+    if isinstance(arg, float):
+        return ctypes.byref(ctypes.c_double(arg))
+    flags = arg.flags
+    if arg.dtype not in _LAPACK_DTYPES or not (flags.c_contiguous
+                                               and flags.writeable):
+        raise TypeError("LAPACK takes writable C-contiguous float64 and "
+                        "int32 arrays")
+    return (ctypes.c_char * 0).from_buffer(arg)
+
+
+@functools.cache
+def _lapack(name):
+    """scipy.linalg.cython_lapack's routine name as a function of its
+    arguments but INFO, which raises NumericalError where INFO != 0.
+
+    The routine's address comes out of its capsule; a ctypes call releases
+    the GIL for its length, which scipy's f2py wrappers do not, so two
+    threads can run LAPACK at once.
+    """
+    capi = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", capi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", capi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = get_name(capsule)  # b"void (char *, int *, ...)"
+    pointers = [ctypes.c_void_p] * (signature.count(b",") + 1)
+    routine = ctypes.CFUNCTYPE(None, *pointers)(get_pointer(capsule, signature))
+
+    def call(*args):
+        info = ctypes.c_int(0)
+        routine(*map(_pointer, args), ctypes.byref(info))
+        if info.value != 0:
+            raise NumericalError(f"{name} failed (info={info.value})")
+
+    return call
+
+
+def _bisect(d, e, lo, hi, tol):
+    """The eigenvalues in (lo, hi] of the tridiagonal (d, e), ascending, by
+    bisection to tol (dstebz)."""
+    G = d.size
+    if e.size != G - 1:
+        raise ValueError("e must have one entry fewer than d")
+    m, nsplit = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    w = np.empty(G)
+    _lapack("dstebz")(b"V", b"E", G, float(lo), float(hi), 0, 0, float(tol),
+                      d, e, m, nsplit, w, np.empty(G, dtype=np.int32),
+                      np.empty(G, dtype=np.int32), np.empty(4 * G),
+                      np.empty(3 * G, dtype=np.int32))
+    return w[:m[0]].copy()  # a copy, so that the G-sized w is freed
+
+
+def _inverse_iteration(d, e, w):
+    """(G, M) unit eigenvectors of the tridiagonal (d, e) at the ascending
+    levels w, orthogonalised against each other (dstein, one block)."""
+    G, M = d.size, w.size
+    if e.size != G - 1 or M > G:
+        raise ValueError("e must have one entry fewer than d, w at most as many")
+    z = np.empty((M, G))  # C order (M, G) is LAPACK's (G, M), ldz = G
+    _lapack("dstein")(G, d, e, M, w, np.ones(M, dtype=np.int32), G, z, G,
+                      np.empty(5 * G), np.empty(G, dtype=np.int32),
+                      np.empty(M, dtype=np.int32))
+    return z.T
+
+
+def _worker_count():
+    """Threads of the 1-D solve: one per slice, at most one per usable CPU."""
+    return min(_SLICES, len(os.sched_getaffinity(0)))
+
+
+def _parallel_map(fn, args, workers):
+    """[fn(*a) for a in args], on the calling thread and workers - 1 pool
+    threads, each taking the next a whenever it finishes one.
+
+    The calling thread works too: its scratch arrays come from the
+    allocator's main arena, where the freed ones are reused, while each
+    pool thread keeps an arena of its own.  With one worker no pool is made
+    (nor its module imported).
+    """
+    results = [None] * len(args)
+    todo = iter(range(len(args)))  # its next() is atomic under the GIL
+
+    def drain():
+        for i in todo:
+            results[i] = fn(*args[i])
+
+    if workers == 1:
+        drain()
+        return results
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
+
 
 def _tridiagonal_eigenvectors(H, cap):
     """(vals, vecs): the eigenpairs of the tridiagonal H with eigenvalue <=
     cap, ascending, with unit columns and pinned signs.
 
-    Bisection (dstebz) counts the levels and places each to 1e-4 of the
-    cluster gap.  One inverse-iteration (dstein) call per cluster of levels
-    closer than _CLUSTER_GAP * ||H|| then shrinks the vector error by that
-    1e-4 on each of its three or more solves, and Rayleigh-Ritz on the
-    cluster gives the eigenvalues to O(eps ||H||).  dstein orthogonalises
-    only within a call; given all levels at once it would re-orthogonalise
-    every vector against all earlier ones at O(N^2 G) cost on a fine grid.
+    A coarse bisection (eigh_tridiagonal to 1/64 of the window) counts the
+    N levels in (lo, cap] and cuts the window into _SLICES slices of about
+    N / _SLICES levels, midway between two coarse levels.  Bisection
+    (dstebz) places each slice's levels to 1e-4 of the cluster gap.  A cut's
+    Sturm count is one function of (d, e, cut) in both slices it bounds, so
+    no level is lost or found twice (Demmel, Dhillon and Ren, ETNA 3, 1995);
+    slice counts that do not add up to N raise.  Then one inverse-iteration
+    (dstein) call per cluster of levels closer than _CLUSTER_GAP * ||H||,
+    the clusters cut over the whole spectrum, so that a tunnelling pair the
+    slices split is joined again, shrinks the vector error by that 1e-4 on
+    each of its three or more solves, and Rayleigh-Ritz on the cluster gives
+    the eigenvalues to O(eps ||H||).  dstein orthogonalises only within a
+    call; given all levels at once it would re-orthogonalise every vector
+    against all earlier ones at O(N^2 G) cost on a fine grid.
+
+    Slices, then clusters, are independent tasks (Lo, Philippe and Sameh,
+    SIAM J. Sci. Stat. Comput. 8, 1987), run on min(_SLICES, usable CPUs)
+    threads from _THREADED_NODES nodes on, one below, with LAPACK called
+    GIL-free.  A task computes the same bits on any thread, so the result
+    does not depend on the thread count.
     """
     d = H.diagonal().astype(float)
     e = np.asarray(H.diagonal(1), dtype=float)
@@ -172,29 +308,39 @@ def _tridiagonal_eigenvectors(H, cap):
     emax = float(np.max(np.abs(e), initial=0.0))
     tnorm = float(np.max(np.abs(d))) + 2.0 * emax
     lo = float(np.min(d)) - 2.0 * emax - 1.0
-    vals = np.empty(0) if lo >= cap else eigh_tridiagonal(
-        d, e, eigvals_only=True, select="v", select_range=(lo, cap),
-        tol=1e-4 * _CLUSTER_GAP * tnorm,
-    )
+    if lo >= cap:
+        return np.empty(0), np.empty((G, 0))
+    coarse = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                              select_range=(lo, cap), tol=(cap - lo) / 64)
+    N = coarse.size
+    ends = np.concatenate([[lo], coarse, [cap]])
+    k = np.arange(1, _SLICES) * N // _SLICES
+    bounds = [lo, *(0.5 * (ends[k] + ends[k + 1])), cap]
+    tol = 1e-4 * _CLUSTER_GAP * tnorm
+    workers = _worker_count() if G >= _THREADED_NODES else 1
+    vals = np.concatenate(_parallel_map(
+        _bisect, [(d, e, a, b, tol) for a, b in zip(bounds, bounds[1:])],
+        workers))
+    if vals.size != N:
+        raise NumericalError(f"the {_SLICES} bisection slices hold "
+                             f"{vals.size} levels, not the {N} counted")
     gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
     edges = np.flatnonzero(gaps > _CLUSTER_GAP * tnorm)  # 0, cuts..., N
-    iblock = np.ones(G, dtype=np.int32)  # one unsplit block ...
-    isplit = np.zeros(G, dtype=np.int32)
-    isplit[0] = G  # ... ending at row G
-    vecs = np.empty((G, vals.size))
-    for a, b in zip(edges[:-1], edges[1:]):
-        z, info = dstein(d, e, vals[a:b], iblock, isplit)
-        if info != 0:
-            raise NumericalError(
-                f"inverse iteration failed for levels {a} to {b - 1} "
-                f"(dstein info={info})"
-            )
-        ritz, rot = np.linalg.eigh(z.T @ (H @ z))
+    vecs = np.empty((G, N))
+
+    def cluster(a, b):
+        z = _inverse_iteration(d, e, vals[a:b])
+        hz = d[:, None] * z  # H @ z, summed in the CSR product's order
+        hz[1:] += e[:, None] * z[:-1]
+        hz[:-1] += e[:, None] * z[1:]
+        ritz, rot = np.linalg.eigh(z.T @ hz)
         # the bisection count decides which levels exist, not the rounding
         vals[a:b] = np.minimum(ritz, cap)
         # pinned per cluster: the temporaries of pinning all N columns at
         # once would add 27 MB to the peak RSS at G=33,941, N=400
         vecs[:, a:b] = _fix_signs(z @ rot)
+
+    _parallel_map(cluster, list(zip(edges[:-1], edges[1:])), workers)
     return vals, vecs
 
 
@@ -259,9 +405,16 @@ def _solve_peak_bytes(n, m, N_est):
 def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
-    n=1 counts and places the levels in (min, cap] by bisection to 1e-10
-    ||H||, then finds the eigenvectors by inverse iteration and the
-    eigenvalues by Rayleigh-Ritz, one call per cluster of close levels;
+    n=1 counts the levels in (min, cap] by a coarse bisection, which cuts
+    the window into two slices of about N / 2 levels; it places each
+    slice's levels by bisection to 1e-10 ||H||, then finds the eigenvectors
+    by inverse iteration and the eigenvalues by Rayleigh-Ritz, one call per
+    cluster of close levels (_tridiagonal_eigenvectors).  Slices, then
+    clusters, run on min(2, usable CPUs) threads from 2,000 nodes on, with
+    the same bits on any number of threads: the parallel bisection and
+    inverse iteration of Lo, Philippe and Sameh (SIAM J. Sci. Stat. Comput.
+    8, 1987), with each cut's Sturm count shared by both its slices as
+    Demmel, Dhillon and Ren require (ETNA 3, 1995);
     n=2 counts the N levels below cap by inertia (level_count), then makes
     one shift-inverted Lanczos call for exactly N levels, certified by the
     top one lying at or below cap, on one minimum-degree LU of H - sigma I,

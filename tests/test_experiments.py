@@ -409,6 +409,18 @@ def test_exact_variance_past_float_range_is_a_numerical_error():
             free_variance_exact(2, 1e308, g)
 
 
+def test_exact_variance_of_a_gaussian_at_a_huge_mu():
+    # var -> (1 / 2 pi) int |ghat|^2 |xi| dxi = 1 / (2 pi) for the unit bump
+    # in 1-d.  The profile is 0.0 where squaring w rho would overflow
+    # (OverflowError at mu = 1e200), and quad integrates only where it is
+    # not 0.0 (on all of [0, 2 mu] it stepped over the bump: 0.0 at 1e6)
+    g = TestFunction.gaussian_bump(1, 0.0, 1.0)
+    assert g.fourier_sq_profile()(1e200) == 0.0
+    for mu in (1e6, 1e200):
+        assert free_variance_exact(1, mu, g) == pytest.approx(
+            1.0 / (2.0 * math.pi), rel=1e-5)
+
+
 def test_constant_statistic_has_zero_variance():
     z = TestFunction.custom("0*x1", support_radius=2.0)
     assert free_variance_exact(1, 4.0, z) == 0.0

@@ -1,10 +1,13 @@
 """Grid, Hamiltonian assembly, eigensolver, projector and Agmon diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.special import eval_hermite
 
 from fermigas import schrodinger
@@ -294,6 +297,127 @@ def test_tunnelling_pairs_need_the_cluster_guard(monkeypatch):
     monkeypatch.setattr(schrodinger, "_CLUSTER_GAP", -1.0)
     orth, _ = eigen_errors(DOUBLE_WELL, _solve_window(DOUBLE_WELL, 0.5, 0.02))
     assert orth >= 0.5
+
+
+def test_eigensolve_1d_slice_cut_inside_a_tunnelling_pair(monkeypatch):
+    # the coarse pass bisects [GL, cap] (GL the Gershgorin bound) down to
+    # 64 intervals; at this cap the one holding levels 22 and 23 of the
+    # double well, 6.7e-7 apart, has its midpoint GL + (cap - GL) 71/128
+    # between them, and that midpoint is the cut: the two slices split the
+    # pair, and the clusters, formed over the whole spectrum, join it again
+    cap = 0.47596522256729146
+    grid, H = _solve_grid(DOUBLE_WELL, 0.5, 0.02)
+    slices = []
+    bisect = schrodinger._bisect
+
+    def recording(*args):
+        slices.append(bisect(*args))
+        return slices[-1]
+
+    monkeypatch.setattr(schrodinger, "_bisect", recording)
+    es = eigensolve(H, cap, grid, 0.02)
+    lam = es.eigenvalues
+    assert [s.size for s in slices] == [23, 23]
+    tnorm = np.max(np.abs(H.diagonal())) + 2.0 * np.max(np.abs(H.diagonal(1)))
+    assert 0.0 < lam[23] - lam[22] <= schrodinger._CLUSTER_GAP * tnorm
+    exact = full_bisection(DOUBLE_WELL, 0.02, grid, cap)
+    assert np.max(np.abs(lam - exact)) <= 1e-12
+    orth, resid = eigen_errors(DOUBLE_WELL, es)
+    assert orth <= 1e-10
+    assert resid <= 1e-10
+
+
+def test_eigensolve_1d_is_bit_identical_on_one_and_two_workers(monkeypatch):
+    # every slice and cluster computes the same bits on whichever thread
+    # runs it; G=11,999 is past _THREADED_NODES, so two workers use the pool
+    grid, H = _solve_grid(parse_potential("x1^2"), 1.0, 0.0025)
+    assert H.shape[0] >= schrodinger._THREADED_NODES
+    solves = []
+    for workers in (1, 2):
+        monkeypatch.setattr(schrodinger, "_worker_count", lambda w=workers: w)
+        solves.append(eigensolve(H, 1.0, grid, 0.0025))
+    one, two = solves
+    assert one.eigenvalues.size == 200
+    assert np.array_equal(one.eigenvalues, two.eigenvalues)
+    assert np.array_equal(one.eigenvectors, two.eigenvectors)
+
+
+def test_eigensolve_1d_slice_counts_must_add_up(monkeypatch):
+    # a slice that loses a level leaves the spectrum incomplete
+    bisect = schrodinger._bisect
+    monkeypatch.setattr(schrodinger, "_bisect", lambda *args: bisect(*args)[1:])
+    with pytest.raises(NumericalError, match="not the 50 counted"):
+        _solve_window(parse_potential("x1^2"), 1.0, 0.01)
+
+
+@st.composite
+def tridiagonals(draw):
+    """(d, e, vl, vu, tol): a random symmetric tridiagonal, half of them two
+    copies of one block, whose every level is an exactly degenerate pair,
+    and a window (vl, vu] and bisection tolerance"""
+    G = draw(st.integers(2, 30))  # scipy's dstebz takes no empty e
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, e = rng.uniform(-2.0, 2.0, G), rng.uniform(-1.0, 1.0, G - 1)
+    if draw(st.booleans()):
+        d, e = np.concatenate([d, d]), np.concatenate([e, [0.0], e])
+    vl = draw(st.floats(-5.0, 3.0))
+    vu = vl + draw(st.floats(0.01, 6.0))
+    return d, e, vl, vu, draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tridiagonals())
+def test_lapack_shim_matches_scipy_bit_for_bit(case):
+    d, e, vl, vu, tol = case
+    G = d.size
+    m, w, _, _, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0, tol, "E")  # (vl, vu]
+    assert info == 0
+    assert np.array_equal(schrodinger._bisect(d, e, vl, vu, tol), w[:m])
+    if m == 0:
+        return
+    iblock = np.ones(G, dtype=np.int32)
+    isplit = np.zeros(G, dtype=np.int32)
+    isplit[0] = G
+    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        with pytest.raises(NumericalError, match="dstein"):
+            schrodinger._inverse_iteration(d, e, w[:m])
+    else:
+        assert np.array_equal(schrodinger._inverse_iteration(d, e, w[:m]), z)
+
+
+def test_lapack_shim_refuses_other_arrays():
+    # the shim hands raw pointers to LAPACK: a strided or float32 array
+    # would be read wrongly, and a short one past its end, so each is
+    # refused before the call
+    d, e = np.full(8, 2.0), np.full(7, -1.0)
+    with pytest.raises(TypeError):
+        schrodinger._bisect(np.full(16, 2.0)[::2], e, 0.0, 4.0, 0.0)
+    with pytest.raises(TypeError):
+        schrodinger._bisect(d.astype(np.float32), e, 0.0, 4.0, 0.0)
+    with pytest.raises(ValueError):
+        schrodinger._bisect(d, e[:-1], 0.0, 4.0, 0.0)
+    with pytest.raises(ValueError):
+        schrodinger._inverse_iteration(d, e[:-1], np.array([1.0]))
+
+
+def test_parallel_map_runs_each_task_once_on_many_threads():
+    # more threads than cores, switching every microsecond: the shared
+    # index iterator hands each task to exactly one thread
+    ran = [0] * 500
+
+    def task(i):
+        ran[i] += 1
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = schrodinger._parallel_map(task, [(i,) for i in range(500)], 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [i * i for i in range(500)]
+    assert ran == [1] * 500
 
 
 def test_hermite_functions_match_the_closed_form_and_are_orthonormal():
