@@ -9,6 +9,7 @@ CSV form is reproducible bit for bit from the parameters and the seed.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -639,7 +640,9 @@ def _ball_difference_volume(n, d):
     d = np.clip(d, 0.0, 2.0)
     if n == 1:
         return d
-    return math.pi - (2.0 * np.arccos(0.5 * d) - 0.5 * d * np.sqrt(4.0 - d * d))
+    # pi minus the lens 2 arccos(d/2) - (d/2) sqrt(4 - d^2), in a form that
+    # does not cancel for small d
+    return 2.0 * np.arcsin(0.5 * d) + 0.5 * d * np.sqrt(4.0 - d * d)
 
 
 def _fourier_sq_lattice(g):
@@ -689,7 +692,9 @@ def free_variance_exact(n, mu, g):
         # the profile is 0.0 past the cutoff: on all of [0, 2 mu] at a large
         # mu, quad's nodes would step over the bump (0.0 at mu = 1e6)
         top = min(2.0 * mu, _GAUSSIAN_CUTOFF / g.params["width"])
-        inner, _ = quad(integrand, 0.0, top, limit=400, epsabs=1e-13)
+        # a relative tolerance alone: the integrand scales like 1 / mu, so a
+        # fixed epsabs is met at once when mu is large enough
+        inner, _ = quad(integrand, 0.0, top, limit=400, epsabs=0.0)
         outer, _ = quad(
             lambda rho: rho ** (n - 1) * profile(rho),
             2.0 * mu,
@@ -744,12 +749,19 @@ def free_variance_bruteforce(n, mu, g):
     R = g.bounding_radius()
     h = min(math.pi / (4.5 * mu), R / 25.0)
     cells = 2.0 * R / h if h > 0.0 else math.inf  # per axis
-    need = _OFFSET_BYTES * (2.0 * cells + 1.0) ** n
+    # a float product, which overflows to inf where ** would raise
+    need = _OFFSET_BYTES * math.prod([2.0 * cells + 1.0] * n)
     if not need <= _MEMORY_BUDGET:
         raise ValidationError(
             f"mu={mu:g} needs about {need / 1024 ** 3:.3g} GiB for the "
             f"brute-force lattice, over the {_MEMORY_BUDGET / 1024 ** 3:g} "
             "GiB budget"
+        )
+    # the lattice sums weigh by h^n and the 1-d tail by 1 / z^2, z >= h
+    if not h * h >= sys.float_info.min:
+        raise ValidationError(
+            f"the test function's support radius {R:g} is too small for the "
+            f"brute-force lattice: its step {h:g} squared underflows"
         )
     m = int(math.ceil(cells)) + 1
     ax = -R + h * np.arange(m)

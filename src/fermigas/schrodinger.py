@@ -357,23 +357,28 @@ def _weyl_count(pot, cap, hbar, spacing, n):
     return unit_ball_volume(n) * float(fill) * scale
 
 
-def level_count(H, cap):
-    """Number of eigenvalues of the symmetric H below cap: the negative
-    pivots of an LDL^T of H - cap I, by Sylvester's law of inertia.
-
-    SuperLU in symmetric mode without pivoting factors H - cap I on a
-    symmetric minimum-degree ordering as L D L^T, U = D L^T.  A level
-    within rounding of cap may be counted or not, so callers that need an
-    exact count keep cap between levels; bisection (the 1-D eigensolve)
-    counts (lo, cap] instead.  A singular factor, a row exchange or a zero
-    or non-finite pivot leaves the inertia undefined: NumericalError.
-    """
+def _ldlt(H, cap):
+    """SuperLU's LDL^T of H - cap I (symmetric mode, no pivoting, symmetric
+    minimum-degree ordering, U = D L^T); a singular one is a NumericalError."""
     try:
-        lu = splu((H - cap * sp.identity(H.shape[0])).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        return splu((H - cap * sp.identity(H.shape[0])).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise NumericalError(f"no inertia count at cap={cap:g}: {exc}") from exc
+
+
+def level_count(H, cap):
+    """Number of eigenvalues of the symmetric H below cap: the negative
+    pivots of an LDL^T of H - cap I (_ldlt), by Sylvester's law of inertia.
+
+    A level within rounding of cap may be counted or not, so callers that
+    need an exact count keep cap between levels; bisection (the 1-D
+    eigensolve) counts (lo, cap] instead.  A singular factor, a row exchange
+    or a zero or non-finite pivot leaves the inertia undefined:
+    NumericalError.
+    """
+    lu = _ldlt(H, cap)
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c)
             and np.all(np.isfinite(pivots) & (pivots != 0.0))):
@@ -389,10 +394,10 @@ def _solve_peak_bytes(n, m, N_est):
     1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
     the Agmon check makes.  2-D, for the Lanczos call at k = N: eigsh's
     Lanczos basis and Ritz block (ncv columns each), the N returned
-    vectors, ARPACK's ncv (ncv + 8) work array, and the LU of H - sigma I,
-    whose minimum-degree fill took 33-37 m log2 m bytes of RSS for m from
-    1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a huge
-    grid gives inf rather than an OverflowError.
+    vectors, ARPACK's ncv (ncv + 8) work array, and the LDL^T of H - cap I
+    (_ldlt), whose minimum-degree fill took 33-37 m log2 m bytes of RSS for
+    m from 1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a
+    huge grid gives inf rather than an OverflowError.
     """
     N = min(N_est, m)
     if n == 1:
@@ -416,10 +421,12 @@ def eigensolve(H, cap, grid, hbar):
     8, 1987), with each cut's Sturm count shared by both its slices as
     Demmel, Dhillon and Ren require (ETNA 3, 1995);
     n=2 counts the N levels below cap by inertia (level_count), then makes
-    one shift-inverted Lanczos call for exactly N levels, certified by the
-    top one lying at or below cap, on one minimum-degree LU of H - sigma I,
-    sigma a tenth of the window [gersh_lo, cap] below the Gershgorin bound
-    gersh_lo.  N = 0 gives no levels and no Lanczos call.
+    one Lanczos call for exactly N levels, shift-inverted at cap on a second
+    LDL^T of H - cap I, which takes the N smallest 1 / (lambda - cap) (Ericsson
+    and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIAM J. Matrix
+    Anal. Appl. 15, 1994), and a Rayleigh-Ritz step on its vectors; a level
+    above cap or a residual above 1e-10 ||H||_inf raises NumericalError.
+    N = 0 gives no levels, one factor and no Lanczos call.
     """
     m = H.shape[0]
     if grid.interior_count != m:
@@ -436,32 +443,33 @@ def eigensolve(H, cap, grid, hbar):
             return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
         if N >= m - 1:  # eigsh's bound on k
             raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
-        row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
-        diag = H.diagonal()
-        gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
-        # scaled to the window, whatever the energy units
-        sigma = gersh_lo - 0.1 * (cap - gersh_lo)
-        # H - sigma I is positive definite: a symmetric minimum-degree
-        # ordering fills it in less than eigsh's own COLAMD factor
-        lu = splu((H - sigma * sp.identity(m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
+        # a factor of its own: reading the count's pivots caches a CSC copy
+        # of U on that factor (11.8 MB at m = 39,601), which would stay
+        # alive through eigsh
+        OPinv = LinearOperator((m, m), matvec=_ldlt(H, cap).solve, dtype=float)
         # a fixed start vector: without one ARPACK seeds each call from OS
         # entropy and the eigenvectors differ in the last bits from run to
         # run; not a constant, which is orthogonal to every odd eigenfunction
         # of a symmetric well
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
         try:
-            vals, vecs = eigsh(H, k=N, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+            # nu = 1 / (lambda - cap) is negative on exactly the N levels
+            # below cap, so they are the N smallest nu
+            _, vecs = eigsh(H, k=N, sigma=cap, which="SA", v0=v0, OPinv=OPinv)
         except ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
-        order = np.argsort(vals)
-        vals = vals[order]
+        # Rayleigh-Ritz: eigsh's cap + 1 / nu loses digits to the shift
+        # (8e-12 off), the Ritz values of H on its vectors do not
+        vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
         if not vals[-1] <= cap:
             raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
                                  f"among the {N} levels the inertia counts")
-        # not in place, nor in one expression: either raised a 2-D solve's
-        # peak RSS by 6 MB, through the allocator's reuse of the freed blocks
-        vecs = np.ascontiguousarray(vecs[:, order], dtype=float)
+        vecs = vecs @ rot
+        resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0).max()
+        hnorm = abs(H).sum(axis=1).max()
+        if not resid <= 1e-10 * hnorm:
+            raise NumericalError(f"Lanczos residual {resid:.3g} exceeds "
+                                 f"1e-10 ||H|| = {1e-10 * hnorm:.3g}")
         vecs = _fix_signs(vecs / scale)
     return EigenSystem(float(hbar), float(cap), np.asarray(vals, dtype=float),
                        vecs, grid)

@@ -239,6 +239,13 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     # infinite point count
     ["variance", "--n", "2", "--mu", "1e6", "--function", "indicator:radius=1"],
     ["variance", "--n", "1", "--mu", "1e308", "--function", "gaussian:width=1"],
+    # a bump so narrow that the brute-force lattice step squared underflows,
+    # and an indicator so wide that the lattice's point count overflows
+    ["variance", "--n", "1", "--mu", "1", "--function", "gaussian:width=1e-300"],
+    ["variance", "--n", "2", "--mu", "1", "--function", "indicator:radius=1e300"],
+    # mu below min V: an empty droplet, Z = 0 and a scaled count of 0 / 0
+    WEYL + ["--mu", "-1", "--hbar", "0.05"],
+    ["weyl", "--potential", "x1^2+x2^2+1", "--mu", "1", "--hbar", "0.2"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):

@@ -386,6 +386,31 @@ def test_ball_difference_volume_limits():
     )
 
 
+def test_ball_difference_volume_2d_small_offsets():
+    # |B(0,1) \ B(d,1)| = 2d - d^3 / 12 + ...; pi minus the lens cancelled
+    # to 0.0 at d = 1e-17
+    for d in (1e-17, 1e-8, 1e-4):
+        assert _ball_difference_volume(2, d) == pytest.approx(
+            2.0 * d - d ** 3 / 12.0, rel=1e-14, abs=0.0)
+
+
+def test_exact_variance_of_a_gaussian_at_a_huge_mu_2d():
+    # var / mu -> (1 / pi) int rho^2 e^{-rho^2} drho = 1 / (4 sqrt(pi)) for
+    # the unit bump in 2-d; the lens cancellation gave 0.0 at mu = 1e100
+    g = TestFunction.gaussian_bump(2, (0.0, 0.0), 1.0)
+    for mu in (1e6, 1e100):
+        assert free_variance_exact(2, mu, g) / mu == pytest.approx(
+            1.0 / (4.0 * math.sqrt(math.pi)), rel=1e-10)
+
+
+def test_exact_variance_of_a_gaussian_at_mu_1e200_to_1e_10():
+    # the integrand scales like 1 / mu: an absolute tolerance of 1e-13 let
+    # quad stop 1.1e-6 short of 1 / (2 pi)
+    g = TestFunction.gaussian_bump(1, 0.0, 1.0)
+    assert free_variance_exact(1, 1e200, g) == pytest.approx(
+        1.0 / (2.0 * math.pi), rel=1e-10)
+
+
 def test_exact_matches_bruteforce_one_dim():
     g = TestFunction.gaussian_bump(1, 0.0, 1.0)
     exact = free_variance_exact(1, 10.0, g)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.sparse.linalg import LinearOperator
 from scipy.special import eval_hermite
 
 from fermigas import schrodinger
@@ -546,6 +547,72 @@ def test_eigensolve_2d_singular_shift_is_a_numerical_error():
     H = assemble_hamiltonian(V, 1e-160, grid)
     with pytest.raises(NumericalError, match="no inertia count"):
         eigensolve(H, 1.0, grid, 1e-160)
+
+
+def dense_levels(text, hbar, grid):
+    """(H, eigenvalues, unit eigenvectors) of the 2-D H by dense LAPACK."""
+    H = assemble_hamiltonian(parse_potential(text), hbar, grid)
+    lam, U = np.linalg.eigh(H.toarray())
+    return H, lam, U
+
+
+def assert_matches_dense(es, H, lam, U):
+    """Levels to 1e-12, projector entries to 1e-10, residuals to 1e-10 ||H||
+    and orthonormality to 1e-12, on unit-norm vectors."""
+    N = es.eigenvalues.size
+    assert N > 0 and lam[N - 1] <= es.mu_cap < lam[N]
+    assert np.max(np.abs(es.eigenvalues - lam[:N])) <= 1e-12
+    unit = es.eigenvectors * math.sqrt(es.grid.weight)
+    proj = U[:, :N] @ U[:, :N].T
+    assert np.max(np.abs(unit @ unit.T - proj)) <= 1e-10
+    hnorm = np.max(abs(H).sum(axis=1))
+    resid = np.linalg.norm(H @ unit - unit * es.eigenvalues, axis=0)
+    assert np.max(resid) <= 1e-10 * hnorm
+    assert np.max(np.abs(unit.T @ unit - np.eye(N))) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^4 + x2^4 - x1^2",
+])
+def test_eigensolve_2d_matches_a_dense_oracle(text):
+    # shift-invert at the cap, then Rayleigh-Ritz, against LAPACK's dense
+    # eigh of the same H (15, 9 and 33 levels below 1)
+    grid = Grid(2, 1.5, 41)
+    H, lam, U = dense_levels(text, 0.1, grid)
+    assert_matches_dense(eigensolve(H, 1.0, grid, 0.1), H, lam, U)
+
+
+@pytest.mark.parametrize("top", [13, 14], ids=["degenerate", "simple"])
+def test_eigensolve_2d_cap_just_above_a_level(top):
+    # H - cap I is within 1e-6 of singular: a near-zero pivot in the count's
+    # LDL^T and a 1e6 eigenvalue of the shift-inverted operator; level 13 of
+    # the isotropic well is a pair of equal levels, level 14 a single one
+    grid = Grid(2, 1.5, 41)
+    H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
+    cap = lam[top] + 1e-6
+    es = eigensolve(H, cap, grid, 0.1)
+    assert es.eigenvalues.size == top + 1
+    assert_matches_dense(es, H, lam, U)
+
+
+def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch):
+    # a shift-invert operator that is not (H - cap I)^-1, here off by a
+    # random diagonal of 1e-3, has eigenvectors that are not H's: the
+    # residual check refuses them, and no EigenSystem reaches a CSV
+    eigsh = schrodinger.eigsh
+
+    def corrupted(A, **kwargs):
+        solve = kwargs["OPinv"].matvec
+        noise = np.random.default_rng(1).uniform(0.0, 1e-3, A.shape[0])
+        kwargs["OPinv"] = LinearOperator(
+            A.shape, matvec=lambda x: solve(x) + noise * x.ravel(), dtype=float)
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "eigsh", corrupted)
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.1, grid)
+    with pytest.raises(NumericalError, match="residual"):
+        eigensolve(H, 1.0, grid, 0.1)
 
 
 def test_solve_peak_estimate():
