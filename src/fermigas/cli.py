@@ -214,10 +214,6 @@ def _run_weyl(args):
     rep = weyl_check(
         V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
     )
-    # Z = 0 leaves the scaled count 0 / 0: no CSV of NaNs
-    if not rep.params["weyl_constant"] > 0.0:
-        raise ValidationError(f"the droplet {{V <= {args.mu:g}}} is empty: "
-                              "--mu must exceed the minimum of the potential")
     return rep.to_csv()
 
 

@@ -346,6 +346,8 @@ def weyl_constant(V, mu):
     # V >= mu on the box boundary, one lattice step inside the lattice's ends
     L = choose_box(V, mu, 0.0) * (_LINE_SAMPLES - 1) / (_LINE_SAMPLES - 3)
     t = np.linspace(-L, L, _LINE_SAMPLES)
+    if not np.all(np.isfinite(V(lattice(t, n)))):
+        raise ValidationError("the potential is not finite on the box")
     if n == 1:
         def top(x, _=None, sign=1.0):
             return sign * (mu - V(x))

@@ -357,15 +357,31 @@ def _weyl_count(pot, cap, hbar, spacing, n):
     return unit_ball_volume(n) * float(fill) * scale
 
 
-def _ldlt(H, cap):
-    """SuperLU's LDL^T of H - cap I (symmetric mode, no pivoting, symmetric
+def _ldlt(H, shift):
+    """SuperLU's LDL^T of H - shift I (symmetric mode, no pivoting, symmetric
     minimum-degree ordering, U = D L^T); a singular one is a NumericalError."""
     try:
-        return splu((H - cap * sp.identity(H.shape[0])).tocsc(),
+        return splu((H - shift * sp.identity(H.shape[0])).tocsc(),
                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:  # "Factor is exactly singular"
-        raise NumericalError(f"no inertia count at cap={cap:g}: {exc}") from exc
+        raise NumericalError(f"no inertia count at {shift:g}: {exc}") from exc
+
+
+def _isotropic_trap(H, grid):
+    """Whether the diagonal of the 2-D H is c + b.x + a |x|^2, a > 0: an
+    isotropic harmonic trap, whose levels fall into shells of k + 1 equal
+    levels.  Exactly then its second differences along x1 and along x2 are
+    one positive constant, and its mixed ones vanish, to rounding."""
+    k = grid.points_per_axis - 2
+    diag = H.diagonal().reshape(k, k)  # x1-major: x1 down the rows
+    along = np.diff(diag, 2, axis=0)
+    a = along[0, 0]
+    tol = 1e-12 * np.max(np.abs(diag))
+    return bool(a > tol
+                and np.max(np.abs(along - a)) <= tol
+                and np.max(np.abs(np.diff(diag, 2, axis=1) - a)) <= tol
+                and np.max(np.abs(np.diff(np.diff(diag, axis=0), axis=1))) <= tol)
 
 
 def level_count(H, cap):
@@ -394,10 +410,10 @@ def _solve_peak_bytes(n, m, N_est):
     1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
     the Agmon check makes.  2-D, for the Lanczos call at k = N: eigsh's
     Lanczos basis and Ritz block (ncv columns each), the N returned
-    vectors, ARPACK's ncv (ncv + 8) work array, and the LDL^T of H - cap I
-    (_ldlt), whose minimum-degree fill took 33-37 m log2 m bytes of RSS for
-    m from 1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a
-    huge grid gives inf rather than an OverflowError.
+    vectors, ARPACK's ncv (ncv + 8) work array, and the shift-invert factor
+    of H - sigma I (_lanczos), whose minimum-degree fill took 33-37 m log2 m
+    bytes of RSS for m from 1e4 to 3.6e5 on the square grid (48 here).  m is
+    a float, so a huge grid gives inf rather than an OverflowError.
     """
     N = min(N_est, m)
     if n == 1:
@@ -405,6 +421,67 @@ def _solve_peak_bytes(n, m, N_est):
     ncv = min(m, max(2.0 * N + 1.0, 20.0))
     lu = 48.0 * m * math.log2(m)
     return 8.0 * (m * (2.0 * ncv + N) + ncv * (ncv + 8.0)) + lu
+
+
+def _lanczos(H, cap, N, shift):
+    """The N levels of the 2-D H below cap, ascending, from one Lanczos call
+    shift-inverted at cap (shift "cap") or below the spectrum ("below").
+
+    At cap, nu = 1 / (lambda - cap) is negative on exactly the N levels, so
+    they are the N smallest nu, and the levels just below cap, the largest,
+    converge first (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis
+    and Simon, SIAM J. Matrix Anal. Appl. 15, 1994); the eigenvalues come
+    from a Rayleigh-Ritz step.  Below, sigma lies a tenth of the window
+    [gersh_lo, cap] under the Gershgorin bound gersh_lo, and the N levels are
+    the N largest nu.  A level above cap or a residual above 1e-10 ||H||_inf
+    raises NumericalError.
+    """
+    m = H.shape[0]
+    if shift == "cap":
+        # a factor of its own: reading the count's pivots caches a CSC copy
+        # of U on that factor (11.8 MB at m = 39,601)
+        sigma, which, lu = cap, "SA", _ldlt(H, cap)
+    else:
+        row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
+        diag = H.diagonal()
+        gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
+        # scaled to the window, whatever the energy units; H - sigma I is
+        # positive definite, and a symmetric minimum-degree ordering fills
+        # it in less than eigsh's own COLAMD factor
+        sigma, which = gersh_lo - 0.1 * (cap - gersh_lo), "LM"
+        lu = splu((H - sigma * sp.identity(m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
+    # a fixed start vector: without one ARPACK seeds each call from OS
+    # entropy and the eigenvectors differ in the last bits from run to run;
+    # not a constant, which is orthogonal to every odd eigenfunction of a
+    # symmetric well
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    try:
+        vals, vecs = eigsh(H, k=N, sigma=sigma, which=which, v0=v0, OPinv=OPinv)
+    except ArpackNoConvergence as exc:
+        raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
+    # the factor's memory is free before the checks below allocate
+    del lu, OPinv
+    if shift == "cap":
+        # Rayleigh-Ritz: eigsh's cap + 1 / nu loses digits to the shift
+        # (8e-12 off), the Ritz values of H on its vectors do not
+        vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
+        vecs = vecs @ rot
+    else:
+        order = np.argsort(vals)
+        vals = vals[order]
+        # not in place, nor in one expression: either raised a 2-D solve's
+        # peak RSS by 6 MB, through the allocator's reuse of the freed blocks
+        vecs = np.ascontiguousarray(vecs[:, order], dtype=float)
+    if not vals[-1] <= cap:
+        raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
+                             f"among the {N} levels the inertia counts")
+    resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0).max()
+    hnorm = abs(H).sum(axis=1).max()
+    if not resid <= 1e-10 * hnorm:
+        raise NumericalError(f"Lanczos residual {resid:.3g} exceeds "
+                             f"1e-10 ||H|| = {1e-10 * hnorm:.3g}")
+    return vals, vecs
 
 
 def eigensolve(H, cap, grid, hbar):
@@ -421,11 +498,10 @@ def eigensolve(H, cap, grid, hbar):
     8, 1987), with each cut's Sturm count shared by both its slices as
     Demmel, Dhillon and Ren require (ETNA 3, 1995);
     n=2 counts the N levels below cap by inertia (level_count), then makes
-    one Lanczos call for exactly N levels, shift-inverted at cap on a second
-    LDL^T of H - cap I, which takes the N smallest 1 / (lambda - cap) (Ericsson
-    and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIAM J. Matrix
-    Anal. Appl. 15, 1994), and a Rayleigh-Ritz step on its vectors; a level
-    above cap or a residual above 1e-10 ||H||_inf raises NumericalError.
+    one Lanczos call for exactly N levels (_lanczos), shift-inverted at cap
+    for an isotropic harmonic trap (_isotropic_trap), whose shells of equal
+    levels converge first from there, and below the spectrum for any other
+    potential, or where the call at cap fails its checks.
     N = 0 gives no levels, one factor and no Lanczos call.
     """
     m = H.shape[0]
@@ -438,38 +514,24 @@ def eigensolve(H, cap, grid, hbar):
         vals, vecs = _tridiagonal_eigenvectors(H, cap)
         np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
+        # an isotropic trap's shells converge first from the cap (_lanczos);
+        # where the cap lies within rounding of a shell, that operator is too
+        # ill-conditioned to pass the checks, and the solve shifts below the
+        # spectrum instead, as for every other potential.  Tested before the
+        # count, whose factor then reuses the test's freed memory
+        shifts = ["cap"] * _isotropic_trap(H, grid) + ["below"]
         N = level_count(H, cap)
         if N == 0:
             return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
         if N >= m - 1:  # eigsh's bound on k
             raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
-        # a factor of its own: reading the count's pivots caches a CSC copy
-        # of U on that factor (11.8 MB at m = 39,601), which would stay
-        # alive through eigsh
-        OPinv = LinearOperator((m, m), matvec=_ldlt(H, cap).solve, dtype=float)
-        # a fixed start vector: without one ARPACK seeds each call from OS
-        # entropy and the eigenvectors differ in the last bits from run to
-        # run; not a constant, which is orthogonal to every odd eigenfunction
-        # of a symmetric well
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-        try:
-            # nu = 1 / (lambda - cap) is negative on exactly the N levels
-            # below cap, so they are the N smallest nu
-            _, vecs = eigsh(H, k=N, sigma=cap, which="SA", v0=v0, OPinv=OPinv)
-        except ArpackNoConvergence as exc:
-            raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
-        # Rayleigh-Ritz: eigsh's cap + 1 / nu loses digits to the shift
-        # (8e-12 off), the Ritz values of H on its vectors do not
-        vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
-        if not vals[-1] <= cap:
-            raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
-                                 f"among the {N} levels the inertia counts")
-        vecs = vecs @ rot
-        resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0).max()
-        hnorm = abs(H).sum(axis=1).max()
-        if not resid <= 1e-10 * hnorm:
-            raise NumericalError(f"Lanczos residual {resid:.3g} exceeds "
-                                 f"1e-10 ||H|| = {1e-10 * hnorm:.3g}")
+        for shift in shifts:
+            try:
+                vals, vecs = _lanczos(H, cap, N, shift)
+                break
+            except NumericalError:
+                if shift == shifts[-1]:
+                    raise
         vecs = _fix_signs(vecs / scale)
     return EigenSystem(float(hbar), float(cap), np.asarray(vals, dtype=float),
                        vecs, grid)

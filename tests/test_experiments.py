@@ -176,9 +176,11 @@ def test_weyl_harmonic_counts(harmonic):
     np.testing.assert_allclose(rep.column("scaled_count"), 1.0, atol=0.2)
 
 
-def test_weyl_empty_droplet(harmonic):
-    rep = weyl_check(harmonic, -0.5, [0.05])
-    assert rep.column("count")[0] == 0
+def test_weyl_empty_droplet():
+    # mu at or below min V: Z = 0 and a scaled count of 0 / 0, refused
+    for text, mu in (("x1^2", -0.5), ("x1^2 + x2^2 + 1", 1.0)):
+        with pytest.raises(ValidationError, match="droplet"):
+            weyl_check(parse_potential(text), mu, [0.1, 0.05])
 
 
 def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):

@@ -356,6 +356,14 @@ def test_weyl_constant_empty_droplet():
     assert weyl_constant(V, -0.5) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["x1^2 + 1e200*1e200", "x1^2 + x2^2 + 1e200*1e200"])
+def test_weyl_constant_rejects_a_potential_that_is_not_finite(text):
+    # +inf everywhere: a ValidationError, not a RuntimeWarning and Z = 0
+    with pytest.raises(ValidationError, match="not finite"):
+        weyl_constant(parse_potential(text), 1.0)
+
+
 def test_weyl_constant_rejects_unsupported_dimension():
     V = parse_potential("x1^2 + x2^2 + x3^2")
     with pytest.raises(ValidationError):

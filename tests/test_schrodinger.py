@@ -1,5 +1,6 @@
 """Grid, Hamiltonian assembly, eigensolver, projector and Agmon diagnostics."""
 
+import functools
 import math
 import sys
 
@@ -549,11 +550,18 @@ def test_eigensolve_2d_singular_shift_is_a_numerical_error():
         eigensolve(H, 1.0, grid, 1e-160)
 
 
-def dense_levels(text, hbar, grid):
-    """(H, eigenvalues, unit eigenvectors) of the 2-D H by dense LAPACK."""
+@functools.lru_cache(maxsize=None)
+def _dense(text, hbar, L, points):
+    grid = Grid(2, L, points)
     H = assemble_hamiltonian(parse_potential(text), hbar, grid)
     lam, U = np.linalg.eigh(H.toarray())
     return H, lam, U
+
+
+def dense_levels(text, hbar, grid):
+    """(H, eigenvalues, unit eigenvectors) of the 2-D H by dense LAPACK,
+    computed once per potential, hbar and grid."""
+    return _dense(text, hbar, grid.half_width, grid.points_per_axis)
 
 
 def assert_matches_dense(es, H, lam, U):
@@ -575,30 +583,98 @@ def assert_matches_dense(es, H, lam, U):
     "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^4 + x2^4 - x1^2",
 ])
 def test_eigensolve_2d_matches_a_dense_oracle(text):
-    # shift-invert at the cap, then Rayleigh-Ritz, against LAPACK's dense
+    # the isotropic well shift-inverted at the cap, then Rayleigh-Ritz, and
+    # two wells shift-inverted below their spectra, against LAPACK's dense
     # eigh of the same H (15, 9 and 33 levels below 1)
     grid = Grid(2, 1.5, 41)
     H, lam, U = dense_levels(text, 0.1, grid)
     assert_matches_dense(eigensolve(H, 1.0, grid, 0.1), H, lam, U)
 
 
-@pytest.mark.parametrize("top", [13, 14], ids=["degenerate", "simple"])
-def test_eigensolve_2d_cap_just_above_a_level(top):
+@pytest.mark.parametrize("text, top", [
+    ("x1^2 + x2^2", 13), ("x1^2 + x2^2", 14), ("x1^2 + 2*x2^2", 7),
+], ids=["degenerate", "simple", "below-the-spectrum"])
+def test_eigensolve_2d_cap_just_above_a_level(text, top):
     # H - cap I is within 1e-6 of singular: a near-zero pivot in the count's
-    # LDL^T and a 1e6 eigenvalue of the shift-inverted operator; level 13 of
-    # the isotropic well is a pair of equal levels, level 14 a single one
+    # LDL^T and, in the isotropic well, a 1e6 eigenvalue of the operator
+    # shift-inverted at the cap; level 13 of that well is a pair of equal
+    # levels, level 14 a single one.  The anisotropic well shift-inverts
+    # below its spectrum
     grid = Grid(2, 1.5, 41)
-    H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
+    H, lam, U = dense_levels(text, 0.1, grid)
     cap = lam[top] + 1e-6
     es = eigensolve(H, cap, grid, 0.1)
     assert es.eigenvalues.size == top + 1
     assert_matches_dense(es, H, lam, U)
 
 
-def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch):
-    # a shift-invert operator that is not (H - cap I)^-1, here off by a
+def test_eigensolve_2d_caps_across_the_isotropic_window():
+    # shift-invert at the cap factors the indefinite H - cap I without
+    # pivoting: every cap midway between two of the first 55 levels, and
+    # 1e-9 above each distinct level, meets the dense oracle, from the call
+    # at the cap or, where that fails its checks, from the fallback
+    grid = Grid(2, 1.5, 41)
+    H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
+    distinct = lam[:56][np.diff(lam[:57]) > 1e-8]
+    caps = np.concatenate([0.5 * (distinct[:-1] + distinct[1:]), distinct + 1e-9])
+    for cap in caps:
+        assert_matches_dense(eigensolve(H, cap, grid, 0.1), H, lam, U)
+
+
+def test_eigensolve_2d_cap_within_rounding_of_a_shell_shifts_below(monkeypatch):
+    # 1e-9 above the equal levels 30 and 31 of the isotropic well, the
+    # operator shift-inverted at the cap has norm 1e9, and its call leaves
+    # residuals near 1e-8 ||H||; the solve shifts below the spectrum instead
+    calls = []
+    eigsh = schrodinger.eigsh
+
+    def spying(A, **kwargs):
+        calls.append(kwargs["which"])
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "eigsh", spying)
+    grid = Grid(2, 1.5, 41)
+    H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
+    assert lam[31] - lam[30] < 1e-8 < lam[32] - lam[31]
+    es = eigensolve(H, lam[31] + 1e-9, grid, 0.1)
+    assert calls == ["SA", "LM"]
+    assert_matches_dense(es, H, lam, U)
+
+
+@pytest.mark.parametrize("text, shift", [
+    ("x1^2 + x2^2", "cap"), ("(x1 - 0.3)^2 + x2^2 + 5", "cap"),
+    ("x1^2 + 2*x2^2", "below"), ("x1^2 + x2^2 + 0.2*x1^2*x2^2", "below"),
+    ("x1^4 + x2^4 - x1^2", "below"),
+])
+def test_eigensolve_2d_shift_follows_the_trap(monkeypatch, text, shift):
+    # an isotropic harmonic trap shift-inverts at the cap and takes the
+    # smallest 1 / (lambda - cap); any other potential shift-inverts below
+    # the Gershgorin bound and takes the largest 1 / (lambda - sigma)
+    calls = []
+    eigsh = schrodinger.eigsh
+
+    def spying(A, **kwargs):
+        calls.append((kwargs["sigma"], kwargs["which"]))
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "eigsh", spying)
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
+    cap = 6.0 if "+ 5" in text else 1.0
+    eigensolve(H, cap, grid, 0.1)
+    [(sigma, which)] = calls
+    if shift == "cap":
+        assert (sigma, which) == (cap, "SA")
+    else:
+        assert which == "LM" and sigma < H.diagonal().min() - 4.0 * 0.1 ** 2 / grid.spacing ** 2
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2"])
+def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch, text):
+    # a shift-invert operator that is not (H - sigma I)^-1, here off by a
     # random diagonal of 1e-3, has eigenvectors that are not H's: the
-    # residual check refuses them, and no EigenSystem reaches a CSV
+    # residual check refuses them, and no EigenSystem reaches a CSV; at the
+    # cap (isotropic) and below the spectrum (anisotropic)
     eigsh = schrodinger.eigsh
 
     def corrupted(A, **kwargs):
@@ -610,7 +686,7 @@ def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(schrodinger, "eigsh", corrupted)
     grid = Grid(2, 1.5, 41)
-    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.1, grid)
+    H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
     with pytest.raises(NumericalError, match="residual"):
         eigensolve(H, 1.0, grid, 0.1)
 
