@@ -296,14 +296,15 @@ def _format_value(v):
 # operator pipeline helpers
 
 
-def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0):
+def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0, droplet=False):
     """(grid, H) of the boxed operator whose levels <= mu are wanted.
 
     The grid spacing follows c_h * hbar^{3/2}: the finite-difference
     eigenvalue defect then stays an O(hbar) fraction of the level spacing,
     which the convergence drivers need so the discretization error scales
     with the same power as the semiclassical one.  A solve whose estimated
-    peak memory exceeds _MEMORY_BUDGET is refused before its grid is built.
+    peak memory exceeds _MEMORY_BUDGET is refused before its grid is built,
+    and so are a V not finite there and, with droplet, an empty droplet.
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
@@ -319,7 +320,14 @@ def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0):
         raise ValidationError(f"hbar={hbar:g} is too small to resolve")
     ppa = max(int(math.ceil(steps)) + 1, _MIN_POINTS_PER_AXIS)
     grid = Grid(n, L, _MIN_POINTS_PER_AXIS)
-    pot = V(grid.interior_points())
+    with np.errstate(all="ignore"):
+        pot = V(grid.interior_points())
+    # reductions, not boolean arrays: those moved the peak RSS of `weyl`
+    lo = pot.min()
+    if not (np.isfinite(lo) and np.isfinite(pot.max())):
+        raise ValidationError("the potential is not finite at an interior node")
+    if droplet and not lo < mu:
+        _weyl_constant_of_droplet(V, mu)
     N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
     m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
     need = _solve_peak_bytes(n, m, N_est)
@@ -348,6 +356,15 @@ def _value_at(V, x0):
 # Weyl law
 
 
+def _weyl_constant_of_droplet(V, mu):
+    """weyl_constant(V, mu); an empty droplet, Z = 0, is a ValidationError."""
+    Z = weyl_constant(V, mu)
+    if not Z > 0.0:
+        raise ValidationError(f"the droplet {{V <= {mu:g}}} is empty: mu "
+                              "must exceed the minimum of the potential")
+    return Z
+
+
 def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     """Count eigenvalues below mu and compare with the phase-space volume.
 
@@ -356,20 +373,18 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     and Z integrates (mu - V)_+^{n/2}; the scaled count tends to 1 as hbar
     goes to 0.  The counts are inertias (level_count), with no eigenvectors.
     An empty droplet, Z = 0, whose scaled count would be 0 / 0, is a
-    ValidationError.
+    ValidationError, found before the first grid is built.
     """
     t0 = time.perf_counter()
     n = V.dimension
     counts = [
-        level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h)[1], mu)
+        level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h,
+                                droplet=True)[1], mu)
         for hbar in hbar_list
     ]
     # after the counts, not before them: computing Z first raised the peak
     # RSS of `weyl` on x1^2+x2^2 at hbar 0.1, 0.07 by 4.6 MB
-    Z = weyl_constant(V, mu)
-    if not Z > 0.0:
-        raise ValidationError(f"the droplet {{V <= {mu:g}}} is empty: mu "
-                              "must exceed the minimum of the potential")
+    Z = _weyl_constant_of_droplet(V, mu)
     norm = unit_ball_volume(n) * Z / (2.0 * math.pi) ** n
     rows = []
     for hbar, count in zip(hbar_list, counts):
@@ -413,12 +428,12 @@ def _kernel_convergence(
         grid = eigs.grid
         ax = grid.interior_axis
         phys = x0c + eps * signed * targets
-        idx = np.round((phys - ax[0]) / grid.spacing).astype(int)
-        if np.min(idx) < 0 or np.max(idx) >= ax.size:
+        idx = np.round((phys - ax[0]) / grid.spacing)  # int only once in range
+        if not (np.min(idx) >= 0 and np.max(idx) < ax.size):
             raise ValidationError(
                 f"a probe lies outside the box of half-width {grid.half_width:g}"
             )
-        idx = np.unique(idx)
+        idx = np.unique(idx.astype(int))
         us = (ax[idx] - x0c) / (eps * signed)
         R = eigs.below(mu)[1][idx]
         err = float(np.max(np.abs(
@@ -836,6 +851,9 @@ def sigma_slobodeckij(g):
     A = 2.0 * g.bounding_radius()
     m = 2048 if n == 1 else 160
     h = 2.0 * A / m
+    if not h ** (n + 1) >= sys.float_info.min:  # the ring sum's |z|^{n+1}
+        raise ValidationError(f"the test function is too narrow: the seminorm "
+                              f"lattice step {h:g} to the power {n + 1} underflows")
     ax = -A + h * np.arange(m)
     vals, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
     grads = np.reshape(np.gradient(vals, h), (n,) + vals.shape)

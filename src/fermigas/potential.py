@@ -478,12 +478,13 @@ def choose_box(V, M, margin):
     level = M + margin
     if V.dimension > 2:  # before a 257^n boundary lattice
         raise ValidationError("boxes exist in dimensions 1 and 2 only")
-    inner = droplet_half_width(V, level)  # raises when unconfined
-    L = 0.5 * max(1.0, math.ceil(inner / 0.5))
-    while L <= _MAX_HALF_WIDTH:
-        if L >= inner and _boundary_min(V, L) >= level:
-            return L
-        L += 0.5
+    with np.errstate(all="ignore"):  # a V not finite is refused where used
+        inner = droplet_half_width(V, level)  # raises when unconfined
+        L = 0.5 * max(1.0, math.ceil(inner / 0.5))
+        while L <= _MAX_HALF_WIDTH:
+            if L >= inner and _boundary_min(V, L) >= level:
+                return L
+            L += 0.5
     raise ValidationError(
         f"no box with boundary above {level} found out to half-width "
         f"{_MAX_HALF_WIDTH:g}"

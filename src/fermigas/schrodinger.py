@@ -410,10 +410,10 @@ def _solve_peak_bytes(n, m, N_est):
     1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
     the Agmon check makes.  2-D, for the Lanczos call at k = N: eigsh's
     Lanczos basis and Ritz block (ncv columns each), the N returned
-    vectors, ARPACK's ncv (ncv + 8) work array, and the shift-invert factor
-    of H - sigma I (_lanczos), whose minimum-degree fill took 33-37 m log2 m
-    bytes of RSS for m from 1e4 to 3.6e5 on the square grid (48 here).  m is
-    a float, so a huge grid gives inf rather than an OverflowError.
+    vectors, ARPACK's ncv (ncv + 8) work array, and the LDL^T of H - sigma I
+    (_ldlt), whose minimum-degree fill took 33-37 m log2 m bytes of RSS for
+    m from 1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a
+    huge grid gives inf rather than an OverflowError.
     """
     N = min(N_est, m)
     if n == 1:
@@ -425,31 +425,28 @@ def _solve_peak_bytes(n, m, N_est):
 
 def _lanczos(H, cap, N, shift):
     """The N levels of the 2-D H below cap, ascending, from one Lanczos call
-    shift-inverted at cap (shift "cap") or below the spectrum ("below").
-
-    At cap, nu = 1 / (lambda - cap) is negative on exactly the N levels, so
-    they are the N smallest nu, and the levels just below cap, the largest,
-    converge first (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis
-    and Simon, SIAM J. Matrix Anal. Appl. 15, 1994); the eigenvalues come
-    from a Rayleigh-Ritz step.  Below, sigma lies a tenth of the window
-    [gersh_lo, cap] under the Gershgorin bound gersh_lo, and the N levels are
-    the N largest nu.  A level above cap or a residual above 1e-10 ||H||_inf
-    raises NumericalError.
+    on the LDL^T of H - sigma I (_ldlt), sigma at cap (shift "cap") or below
+    the spectrum ("below"): spectral-transformation Lanczos (Ericsson and
+    Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIAM J. Matrix
+    Anal. Appl. 15, 1994).  At cap, nu = 1 / (lambda - cap) is negative on
+    exactly the N levels, the N smallest nu, and the levels just below cap
+    converge first.  Below, sigma lies a tenth of the window [gersh_lo, cap]
+    under the Gershgorin bound gersh_lo, and the N levels are the N largest
+    nu.  The eigenvalues come from one Rayleigh-Ritz step; a level above cap
+    or a residual above 1e-10 ||H||_inf raises NumericalError.
     """
     m = H.shape[0]
     if shift == "cap":
-        # a factor of its own: reading the count's pivots caches a CSC copy
-        # of U on that factor (11.8 MB at m = 39,601)
-        sigma, which, lu = cap, "SA", _ldlt(H, cap)
+        sigma, which = cap, "SA"
     else:
         row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
         diag = H.diagonal()
         gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
-        # scaled to the window, whatever the energy units; H - sigma I is
-        # positive definite, and a symmetric minimum-degree ordering fills
-        # it in less than eigsh's own COLAMD factor
+        # scaled to the window, whatever the energy units
         sigma, which = gersh_lo - 0.1 * (cap - gersh_lo), "LM"
-        lu = splu((H - sigma * sp.identity(m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    # at the cap too a factor of its own: reading the count's pivots caches
+    # a CSC copy of U on that factor (11.8 MB at m = 39,601)
+    lu = _ldlt(H, sigma)
     OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
     # a fixed start vector: without one ARPACK seeds each call from OS
     # entropy and the eigenvectors differ in the last bits from run to run;
@@ -462,17 +459,10 @@ def _lanczos(H, cap, N, shift):
         raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
     # the factor's memory is free before the checks below allocate
     del lu, OPinv
-    if shift == "cap":
-        # Rayleigh-Ritz: eigsh's cap + 1 / nu loses digits to the shift
-        # (8e-12 off), the Ritz values of H on its vectors do not
-        vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
-        vecs = vecs @ rot
-    else:
-        order = np.argsort(vals)
-        vals = vals[order]
-        # not in place, nor in one expression: either raised a 2-D solve's
-        # peak RSS by 6 MB, through the allocator's reuse of the freed blocks
-        vecs = np.ascontiguousarray(vecs[:, order], dtype=float)
+    # Rayleigh-Ritz: eigsh's sigma + 1 / nu loses digits to the shift (8e-12
+    # off at the cap), the Ritz values of H on its vectors do not
+    vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
+    vecs = vecs @ rot
     if not vals[-1] <= cap:
         raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
                              f"among the {N} levels the inertia counts")
@@ -487,22 +477,16 @@ def _lanczos(H, cap, N, shift):
 def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
-    n=1 counts the levels in (min, cap] by a coarse bisection, which cuts
-    the window into two slices of about N / 2 levels; it places each
-    slice's levels by bisection to 1e-10 ||H||, then finds the eigenvectors
-    by inverse iteration and the eigenvalues by Rayleigh-Ritz, one call per
-    cluster of close levels (_tridiagonal_eigenvectors).  Slices, then
-    clusters, run on min(2, usable CPUs) threads from 2,000 nodes on, with
-    the same bits on any number of threads: the parallel bisection and
-    inverse iteration of Lo, Philippe and Sameh (SIAM J. Sci. Stat. Comput.
-    8, 1987), with each cut's Sturm count shared by both its slices as
-    Demmel, Dhillon and Ren require (ETNA 3, 1995);
-    n=2 counts the N levels below cap by inertia (level_count), then makes
-    one Lanczos call for exactly N levels (_lanczos), shift-inverted at cap
-    for an isotropic harmonic trap (_isotropic_trap), whose shells of equal
-    levels converge first from there, and below the spectrum for any other
-    potential, or where the call at cap fails its checks.
-    N = 0 gives no levels, one factor and no Lanczos call.
+    n=1 by bisection on two spectral slices, then inverse iteration and
+    Rayleigh-Ritz per cluster of close levels, on min(2, usable CPUs)
+    threads from 2,000 nodes on, with the same bits on any number of threads
+    (_tridiagonal_eigenvectors); n=2 counts the N levels below cap by
+    inertia (level_count), then makes one Lanczos call for exactly N levels
+    (_lanczos), shift-inverted at cap for an isotropic harmonic trap
+    (_isotropic_trap), whose shells of equal levels converge first from
+    there, and below the spectrum for any other potential, or where the
+    call at cap fails its checks.  N = 0 gives no levels, one factor and no
+    Lanczos call.
     """
     m = H.shape[0]
     if grid.interior_count != m:
@@ -514,11 +498,8 @@ def eigensolve(H, cap, grid, hbar):
         vals, vecs = _tridiagonal_eigenvectors(H, cap)
         np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
-        # an isotropic trap's shells converge first from the cap (_lanczos);
-        # where the cap lies within rounding of a shell, that operator is too
-        # ill-conditioned to pass the checks, and the solve shifts below the
-        # spectrum instead, as for every other potential.  Tested before the
-        # count, whose factor then reuses the test's freed memory
+        # a cap within rounding of a shell fails the call at the cap; tested
+        # before the count, whose factor then reuses the test's freed memory
         shifts = ["cap"] * _isotropic_trap(H, grid) + ["below"]
         N = level_count(H, cap)
         if N == 0:
@@ -533,8 +514,7 @@ def eigensolve(H, cap, grid, hbar):
                 if shift == shifts[-1]:
                     raise
         vecs = _fix_signs(vecs / scale)
-    return EigenSystem(float(hbar), float(cap), np.asarray(vals, dtype=float),
-                       vecs, grid)
+    return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 
 def _interpolate(grid, columns, points):

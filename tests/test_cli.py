@@ -246,6 +246,13 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     # mu below min V: an empty droplet, Z = 0 and a scaled count of 0 / 0
     WEYL + ["--mu", "-1", "--hbar", "0.05"],
     ["weyl", "--potential", "x1^2+x2^2+1", "--mu", "1", "--hbar", "0.2"],
+    # a bump so narrow that the seminorm lattice step squared underflows
+    ["seminorm", "--n", "1", "--function", "gaussian:width=1e-300"],
+    # a potential that is nan or inf at every node, and probes so far out
+    # that their node indices overflow an int
+    ["weyl", "--potential", "x1^2/0", "--mu", "1", "--hbar", "0.05"],
+    ["converge-edge", "--potential", "x1^2", "--mu", "1", "--x0", "1",
+     "--hbar", "0.01", "--window", "-1e300:1e300"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
@@ -254,6 +261,21 @@ def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
     assert captured.out == ""
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_weyl_refuses_an_empty_droplet_before_any_grid_or_count(
+    monkeypatch, capsys
+):
+    # no node of the coarse estimate lattice lies below mu, so Z is found,
+    # and is 0, before the first grid or inertia count
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid or count ran for an empty droplet")
+
+    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", fail)
+    monkeypatch.setattr("fermigas.experiments.level_count", fail)
+    assert main(["weyl", "--potential", "x1^2+x2^2+1", "--mu", "1",
+                 "--hbar", "0.2,0.1,0.07"]) == 1
+    assert "droplet" in capsys.readouterr().err
 
 
 def test_kernel_projector_needs_potential(capsys):

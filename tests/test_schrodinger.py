@@ -669,6 +669,28 @@ def test_eigensolve_2d_shift_follows_the_trap(monkeypatch, text, shift):
         assert which == "LM" and sigma < H.diagonal().min() - 4.0 * 0.1 ** 2 / grid.spacing ** 2
 
 
+@pytest.mark.parametrize("text", ["x1^4 + x2^4 - x1^2", "x1^2 + 2*x2^2"])
+def test_eigensolve_2d_below_the_spectrum_factors_by_the_symmetric_ldlt(
+    monkeypatch, text
+):
+    # the count and the Lanczos call below the spectrum both factor with
+    # _ldlt: symmetric mode, no pivoting, a symmetric minimum-degree order
+    calls = []
+    splu = schrodinger.splu
+
+    def recording(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "splu", recording)
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
+    eigensolve(H, 1.0, grid, 0.1)
+    ldlt = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True}}
+    assert calls == [ldlt, ldlt]
+
+
 @pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2"])
 def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch, text):
     # a shift-invert operator that is not (H - sigma I)^-1, here off by a
