@@ -32,15 +32,13 @@ from .experiments import (
     weyl_check,
 )
 from .kernels import (
-    KernelEvaluation,
-    KernelKind,
     airy_kernel_1d,
     bulk_kernel,
     edge_kernel,
     free_laplacian_kernel,
 )
 from .potential import parse_potential
-from .schrodinger import agmon_check, rescaled_kernel
+from .schrodinger import agmon_check, node_rows
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to status 2; the contract here is 1.
@@ -209,6 +207,17 @@ def _grid_potential(text):
     return V
 
 
+def _solve(args, cap):
+    """(V, the eigensystem up to cap) of the --potential, --hbar, --margin
+    and --resolution flags; a --n flag, where the command has one, must
+    match the potential's dimension."""
+    V = _grid_potential(args.potential)
+    if getattr(args, "n", V.dimension) != V.dimension:
+        raise ValidationError("--n disagrees with the potential dimension")
+    return V, _solve_window(V, cap, args.hbar, margin=args.margin,
+                            c_h=args.resolution)
+
+
 def _run_weyl(args):
     V = _grid_potential(args.potential)
     rep = weyl_check(
@@ -219,38 +228,40 @@ def _run_weyl(args):
 
 def _run_kernel(args):
     n = args.n
-    ax = args.window
-    pts = np.zeros((ax.size, n))
-    pts[:, 0] = ax
+    pts = np.zeros((args.window.size, n))
+    pts[:, 0] = args.window
+    params = {"kind": args.kind, "n": n}
     if args.kind == "projector":
         if args.potential is None or args.hbar is None:
             raise ValidationError(
                 "kernel --kind projector needs --potential and --hbar"
             )
-        V = _grid_potential(args.potential)
-        if V.dimension != n:
-            raise ValidationError("--n disagrees with the potential dimension")
-        eigs = _solve_window(
-            V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
-        )
-        return rescaled_kernel(eigs, args.mu, pts).to_csv()
-    if args.kind in ("sine", "airy") and n != 1:
-        raise ValidationError(f"the {args.kind} kernel is one-dimensional")
-    kind, params, fn = {
-        "bulk": (KernelKind.BULK, {}, lambda x, y: bulk_kernel(n, x, y)),
-        "sine": (KernelKind.SINE_1D, {}, lambda x, y: bulk_kernel(1, x, y)),
-        "airy": (
-            KernelKind.AIRY_1D, {},
-            lambda x, y: airy_kernel_1d(x[..., 0], y[..., 0]),
-        ),
-        "free": (
-            KernelKind.FREE_LAPLACIAN, {"mu": args.mu},
-            lambda x, y: free_laplacian_kernel(n, args.mu, x, y),
-        ),
-        "edge": (KernelKind.EDGE, {}, lambda x, y: edge_kernel(n, x, y)),
-    }[args.kind]
-    values = fn(pts[:, None], pts[None, :])
-    return KernelEvaluation(kind, n, params, pts, pts, values).to_csv()
+        V, eigs = _solve(args, args.mu)
+        # Pi is exact at the grid nodes: the table reads it at the nodes
+        # nearest the window's points
+        idx, R = node_rows(eigs, args.mu, pts)
+        pts, values = eigs.grid.interior_points()[idx], R @ R.T
+        params.update(potential=V.to_text(), mu=float(args.mu),
+                      hbar=float(args.hbar))
+    else:
+        if args.kind in ("sine", "airy") and n != 1:
+            raise ValidationError(f"the {args.kind} kernel is one-dimensional")
+        if args.kind == "free":
+            params["mu"] = float(args.mu)
+        fn = {
+            "bulk": lambda x, y: bulk_kernel(n, x, y),
+            "sine": lambda x, y: bulk_kernel(1, x, y),
+            "airy": lambda x, y: airy_kernel_1d(x[..., 0], y[..., 0]),
+            "free": lambda x, y: free_laplacian_kernel(n, args.mu, x, y),
+            "edge": lambda x, y: edge_kernel(n, x, y),
+        }[args.kind]
+        values = fn(pts[:, None], pts[None, :])
+    P = len(pts)
+    # one float row per pair (x_i, y_j), x-major
+    rows = np.column_stack([np.repeat(pts, P, axis=0), np.tile(pts, (P, 1)),
+                            np.reshape(values, -1)])
+    columns = [f"{c}{k + 1}" for c in "xy" for k in range(n)] + ["value"]
+    return ExperimentReport("kernel", tuple(columns), rows, params).to_csv()
 
 
 def _run_converge(args):
@@ -269,10 +280,7 @@ def _run_converge(args):
 
 
 def _run_sample(args):
-    V = _grid_potential(args.potential)
-    eigs = _solve_window(
-        V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
-    )
+    V, eigs = _solve(args, args.mu)
     dpp = from_eigensystem(eigs, args.mu)
     rng = RngState(args.seed)
     n = V.dimension
@@ -329,10 +337,7 @@ def _run_seminorm(args):
 
 
 def _run_clt(args):
-    V = _grid_potential(args.potential)
-    eigs = _solve_window(
-        V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
-    )
+    V, eigs = _solve(args, args.mu)
     dpp = from_eigensystem(eigs, args.mu)
     g = _parse_function(args.function, V.dimension)
     rep = clt_monte_carlo(dpp, g(dpp.nodes), args.trials, RngState(args.seed))
@@ -358,13 +363,9 @@ def _run_lln(args):
 
 
 def _run_agmon(args):
-    V = _grid_potential(args.potential)
     if not 0.0 < args.delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
-    eigs = _solve_window(
-        V, args.mu + args.delta, args.hbar,
-        margin=args.margin, c_h=args.resolution,
-    )
+    V, eigs = _solve(args, args.mu + args.delta)
     rep = agmon_check(eigs, V, args.mu, args.delta)
     rows = [
         (float(lam), float(norm), rep.bound)

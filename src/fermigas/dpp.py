@@ -176,19 +176,19 @@ def _infer_weight(points):
     )
 
 
-def from_kernel(kernel_eval):
-    """Validate a sampled symmetric kernel as a DPP and diagonalize it.
+def from_kernel(kernel):
+    """Validate a sampled symmetric kernel (points, values), values[i, j] =
+    K(x_i, x_j), as a DPP and diagonalize it.
 
     The nodes must form a uniform lattice, whose spacings give the
     quadrature weight; the operator matrix is values * weight.  Eigenvalues
     are clipped into [0, 1] when within 1e-6 of the ends and rejected
     beyond that.
     """
-    xs = kernel_eval.x_points
-    ys = kernel_eval.y_points
-    if xs.shape != ys.shape or not np.allclose(xs, ys, atol=0.0):
-        raise ValidationError("from_kernel needs x_points identical to y_points")
-    A = np.asarray(kernel_eval.values, dtype=float)
+    xs, A = kernel
+    A = np.asarray(A, dtype=float)
+    if A.shape != (len(xs), len(xs)):
+        raise ValidationError("from_kernel needs one value per pair of points")
     if not np.allclose(A, A.T, atol=1e-10):
         raise ValidationError("kernel matrix is not symmetric")
     weight = _infer_weight(xs)

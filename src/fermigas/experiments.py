@@ -10,7 +10,6 @@ CSV form is reproducible bit for bit from the parameters and the seed.
 
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +44,7 @@ from .schrodinger import (
     edge_rotation,
     eigensolve,
     level_count,
+    node_rows,
 )
 from .specfun import unit_ball_volume
 
@@ -254,8 +254,7 @@ class ExperimentReport:
     """Parameter rows plus observed/reference values for one experiment.
 
     The CSV form carries the experiment id, all parameters and the seed in
-    '#' header lines; the wall time is kept on the object only, so that the
-    serialized report is a pure function of (parameters, seed).
+    '#' header lines, so that it is a pure function of (parameters, seed).
     """
 
     experiment: str
@@ -263,7 +262,6 @@ class ExperimentReport:
     rows: list
     params: dict = field(default_factory=dict)
     seed: int = None
-    wall_time: float = 0.0
 
     def column(self, name):
         if name not in self.columns:
@@ -375,7 +373,6 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     An empty droplet, Z = 0, whose scaled count would be 0 / 0, is a
     ValidationError, found before the first grid is built.
     """
-    t0 = time.perf_counter()
     n = V.dimension
     counts = [
         level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h,
@@ -390,14 +387,12 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     for hbar, count in zip(hbar_list, counts):
         scaled = hbar ** n * count / norm
         rows.append((float(hbar), count, hbar ** n * count, scaled, scaled - 1.0))
-    report = ExperimentReport(
+    return ExperimentReport(
         "weyl_check",
         ("hbar", "count", "hbar_count", "scaled_count", "deviation"),
         rows,
         params={"potential": V.to_text(), "mu": float(mu), "weyl_constant": Z},
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +409,8 @@ def _kernel_convergence(
     reference(u, v) the limiting kernel at probe offsets u and v, which
     broadcast.  Each probe moves to its nearest interior node, where the
     projector is exact: eps Pi there is a product of the filled eigenvectors'
-    node rows.  A probe outside the interior nodes raises.
+    node rows (node_rows).  A probe outside the box raises.
     """
-    t0 = time.perf_counter()
     # frame^T e_1 is the probe direction; offsets along it carry its sign
     signed = float(frame[0, 0])
     targets = np.linspace(window[0], window[1], probes)
@@ -425,24 +419,15 @@ def _kernel_convergence(
     for hbar in hbar_list:
         eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
         eps = scale(hbar)
-        grid = eigs.grid
-        ax = grid.interior_axis
-        phys = x0c + eps * signed * targets
-        idx = np.round((phys - ax[0]) / grid.spacing)  # int only once in range
-        if not (np.min(idx) >= 0 and np.max(idx) < ax.size):
-            raise ValidationError(
-                f"a probe lies outside the box of half-width {grid.half_width:g}"
-            )
-        idx = np.unique(idx.astype(int))
-        us = (ax[idx] - x0c) / (eps * signed)
-        R = eigs.below(mu)[1][idx]
+        idx, R = node_rows(eigs, mu, (x0c + eps * signed * targets)[:, None])
+        us = (eigs.grid.interior_axis[idx] - x0c) / (eps * signed)
         err = float(np.max(np.abs(
             eps * (R @ R.T) - reference(us[:, None], us[None, :])
         )))
         ratio = math.nan if prev_err is None else err / prev_err
         rows.append((float(hbar), float(eps), err, ratio))
         prev_err = err
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment,
         ("hbar", "eps", "sup_error", "ratio"),
         rows,
@@ -455,8 +440,6 @@ def _kernel_convergence(
             "probes": int(probes),
         },
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def _one_dimensional_x0(V, x0, experiment):
@@ -543,7 +526,6 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     q90).  Every (hbar, trial) cell draws from its own derived RNG stream,
     number ih * trials + t.
     """
-    t0 = time.perf_counter()
     if V.dimension != 1:
         raise ValidationError("lln_wasserstein supports dimension 1 only")
     hbars = [float(h) for h in np.atleast_1d(hbar)]
@@ -566,15 +548,13 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
         rows.append(
             (hb, trials, float(np.mean(w1)), float(q10), float(q50), float(q90))
         )
-    report = ExperimentReport(
+    return ExperimentReport(
         "lln_wasserstein",
         ("hbar", "trials", "mean_w1", "q10", "q50", "q90"),
         rows,
         params={"potential": V.to_text(), "mu": float(mu)},
         seed=rng.seed,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +578,6 @@ def gaussian_tail_check(
     the largest c consistent with every observed frequency; the params
     carry c along with the exact mean and variance of X(f).
     """
-    t0 = time.perf_counter()
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -624,7 +603,7 @@ def gaussian_tail_check(
             c_fit = min(c_fit, -math.log(freq / 2.0) / t ** 2)
     for row in rows:
         row.append(2.0 * math.exp(-c_fit * row[0] ** 2) if c_fit < math.inf else 0.0)
-    report = ExperimentReport(
+    return ExperimentReport(
         "gaussian_tail_check",
         ("t", "frequency", "envelope"),
         [tuple(r) for r in rows],
@@ -641,8 +620,6 @@ def gaussian_tail_check(
         },
         seed=rng.seed,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +663,23 @@ def _fourier_sq_lattice(g):
     return np.abs(ghat) ** 2, xi, dxi
 
 
+def _gaussian_half_line(g, power, start, epsabs=1.49e-8):
+    """int_start^inf rho^power |ghat(rho)|^2 d rho of a gaussian bump g.
+
+    In rho, |ghat|^2 = width^{2n} exp(-(width rho)^2) has the scale
+    1 / width, which quad's map of the half-line misses for a narrow or a
+    wide bump.  In s = width rho the integral is width^{2n - power - 1}
+    int_{width start}^inf s^power |ghat_1(s)|^2 ds, ghat_1 the unit bump's,
+    whose scale is 1 at any width.  epsabs defaults to quad's own.
+    """
+    n, w = g.dimension, g.params["width"]
+    unit = TestFunction.gaussian_bump(n).fourier_sq_profile()
+    val, _ = quad(lambda s: s ** power * unit(s), w * start, math.inf,
+                  limit=200, epsabs=epsabs)
+    # a float product, which overflows to inf where ** would raise
+    return math.prod([w] * (2 * n - power - 1)) * val
+
+
 def free_variance_exact(n, mu, g):
     """Variance of X(g) under the free kernel, by the Plancherel formula.
 
@@ -717,13 +711,7 @@ def free_variance_exact(n, mu, g):
         # a relative tolerance alone: the integrand scales like 1 / mu, so a
         # fixed epsabs is met at once when mu is large enough
         inner, _ = quad(integrand, 0.0, top, limit=400, epsabs=0.0)
-        outer, _ = quad(
-            lambda rho: rho ** (n - 1) * profile(rho),
-            2.0 * mu,
-            math.inf,
-            limit=200,
-            epsabs=1e-13,
-        )
+        outer = _gaussian_half_line(g, n - 1, 2.0 * mu, epsabs=1e-13)
         total = inner + unit_ball_volume(n) * outer
         var = pref * surface * total
     else:
@@ -828,13 +816,8 @@ def sigma_fourier(g):
     other kinds fall back to the frequency lattice.
     """
     n = g.dimension
-    profile = g.fourier_sq_profile()
-    if profile is not None:
-        surface = n * unit_ball_volume(n)
-        val, _ = quad(
-            lambda r: r ** n * profile(r), 0.0, np.inf, limit=200
-        )
-        return surface * val
+    if g.fourier_sq_profile() is not None:
+        return n * unit_ball_volume(n) * _gaussian_half_line(g, n, 0.0)
     w2, xi, dxi = _fourier_sq_lattice(g)
     return float(np.sum(w2 * np.sqrt(np.sum(xi * xi, axis=1)))) * dxi
 
@@ -883,7 +866,6 @@ def mesoscopic_variance_scan(
     reported: ratio_sigma_sq divides by sigma_n^2 (mu - V(x0))^{(n-1)/2}
     Sigma^2(g) and ratio_sigma by the same with sigma_n unsquared.
     """
-    t0 = time.perf_counter()
     n = V.dimension
     if not 0.0 < beta < 1.0:
         raise ValidationError("beta must lie in (0, 1)")
@@ -929,7 +911,7 @@ def mesoscopic_variance_scan(
     }
     for k in range(n):
         params[f"x0_{k + 1}"] = float(x0v[k])
-    report = ExperimentReport(
+    return ExperimentReport(
         "mesoscopic_variance_scan",
         (
             "hbar",
@@ -943,8 +925,6 @@ def mesoscopic_variance_scan(
         rows,
         params=params,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +938,6 @@ def clt_monte_carlo(process, f, trials, rng):
     standardized samples are z = (X(f) - tr fM) / sqrt(var).  Rows are
     (trials, ks_stat, ks_pvalue, skewness, third_moment_se).
     """
-    t0 = time.perf_counter()
     trials = int(trials)
     if trials < 2:
         raise ValidationError("clt_monte_carlo needs at least 2 trials")
@@ -982,15 +961,13 @@ def clt_monte_carlo(process, f, trials, rng):
         "var": var,
         "skew_exact": _exact_skewness(process, fvec, var),
     }
-    report = ExperimentReport(
+    return ExperimentReport(
         "clt_monte_carlo",
         ("trials", "ks_stat", "ks_pvalue", "skewness", "skewness_se"),
         [(trials, float(ks_stat), float(ks_p), skew, skew_se)],
         params=params,
         seed=rng.seed,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def _exact_skewness(process, fvec, var):

@@ -13,7 +13,6 @@ at the droplet's x1 ends, of exact line sections in 2-d.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import cubature, quad, quad_vec
@@ -30,8 +29,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "KernelKind",
-    "KernelEvaluation",
     "EdgeQuadrature",
     "free_kernel_radial",
     "free_laplacian_kernel",
@@ -47,46 +44,6 @@ __all__ = [
 
 # global bound on |Ai| (attained near x = -1.019); used by tail certificates
 _AIRY_SUP = 0.5357
-
-
-class KernelKind(Enum):
-    FREE_LAPLACIAN = "free_laplacian"
-    BULK = "bulk"
-    EDGE = "edge"
-    SINE_1D = "sine1d"
-    AIRY_1D = "airy1d"
-    PROJECTOR = "projector"
-
-
-@dataclass
-class KernelEvaluation:
-    """A kernel sampled on a rectangle of point pairs, CSV-serializable."""
-
-    kind: KernelKind
-    dimension: int
-    params: dict
-    x_points: np.ndarray  # (P, n)
-    y_points: np.ndarray  # (Q, n)
-    values: np.ndarray    # (P, Q), values[i, j] = K(x_i, y_j)
-
-    def to_csv(self):
-        n = self.dimension
-        lines = [f"# kind={self.kind.value}", f"# dimension={n}"]
-        if self.params:
-            pairs = " ".join(
-                f"{k}={self.params[k]:.17g}" if isinstance(self.params[k], float)
-                else f"{k}={self.params[k]}"
-                for k in sorted(self.params)
-            )
-            lines.append(f"# params: {pairs}")
-        cols = [f"x{k+1}" for k in range(n)] + [f"y{k+1}" for k in range(n)]
-        lines.append(",".join(cols + ["value"]))
-        for i, x in enumerate(self.x_points):
-            for j, y in enumerate(self.y_points):
-                row = [f"{c:.17g}" for c in x] + [f"{c:.17g}" for c in y]
-                row.append(f"{self.values[i, j]:.17g}")
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def free_kernel_radial(n, mu, r):
@@ -243,7 +200,8 @@ def edge_kernel(n, x, y, quad_plan=None, tol=1e-8):
 
 
 def free_laplacian_window(n, mu, half, step):
-    """Free-Laplacian kernel sampled on the lattice of [-half, half]^n.
+    """(points, values): the free-Laplacian kernel on every pair of nodes of
+    the lattice of [-half, half]^n, values[i, j] = K(x_i, x_j).
 
     Exploits translation invariance: only one Bessel evaluation per distinct
     node distance, so dense windows stay cheap.
@@ -260,10 +218,7 @@ def free_laplacian_window(n, mu, half, step):
     sq = sum((d[:, None] - d[None, :]) ** 2 for d in lattice(np.arange(m), n).T)
     uniq, inv = np.unique(sq, return_inverse=True)
     radii = step * np.sqrt(uniq.astype(float))
-    values = free_kernel_radial(n, mu, radii)[inv].reshape(sq.shape)
-    return KernelEvaluation(
-        KernelKind.FREE_LAPLACIAN, n, {"mu": float(mu)}, pts, pts, values
-    )
+    return pts, free_kernel_radial(n, mu, radii)[inv].reshape(sq.shape)
 
 
 # Z: samples on the x1 lattice and each 2-d line, Gauss-Legendre per piece

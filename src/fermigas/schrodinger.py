@@ -3,10 +3,10 @@
 A truncated box with Dirichlet boundary carries a second-order central
 difference Hamiltonian.  Its eigenpairs below an energy cap form an
 EigenSystem, and EigenSystem.below(mu) selects the filled levels <= mu that
-every consumer shares: the convergence drivers, which read the projector
-off the rows of grid nodes, the projector table of the kernel command,
-interpolated between nodes, the DPP and the Agmon-weighted norms, which
-quantify how strongly eigenfunctions stick to the classically allowed
+every consumer shares: the convergence drivers and the projector table of
+the kernel command, which read the projector off the rows of the grid nodes
+nearest their points (node_rows), the DPP and the Agmon-weighted norms,
+which quantify how strongly eigenfunctions stick to the classically allowed
 region.
 """
 
@@ -22,7 +22,6 @@ from scipy.linalg import cython_lapack, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
-from .kernels import KernelEvaluation, KernelKind
 from .potential import lattice
 from .specfun import unit_ball_volume
 
@@ -32,7 +31,7 @@ __all__ = [
     "assemble_hamiltonian",
     "level_count",
     "eigensolve",
-    "rescaled_kernel",
+    "node_rows",
     "edge_rotation",
     "agmon_check",
 ]
@@ -517,57 +516,27 @@ def eigensolve(H, cap, grid, hbar):
     return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 
-def _interpolate(grid, columns, points):
-    """Multilinear interpolant of the interior columns at points (m, n).
+def node_rows(eigs, mu, points):
+    """(idx, R): the interior nodes nearest the points (m, n) and their rows
+    of the filled levels <= mu, so that R @ R.T is the projector Pi there.
 
-    The interpolator is built only on the axis nodes that bracket some
-    point, so no copy of the whole (G, K) block is made; boundary nodes
-    carry the Dirichlet zero.  Both searchsorted sides are kept, so a point
-    on a node finds the same node pair as on the full axis.
+    Each coordinate rounds to its nearest interior node on its own axis;
+    idx holds the flat x1-major indices of those nodes, ascending, each
+    once.  A point outside the box raises.
     """
-    # imported on use, so that only kernel --kind projector loads it
-    from scipy.interpolate import RegularGridInterpolator
-
-    mi = grid.points_per_axis - 2
-    axis = grid.axis
-    nodes = []
-    for p in points.T:
-        i = np.concatenate([
-            np.searchsorted(axis, p, side="left"),
-            np.searchsorted(axis, p, side="right"),
-        ]) - 1
-        nodes.append(np.unique(np.clip(np.concatenate([i, i + 1]), 0, mi + 1)))
-    block = columns.reshape((mi,) * grid.dimension + (-1,))
-    values = block[np.ix_(*[np.clip(i - 1, 0, mi - 1) for i in nodes])]
-    for k, i in enumerate(nodes):
-        values[(slice(None),) * k + ((i == 0) | (i == mi + 1),)] = 0.0
-    interp = RegularGridInterpolator(
-        tuple(axis[i] for i in nodes), values, method="linear", bounds_error=True
-    )
-    return interp(points)
-
-
-def rescaled_kernel(eigs, mu, points):
-    """Pi(x, y) on every pair of the points (m, n): the projector onto the
-    levels <= mu, as the kernel command tabulates it.
-
-    Eigenfunctions are interpolated multilinearly between grid nodes, so
-    point spacings should stay a few grid spacings wide.  Points outside
-    the box raise.  The params record eps = 1 and x0 = 0: the rescaling
-    is the identity.
-    """
-    lam, vecs = eigs.below(mu)
     grid = eigs.grid
-    n = grid.dimension
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.max(np.abs(pts)) > grid.half_width:
-        raise ValidationError("a kernel point lies outside the box")
-    params = {"hbar": eigs.hbar, "mu": float(mu), "eps": 1.0}
-    for k in range(n):
-        params[f"x0_{k + 1}"] = 0.0
-    # no filled level leaves no columns to interpolate
-    A = _interpolate(grid, vecs, pts) if lam.size else np.zeros((len(pts), 0))
-    return KernelEvaluation(KernelKind.PROJECTOR, n, params, pts, pts, A @ A.T)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != grid.dimension:
+        raise ValidationError(f"points must form an (m, {grid.dimension}) array")
+    if not np.all(np.abs(pts) <= grid.half_width):  # nan too
+        raise ValidationError(
+            f"a point lies outside the box of half-width {grid.half_width:g}"
+        )
+    mi = grid.points_per_axis - 2
+    axes = np.clip(np.round((pts - grid.interior_axis[0]) / grid.spacing), 0,
+                   mi - 1).astype(int)
+    idx = np.unique(np.ravel_multi_index(tuple(axes.T), (mi,) * grid.dimension))
+    return idx, eigs.below(mu)[1][idx]
 
 
 def edge_rotation(grad):

@@ -17,6 +17,7 @@ from fermigas import kernels
 from fermigas.cli import _build_parser, _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import _solve_window
+from fermigas.potential import parse_potential
 from oracles import airy_oracle, airy_prime_oracle
 
 
@@ -294,6 +295,36 @@ def test_kernel_projector_tabulates_physical_kernel(tmp_path):
     diag = {r[0]: float(r[2]) for r in rows if r[0] == r[1]}
     # density is positive and roughly flat deep inside the droplet
     assert all(v > 0.0 for v in diag.values())
+
+
+@pytest.mark.parametrize("n, potential", [(1, "x1^2"), (2, "x1^2+x2^2")])
+def test_kernel_projector_reads_pi_at_the_nearest_nodes(n, potential, tmp_path):
+    # Pi is exact at the grid nodes; each window point moves to its nearest
+    # interior node, which the table prints: -0.495 for -0.5 at hbar = 0.05
+    argv = ["kernel", "--kind", "projector", "--n", str(n), "--potential",
+            potential, "--mu", "1", "--hbar", "0.05", "--window", "-0.5:0:0.25"]
+    code, text = run(argv, tmp_path)
+    assert code == 0
+    assert text.startswith("# experiment=kernel\n# hbar=0.050000000000000003\n"
+                           f"# kind=projector\n# mu=1\n# n={n}\n")
+    cols, rows = data_rows(text)
+    assert cols == [f"{c}{k + 1}" for c in "xy" for k in range(n)] + ["value"]
+    es = _solve_window(parse_potential(potential), 1.0, 0.05)
+    nodes = es.grid.interior_points()
+    idx = [int(np.argmin(np.sum((nodes - [x, 0.0][:n]) ** 2, axis=1)))
+           for x in (-0.5, -0.25, 0.0)]
+    assert float(rows[0][0]) == pytest.approx(-0.495, abs=1e-12)
+    vecs = es.below(1.0)[1]
+    for row, (i, j) in zip(rows, [(i, j) for i in idx for j in idx]):
+        assert [float(c) for c in row[:2 * n]] == [*nodes[i], *nodes[j]]
+        assert float(row[-1]) == pytest.approx(vecs[i] @ vecs[j], rel=1e-12,
+                                               abs=1e-12)
+
+
+def test_kernel_projector_point_outside_the_box_exits_one(capsys):
+    assert main(["kernel", "--kind", "projector", "--potential", "x1^2",
+                 "--mu", "1", "--hbar", "0.05", "--window", "0:50:10"]) == 1
+    assert "outside the box" in capsys.readouterr().err
 
 
 def test_sample_is_byte_deterministic(tmp_path):
@@ -588,10 +619,10 @@ DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.ndimage")
 
 
 def test_cli_import_defers_the_scipy_packages_of_one_command_each():
-    # variance and seminorm use scipy.signal, kernel --kind projector
-    # scipy.interpolate and agmon scipy.ndimage: no module imports them at
-    # load time.  scipy.stats, which clt loads with the CLI, brings in the
-    # last two itself, so only scipy.signal stays out of sys.modules.
+    # variance and seminorm use scipy.signal and agmon scipy.ndimage; no
+    # module imports them, or scipy.interpolate, which nothing uses, at load
+    # time.  scipy.stats, which clt loads with the CLI, brings in the last
+    # two itself, so only scipy.signal stays out of sys.modules.
     for path in sorted((SRC / "fermigas").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)

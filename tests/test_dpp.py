@@ -22,12 +22,7 @@ from fermigas.dpp import (
 from fermigas import dpp as dpp_module
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import _exact_skewness, _solve_window
-from fermigas.kernels import (
-    KernelEvaluation,
-    KernelKind,
-    bulk_kernel,
-    free_laplacian_window,
-)
+from fermigas.kernels import bulk_kernel, free_laplacian_window
 from fermigas.potential import parse_potential
 from fermigas.schrodinger import Grid, assemble_hamiltonian, eigensolve
 
@@ -87,9 +82,7 @@ def test_rng_state_validation():
 
 def test_from_kernel_sine_window():
     xs = np.arange(-2.0, 2.0001, 0.02)[:, None]
-    ke = KernelEvaluation(
-        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
-    )
+    ke = (xs, bulk_kernel(1, xs[:, None], xs[None, :]))
     gd = from_kernel(ke)
     assert np.all(gd.q >= 0.0) and np.all(gd.q <= 1.0)
     # density one: expected count equals the window length
@@ -102,9 +95,7 @@ def test_from_kernel_sine_window():
 
 def test_from_kernel_zero_kernel_is_empty():
     xs = np.linspace(-1.0, 1.0, 21)[:, None]
-    ke = KernelEvaluation(
-        KernelKind.SINE_1D, 1, {}, xs, xs, np.zeros((21, 21))
-    )
+    ke = (xs, np.zeros((21, 21)))
     gd = from_kernel(ke)
     assert gd.q.size == 0
     assert len(sample(gd, RngState(1))) == 0
@@ -130,9 +121,10 @@ def test_dpp_rejects_bad_weights_and_rows():
 def test_from_kernel_rejects_invalid_kernel():
     xs = np.linspace(-1.0, 1.0, 9)[:, None]
     bad = np.eye(9) * 100.0  # operator norm far above 1 after weighting
-    ke = KernelEvaluation(KernelKind.SINE_1D, 1, {}, xs, xs, bad)
     with pytest.raises(ValidationError, match="not a DPP kernel"):
-        from_kernel(ke)
+        from_kernel((xs, bad))
+    with pytest.raises(ValidationError, match="one value per pair"):
+        from_kernel((xs, bad[:, :8]))
 
 
 @pytest.mark.parametrize("nodes, message", [
@@ -143,9 +135,8 @@ def test_from_kernel_needs_a_uniform_lattice(nodes, message):
     # the lattice spacing is the only source of the quadrature weight
     xs = np.asarray(nodes)[:, None]
     values = 0.1 * np.eye(xs.shape[0])
-    ke = KernelEvaluation(KernelKind.SINE_1D, 1, {}, xs, xs, values)
     with pytest.raises(ValidationError, match=message):
-        from_kernel(ke)
+        from_kernel((xs, values))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +182,7 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
     per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
     monkeypatch.setattr(dpp_module, "_BLOCK_BYTES", 3 * per_trial)
     xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    thinned = from_kernel(KernelEvaluation(
-        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
-    ))
+    thinned = from_kernel((xs, bulk_kernel(1, xs[:, None], xs[None, :])))
     for nodes_per_k2 in (4, 10 ** 9):  # the tree path, then the dense one
         monkeypatch.setattr(dpp_module, "_TREE_NODES_PER_K2", nodes_per_k2)
         for process in (dpp, thinned):
@@ -336,9 +325,7 @@ def test_thinned_sampler_matches_laplace_functional():
     # a kernel that is not a projection is sampled by Bernoulli thinning of
     # its spectral rows before the chain rule
     xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    ke = KernelEvaluation(
-        KernelKind.SINE_1D, 1, {}, xs, xs, bulk_kernel(1, xs[:, None], xs[None, :])
-    )
+    ke = (xs, bulk_kernel(1, xs[:, None], xs[None, :]))
     gd = from_kernel(ke)
     assert not gd.is_projection
     x = xs.ravel()
@@ -455,9 +442,9 @@ def test_variance_formulas_agree(fermions):
 
 
 def test_variance_formulas_agree_for_general_kernel():
-    ke = free_laplacian_window(1, 8.0, 2.0, 0.05)
-    gd = from_kernel(ke)
-    x = ke.x_points.ravel()
+    xs, values = free_laplacian_window(1, 8.0, 2.0, 0.05)
+    gd = from_kernel((xs, values))
+    x = xs.ravel()
     f = np.exp(-x ** 2)
     v1 = var_linear_stat(gd, f, "trace")
     v2 = var_linear_stat(gd, f, "commutator")
@@ -498,9 +485,8 @@ def test_variance_grows_with_mu_2d_free_laplacian():
     variances = []
     for mu in (10.0, 20.0, 40.0):
         step = 0.05 if mu <= 20 else 0.025
-        ke = free_laplacian_window(2, mu, 0.5, step)
-        gd = from_kernel(ke)
-        pts = ke.x_points
+        pts, values = free_laplacian_window(2, mu, 0.5, step)
+        gd = from_kernel((pts, values))
         f = np.exp(-np.sum(pts * pts, axis=1) / 0.08)
         variances.append(var_linear_stat(gd, f))
     assert variances[0] < variances[1] < variances[2]

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from fermigas import kernels
+from fermigas import __version__, kernels
+from fermigas.cli import main
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.kernels import (
     EdgeQuadrature,
-    KernelEvaluation,
-    KernelKind,
     _airy_envelope,
     airy_kernel_1d,
     bulk_kernel,
@@ -448,16 +447,13 @@ def test_edge_scale_examples():
 
 
 # ---------------------------------------------------------------------------
-# KernelEvaluation container
+# kernel tables: values on every pair of a set of points
 
 
 def test_kernel_evaluation_symmetric_on_shared_points():
     pts = np.array([[0.0], [0.4], [1.1]])
-    ke = KernelEvaluation(
-        KernelKind.BULK, 1, {}, pts, pts,
-        bulk_kernel(1, pts[:, None], pts[None, :]),
-    )
-    assert np.allclose(ke.values, ke.values.T, atol=1e-15)
+    values = bulk_kernel(1, pts[:, None], pts[None, :])
+    assert np.allclose(values, values.T, atol=1e-15)
 
 
 def test_kernel_evaluation_translation_invariance():
@@ -466,31 +462,22 @@ def test_kernel_evaluation_translation_invariance():
     shift = np.array([0.77, -1.3])
 
     def tabulate(a, b):
-        values = free_laplacian_kernel(2, 2.0, a[:, None], b[None, :])
-        return KernelEvaluation(
-            KernelKind.FREE_LAPLACIAN, 2, {"mu": 2.0}, a, b, values
-        )
+        return free_laplacian_kernel(2, 2.0, a[:, None], b[None, :])
 
-    base = tabulate(xs, ys)
-    moved = tabulate(xs + shift, ys + shift)
-    assert np.allclose(base.values, moved.values, atol=1e-12)
+    assert np.allclose(tabulate(xs, ys), tabulate(xs + shift, ys + shift),
+                       atol=1e-12)
 
 
-def test_kernel_evaluation_csv_layout():
-    xs = np.array([[0.0], [0.5]])
-    ys = np.array([[0.0], [0.25]])
-    ke = KernelEvaluation(
-        KernelKind.SINE_1D, 1, {"mu": 1.0}, xs, ys,
-        bulk_kernel(1, xs[:, None], ys[None, :]),
-    )
-    text = ke.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "# kind=sine1d"
-    assert lines[1] == "# dimension=1"
-    assert lines[2].startswith("# params:")
-    assert lines[3] == "x1,y1,value"
-    assert len(lines) == 4 + 4
-    x, y, v = lines[4].split(",")
+def test_kernel_evaluation_csv_layout(capsys):
+    # the kernel command writes its table as an ExperimentReport
+    assert main(["kernel", "--kind", "sine", "--window", "0:0.5:0.5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[:4] == ["# experiment=kernel", "# kind=sine", "# n=1",
+                         f"# fermigas={__version__}"]
+    assert lines[4] == "x1,y1,value"
+    assert len(lines) == 5 + 4
+    x, y, v = lines[6].split(",")
+    assert (x, y) == ("0", "0.5")
     assert float(v) == pytest.approx(
         bulk_kernel(1, [float(x)], [float(y)]), abs=1e-15
     )

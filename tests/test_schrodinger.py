@@ -30,7 +30,7 @@ from fermigas.schrodinger import (
     assemble_hamiltonian,
     edge_rotation,
     eigensolve,
-    rescaled_kernel,
+    node_rows,
 )
 from oracles import hermite_functions
 
@@ -818,15 +818,6 @@ def test_bulk_convergence_reads_the_projector_on_nodes(monkeypatch):
     assert rep.column("sup_error")[0] == pytest.approx(want, rel=1e-15)
 
 
-def test_edge_convergence_does_not_interpolate(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the convergence drivers read grid nodes")
-
-    monkeypatch.setattr(schrodinger, "_interpolate", refuse)
-    rep = edge_convergence(parse_potential("x1^2"), 1.0, 1.0, [0.02])
-    assert np.isfinite(rep.column("sup_error")[0])
-
-
 def test_edge_convergence_mirrors_across_an_even_potential():
     # the left edge probes along -x1; mirrored probes give the same error
     V = parse_potential("x1^4-x1^2")
@@ -836,10 +827,63 @@ def test_edge_convergence_mirrors_across_an_even_potential():
     np.testing.assert_allclose(left, right, rtol=1e-12, atol=0.0)
 
 
-def test_rescaled_kernel_probe_outside_box():
+def test_node_rows_point_outside_box():
     es = harmonic_eigensystem()
-    with pytest.raises(ValidationError, match="outside"):
-        rescaled_kernel(es, 1.0, [[5.0]])
+    for point in (5.0, -3.0001, math.nan):
+        with pytest.raises(ValidationError, match="outside"):
+            node_rows(es, 1.0, [[point]])
+    # a flat list of 1-D points, or 2-D points, is not read as (m, 1)
+    for points in ([0.0, 0.1], [[0.0, 0.1]]):
+        with pytest.raises(ValidationError, match=r"\(m, 1\) array"):
+            node_rows(es, 1.0, points)
+
+
+@functools.cache
+def small_eigensystem(n):
+    """A harmonic trap at hbar = 0.15 on a small grid, 59 or 29^2 nodes:
+    3 levels <= 1 in 1-D, 6 in 2-D, none of them near 1."""
+    V = parse_potential("x1^2" if n == 1 else "x1^2 + x2^2")
+    grid = Grid(n, 2.0, 61 if n == 1 else 31)
+    return eigensolve(assemble_hamiltonian(V, 0.15, grid), 1.0, grid, 0.15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_node_rows_read_the_projector_at_the_nearest_nodes(n, data):
+    es = small_eigensystem(n)
+    grid = es.grid
+    L = grid.half_width
+    pts = np.array(data.draw(st.lists(
+        st.lists(st.floats(-L, L), min_size=n, max_size=n),
+        min_size=1, max_size=40,
+    )))
+    idx, R = node_rows(es, 1.0, pts)
+    assert np.array_equal(idx, np.unique(idx))
+    # every point's nearest interior node is among idx, within half a step
+    # on each axis unless the point lies beyond the outermost node
+    nodes = grid.interior_points()[idx]
+    gap = np.abs(pts[:, None, :] - nodes[None, :, :])
+    edge = np.abs(pts) > grid.interior_axis[-1]
+    near = (gap <= 0.5 * grid.spacing * (1 + 1e-12)) | edge[:, None, :]
+    assert np.all(np.any(np.all(near, axis=2), axis=1))
+    # the rows are the filled eigenvectors' rows at idx, bit for bit, so
+    # R R^T is the full projector restricted to idx; the two products agree
+    # to a few ulps only, as BLAS picks its kernel by the matrix shape
+    assert np.array_equal(R, es.below(1.0)[1][idx])
+    full = projector_matrix(es, 1.0)
+    ulp = np.finfo(float).eps * np.abs(full).max()
+    np.testing.assert_allclose(R @ R.T, full[np.ix_(idx, idx)], rtol=0.0,
+                               atol=4.0 * ulp)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_rows_over_every_node_trace_the_count(n):
+    es = small_eigensystem(n)
+    idx, R = node_rows(es, 1.0, es.grid.interior_points())
+    assert np.array_equal(idx, np.arange(es.grid.interior_count))
+    N = es.below(1.0)[0].size
+    assert N == (3 if n == 1 else 6)
+    assert np.trace(R @ R.T) * es.grid.weight == pytest.approx(N, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
