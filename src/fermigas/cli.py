@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentReport,
     TestFunction,
     _solve_window,
+    _weyl_constant_of_droplet,
     bulk_convergence,
     clt_monte_carlo,
     edge_convergence,
@@ -337,9 +338,17 @@ def _run_seminorm(args):
 
 
 def _run_clt(args):
-    V, eigs = _solve(args, args.mu)
-    dpp = from_eigensystem(eigs, args.mu)
+    V = _grid_potential(args.potential)
     g = _parse_function(args.function, V.dimension)
+    eigs = _solve_window(V, args.mu, args.hbar, margin=args.margin,
+                         c_h=args.resolution)
+    # refused before g is evaluated: on one node its statistic shows nothing
+    if not g.support_radius() >= eigs.grid.spacing:
+        raise ValidationError(
+            f"the test function's support radius {g.support_radius():g} is "
+            f"below the grid spacing {eigs.grid.spacing:g}"
+        )
+    dpp = from_eigensystem(eigs, args.mu)
     rep = clt_monte_carlo(dpp, g(dpp.nodes), args.trials, RngState(args.seed))
     rep.params["potential"] = V.to_text()
     rep.params["mu"] = float(args.mu)
@@ -366,6 +375,8 @@ def _run_agmon(args):
     if not 0.0 < args.delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
     V, eigs = _solve(args, args.mu + args.delta)
+    if eigs.below(args.mu)[0].size == 0:  # no row: is {V <= mu} empty?
+        _weyl_constant_of_droplet(V, args.mu)
     rep = agmon_check(eigs, V, args.mu, args.delta)
     rows = [
         (float(lam), float(norm), rep.bound)

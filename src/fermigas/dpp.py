@@ -78,19 +78,18 @@ class PointConfiguration:
 class DPP:
     """Process with kernel matrix features^T diag(q) features on grid nodes.
 
-    features[k, i] = sqrt(weight) * v_k(node_i), so the rows are orthonormal
-    in the plain Euclidean product and each spectral weight q_k lies in
+    features[k, i] = sqrt(w) * v_k(node_i), w the quadrature weight of a
+    node, so the rows are orthonormal in the plain Euclidean product and
+    each spectral weight q_k lies in
     [0, 1].  Without q every weight is one and the process is the rank-N
     projection: it always has exactly N points.
     """
 
-    def __init__(self, features, nodes, weight, q=None):
+    def __init__(self, features, nodes, q=None):
         features = np.atleast_2d(np.asarray(features, dtype=float))
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         if features.shape[1] != nodes.shape[0]:
             raise ValidationError("features and nodes disagree on node count")
-        if weight <= 0.0:
-            raise ValidationError("weight must be positive")
         q = np.ones(features.shape[0]) if q is None else np.asarray(q, dtype=float)
         if q.shape != (features.shape[0],):
             raise ValidationError("need one spectral weight per feature row")
@@ -98,7 +97,6 @@ class DPP:
             raise ValidationError("spectral weights must lie in [0, 1]")
         self.features = features
         self.nodes = nodes
-        self.weight = float(weight)
         self.q = q
         self.is_projection = bool(np.all(q == 1.0))
         # B = sqrt(q) features; a projection uses its features unscaled and
@@ -151,7 +149,7 @@ def from_eigensystem(eigs, mu):
     _, vecs = eigs.below(mu)
     # rows contiguous: the layout every sampler and trace GEMM has rounded in
     features = np.multiply(math.sqrt(eigs.grid.weight), vecs.T, order="C")
-    return DPP(features, eigs.grid.interior_points(), eigs.grid.weight)
+    return DPP(features, eigs.grid.interior_points())
 
 
 def _infer_weight(points):
@@ -200,7 +198,7 @@ def from_kernel(kernel):
         )
     q = np.clip(q, 0.0, 1.0)
     keep = q > 1e-12
-    return DPP(U[:, keep].T, xs, weight, q[keep])
+    return DPP(U[:, keep].T, xs, q[keep])
 
 
 # Bytes allowed for one block of T trials' working arrays: the dense path's

@@ -19,6 +19,7 @@ from scipy.stats import kstest
 
 from . import __version__
 from .dpp import (
+    _as_grid_function,
     _compressed,
     from_eigensystem,
     mean_linear_stat,
@@ -55,6 +56,7 @@ __all__ = [
     "bulk_convergence",
     "edge_convergence",
     "lln_wasserstein",
+    "w1_to_reference",
     "gaussian_tail_check",
     "free_variance_exact",
     "free_variance_bruteforce",
@@ -81,9 +83,12 @@ _OFFSET_BYTES = 80
 # Weyl estimate behind the memory check
 _MIN_POINTS_PER_AXIS = 201
 
-# |width * rho| past which a gaussian bump's |ghat|^2 = exp(-(width rho)^2)
-# is 0.0 in floating point (it underflows from 27.3 on)
+# s = width * rho past which a gaussian bump's |ghat|^2, proportional to
+# exp(-s^2), is 0.0 in floating point (it underflows from 27.3 on)
 _GAUSSIAN_CUTOFF = 30.0
+
+# the thresholds t of gaussian_tail_check's rows
+_TAIL_THRESHOLDS = (0.5, 1.0, 1.5, 2.0)
 
 
 def _point(x, n, name):
@@ -201,26 +206,6 @@ class TestFunction:
             )
         raise ValidationError("rescale supports the gaussian and indicator kinds")
 
-    def fourier_sq_profile(self):
-        """Radial |ghat|^2 in the unitary convention, or None.
-
-        Only the gaussian bump has a closed form here: the modulus is
-        independent of the center and equals width^{2n} exp(-width^2 rho^2).
-        """
-        if self.kind != "gaussian_bump":
-            return None
-        w = self.params["width"]
-        n = self.dimension
-
-        def profile(rho):
-            wr = w * rho
-            # tested first: the square of a huge wr raises OverflowError
-            if abs(wr) > _GAUSSIAN_CUTOFF:
-                return 0.0
-            return w ** (2 * n) * np.exp(-wr ** 2)
-
-        return profile
-
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         scalar = pts.ndim == 0
@@ -294,7 +279,7 @@ def _format_value(v):
 # operator pipeline helpers
 
 
-def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0, droplet=False):
+def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0):
     """(grid, H) of the boxed operator whose levels <= mu are wanted.
 
     The grid spacing follows c_h * hbar^{3/2}: the finite-difference
@@ -302,7 +287,8 @@ def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0, droplet=False):
     which the convergence drivers need so the discretization error scales
     with the same power as the semiclassical one.  A solve whose estimated
     peak memory exceeds _MEMORY_BUDGET is refused before its grid is built,
-    and so are a V not finite there and, with droplet, an empty droplet.
+    and so are a V not finite there and an empty droplet {V <= mu}, whose
+    Weyl constant is computed only when no node there lies below mu.
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
@@ -324,7 +310,7 @@ def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0, droplet=False):
     lo = pot.min()
     if not (np.isfinite(lo) and np.isfinite(pot.max())):
         raise ValidationError("the potential is not finite at an interior node")
-    if droplet and not lo < mu:
+    if not lo < mu:
         _weyl_constant_of_droplet(V, mu)
     N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
     m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
@@ -371,12 +357,11 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     and Z integrates (mu - V)_+^{n/2}; the scaled count tends to 1 as hbar
     goes to 0.  The counts are inertias (level_count), with no eigenvectors.
     An empty droplet, Z = 0, whose scaled count would be 0 / 0, is a
-    ValidationError, found before the first grid is built.
+    ValidationError, found before the first grid is built (_solve_grid).
     """
     n = V.dimension
     counts = [
-        level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h,
-                                droplet=True)[1], mu)
+        level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h)[1], mu)
         for hbar in hbar_list
     ]
     # after the counts, not before them: computing Z first raised the peak
@@ -522,13 +507,13 @@ def w1_to_reference(points, taxis, ref_cdf):
 def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     """Wasserstein distance of empirical measures to the limiting density.
 
-    Accepts one hbar or a list; rows are (hbar, trials, mean_w1, q10, q50,
-    q90).  Every (hbar, trial) cell draws from its own derived RNG stream,
-    number ih * trials + t.
+    Rows are (hbar, trials, mean_w1, q10, q50, q90), one per hbar of the
+    list hbar.  Every (hbar, trial) cell draws from its own derived RNG
+    stream, number ih * trials + t.
     """
     if V.dimension != 1:
         raise ValidationError("lln_wasserstein supports dimension 1 only")
-    hbars = [float(h) for h in np.atleast_1d(hbar)]
+    hbars = [float(h) for h in hbar]
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -561,33 +546,22 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
 # Gaussian concentration of linear statistics
 
 
-def gaussian_tail_check(
-    V,
-    mu,
-    f,
-    hbar,
-    trials,
-    rng,
-    thresholds=(0.5, 1.0, 1.5, 2.0),
-    margin=1.0,
-    c_h=2.0,
-):
-    """Exceedance frequencies of |X(f) - mean| / sqrt(hbar N).
+def gaussian_tail_check(V, mu, f, hbar, trials, rng, margin=1.0, c_h=2.0):
+    """Exceedance frequencies of |X(f) - mean| / sqrt(hbar N), f a TestFunction.
 
-    Rows are (t, frequency, envelope) where envelope = 2 exp(-c t^2) uses
-    the largest c consistent with every observed frequency; the params
-    carry c along with the exact mean and variance of X(f).
+    Rows are (t, frequency, envelope) for t in _TAIL_THRESHOLDS, where
+    envelope = 2 exp(-c t^2) uses the largest c consistent with every
+    observed frequency; the params carry c along with the exact mean and
+    variance of X(f).
     """
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if not all(t > 0.0 for t in thresholds):
-        raise ValidationError("thresholds must be positive")
     eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
     dpp = from_eigensystem(eigs, mu)
     if dpp.N == 0:
         raise ValidationError("no levels below mu: the process is empty")
-    fvec = f(dpp.nodes) if isinstance(f, TestFunction) else np.asarray(f, float)
+    fvec = f(dpp.nodes)
     mean = mean_linear_stat(dpp, fvec)
     var = var_linear_stat(dpp, fvec)
     scale = math.sqrt(hbar * dpp.N)
@@ -596,7 +570,7 @@ def gaussian_tail_check(
     deviations = np.abs(stats - mean) / scale
     rows = []
     c_fit = math.inf
-    for t in thresholds:
+    for t in _TAIL_THRESHOLDS:
         freq = float(np.mean(deviations > t))
         rows.append([float(t), freq])
         if freq > 0.0:
@@ -663,29 +637,39 @@ def _fourier_sq_lattice(g):
     return np.abs(ghat) ** 2, xi, dxi
 
 
-def _gaussian_half_line(g, power, start, epsabs=1.49e-8):
-    """int_start^inf rho^power |ghat(rho)|^2 d rho of a gaussian bump g.
+def _gaussian_fourier(g, p, a, b=math.inf, weight=lambda rho: 1.0, **opts):
+    """int_a^b rho^p |ghat(rho)|^2 weight(rho) d rho of a gaussian bump g.
 
-    In rho, |ghat|^2 = width^{2n} exp(-(width rho)^2) has the scale
-    1 / width, which quad's map of the half-line misses for a narrow or a
-    wide bump.  In s = width rho the integral is width^{2n - power - 1}
-    int_{width start}^inf s^power |ghat_1(s)|^2 ds, ghat_1 the unit bump's,
-    whose scale is 1 at any width.  epsabs defaults to quad's own.
+    In the unitary convention |ghat|^2 = width^{2n} exp(-(width rho)^2),
+    whose scale 1 / width quad misses for a narrow or a wide bump.  In
+    s = width rho the integral is width^{2n - p - 1} times
+    int_{width a}^{width b} s^p exp(-s^2) weight(s / width) ds, whose
+    scale is 1 at any width; 0 <= a, and opts go to quad.  A finite range
+    ends at _GAUSSIAN_CUTOFF: over a long one quad's nodes would step over
+    the bump (0.0 at mu = 1e6).
     """
     n, w = g.dimension, g.params["width"]
-    unit = TestFunction.gaussian_bump(n).fourier_sq_profile()
-    val, _ = quad(lambda s: s ** power * unit(s), w * start, math.inf,
-                  limit=200, epsabs=epsabs)
+
+    def integrand(s):
+        # tested first: the square of a huge s raises OverflowError
+        if s > _GAUSSIAN_CUTOFF:
+            return 0.0
+        return s ** p * np.exp(-s ** 2) * weight(s / w)
+
+    lo, hi = w * a, w * b
+    if hi < math.inf:
+        hi = min(hi, _GAUSSIAN_CUTOFF)
+    val = quad(integrand, lo, hi, **opts)[0] if lo < hi else 0.0
     # a float product, which overflows to inf where ** would raise
-    return math.prod([w] * (2 * n - power - 1)) * val
+    return math.prod([w] * (2 * n - p - 1)) * val
 
 
 def free_variance_exact(n, mu, g):
     """Variance of X(g) under the free kernel, by the Plancherel formula.
 
     var = mu^n / (2 pi)^n int |ghat(xi)|^2 |B(0,1) \\ B(|xi|/mu, 1)| dxi.
-    Gaussian bumps use the closed-form radial |ghat|^2 with adaptive
-    quadrature; other kinds fall back to the FFT frequency lattice.
+    Gaussian bumps integrate their closed-form radial |ghat|^2 with
+    _gaussian_fourier; other kinds fall back to the FFT frequency lattice.
     """
     n = int(n)
     if n not in (1, 2):
@@ -694,24 +678,16 @@ def free_variance_exact(n, mu, g):
         raise ValidationError("mu must be positive")
     # a float product, which overflows to inf where ** would raise
     pref = math.prod([mu] * n) / (2.0 * math.pi) ** n
-    profile = g.fourier_sq_profile()
-    if profile is not None:
+    if g.kind == "gaussian_bump":
         surface = 2.0 if n == 1 else 2.0 * math.pi
-
-        def integrand(rho):
-            return (
-                rho ** (n - 1)
-                * profile(rho)
-                * _ball_difference_volume(n, rho / mu)
-            )
-
-        # the profile is 0.0 past the cutoff: on all of [0, 2 mu] at a large
-        # mu, quad's nodes would step over the bump (0.0 at mu = 1e6)
-        top = min(2.0 * mu, _GAUSSIAN_CUTOFF / g.params["width"])
         # a relative tolerance alone: the integrand scales like 1 / mu, so a
         # fixed epsabs is met at once when mu is large enough
-        inner, _ = quad(integrand, 0.0, top, limit=400, epsabs=0.0)
-        outer = _gaussian_half_line(g, n - 1, 2.0 * mu, epsabs=1e-13)
+        inner = _gaussian_fourier(
+            g, n - 1, 0.0, 2.0 * mu,
+            lambda rho: _ball_difference_volume(n, rho / mu),
+            limit=400, epsabs=0.0,
+        )
+        outer = _gaussian_fourier(g, n - 1, 2.0 * mu, limit=200, epsabs=1e-13)
         total = inner + unit_ball_volume(n) * outer
         var = pref * surface * total
     else:
@@ -812,12 +788,12 @@ def free_variance_asymptotic(n, mu, g):
 def sigma_fourier(g):
     """Sigma^2(g) = int |ghat(xi)|^2 |xi| dxi.
 
-    A closed-form radial profile of |ghat|^2 is integrated with quadrature;
-    other kinds fall back to the frequency lattice.
+    Gaussian bumps integrate their closed-form radial |ghat|^2 with
+    _gaussian_fourier; other kinds fall back to the frequency lattice.
     """
     n = g.dimension
-    if g.fourier_sq_profile() is not None:
-        return n * unit_ball_volume(n) * _gaussian_half_line(g, n, 0.0)
+    if g.kind == "gaussian_bump":
+        return n * unit_ball_volume(n) * _gaussian_fourier(g, n, 0.0, limit=200)
     w2, xi, dxi = _fourier_sq_lattice(g)
     return float(np.sum(w2 * np.sqrt(np.sum(xi * xi, axis=1)))) * dxi
 
@@ -862,9 +838,8 @@ def mesoscopic_variance_scan(
     eps = hbar^beta and delta = hbar / eps.  For n=1 the variance comes
     from the boxed eigensolve; for n=2 it comes from the free kernel at the
     local wavenumber eps sqrt(mu - V(x0)) / hbar, the scaling image of the
-    rescaled statistic.  Both normalizations of the limit constant are
-    reported: ratio_sigma_sq divides by sigma_n^2 (mu - V(x0))^{(n-1)/2}
-    Sigma^2(g) and ratio_sigma by the same with sigma_n unsquared.
+    rescaled statistic.  ratio_sigma_sq divides the normalized variance by
+    its limit sigma_n^2 (mu - V(x0))^{(n-1)/2} Sigma^2(g).
     """
     n = V.dimension
     if not 0.0 < beta < 1.0:
@@ -896,13 +871,8 @@ def mesoscopic_variance_scan(
             var = free_variance_exact(n, eps * math.sqrt(depth) / hbar, g)
         normalized = delta ** (n - 1) * var
         base = depth ** (0.5 * (n - 1)) * sigma_sq_g
-        if base > 0.0:
-            r_sq = normalized / (sig_sq * base)
-            r_one = normalized / (math.sqrt(sig_sq) * base)
-        else:
-            r_sq = math.nan
-            r_one = math.nan
-        rows.append((hbar, eps, delta, var, normalized, r_sq, r_one))
+        r_sq = normalized / (sig_sq * base) if base > 0.0 else math.nan
+        rows.append((hbar, eps, delta, var, normalized, r_sq))
     params = {
         "potential": V.to_text(),
         "mu": float(mu),
@@ -913,15 +883,7 @@ def mesoscopic_variance_scan(
         params[f"x0_{k + 1}"] = float(x0v[k])
     return ExperimentReport(
         "mesoscopic_variance_scan",
-        (
-            "hbar",
-            "eps",
-            "delta",
-            "variance",
-            "normalized",
-            "ratio_sigma_sq",
-            "ratio_sigma",
-        ),
+        ("hbar", "eps", "delta", "variance", "normalized", "ratio_sigma_sq"),
         rows,
         params=params,
     )
@@ -935,15 +897,14 @@ def clt_monte_carlo(process, f, trials, rng):
     """Kolmogorov-Smirnov test of the standardized linear statistic.
 
     The mean and variance are exact traces, never estimated, so the
-    standardized samples are z = (X(f) - tr fM) / sqrt(var).  Rows are
-    (trials, ks_stat, ks_pvalue, skewness, third_moment_se).
+    standardized samples are z = (X(f) - tr fM) / sqrt(var), f the
+    statistic's value at each node.  Rows are (trials, ks_stat, ks_pvalue,
+    skewness, third_moment_se).
     """
     trials = int(trials)
     if trials < 2:
         raise ValidationError("clt_monte_carlo needs at least 2 trials")
-    fvec = f(process.nodes) if isinstance(f, TestFunction) else np.asarray(f, float)
-    if fvec.shape != (process.node_count,):
-        raise ValidationError("f must give one value per node")
+    fvec = _as_grid_function(process, f)
     mean = mean_linear_stat(process, fvec)
     var = var_linear_stat(process, fvec)
     if var < 1e-12:

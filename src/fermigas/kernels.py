@@ -12,7 +12,6 @@ at the droplet's x1 ends, of exact line sections in 2-d.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cubature, quad, quad_vec
@@ -29,7 +28,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "EdgeQuadrature",
     "free_kernel_radial",
     "free_laplacian_kernel",
     "free_laplacian_window",
@@ -115,47 +113,40 @@ def _airy_envelope(t):
     )
 
 
-@dataclass(frozen=True)
-class EdgeQuadrature:
-    """Truncation plan for the edge-kernel s-integral."""
-
-    s_max: float          # upper limit replacing +infinity
-    tail_bound: float = 0.0  # certified bound on the discarded tail
-
-    @classmethod
-    def for_points(cls, n, x1, y1, s_max=None):
-        """Build a plan whose tail bound is certified by the Airy envelope.
-
-        The discarded tail is bounded by
-        int_{s_max}^inf env(x1+s) env(y1+s) diag_{n-1}(sqrt(s)) ds
-        since a positive-contraction kernel is dominated by its diagonal
-        s^{(n-1)/2} omega_{n-1} / (2 pi)^{n-1}.
-        """
-        if s_max is None:
-            s_max = max(1.0, 40.0 - min(x1, y1))
-        if s_max <= 0.0:
-            raise ValidationError("s_max must be positive")
-        pref = unit_ball_volume(n - 1) / (2.0 * math.pi) ** (n - 1)
-
-        def tail_integrand(s):
-            trans = pref * s ** (0.5 * (n - 1))
-            return _airy_envelope(x1 + s) * _airy_envelope(y1 + s) * trans
-
-        # past this point the envelope is far below double precision
-        upper = max(s_max + 30.0, 3.0 - min(x1, y1) + 30.0)
-        val, _ = quad(tail_integrand, s_max, upper, limit=100)
-        return cls(s_max=float(s_max), tail_bound=float(val))
+# bound on the edge kernel's discarded tail; ten times it on quad_vec's error
+_EDGE_TOL = 1e-8
 
 
-def edge_kernel(n, x, y, quad_plan=None, tol=1e-8):
+def _edge_tail_bound(n, x1, y1, s_max):
+    """Certified bound on the edge kernel's s-integral past s_max.
+
+    The discarded tail is bounded by
+    int_{s_max}^inf env(x1+s) env(y1+s) diag_{n-1}(sqrt(s)) ds
+    since a positive-contraction kernel is dominated by its diagonal
+    s^{(n-1)/2} omega_{n-1} / (2 pi)^{n-1}; env is the Airy envelope.
+    """
+    pref = unit_ball_volume(n - 1) / (2.0 * math.pi) ** (n - 1)
+
+    def tail_integrand(s):
+        trans = pref * s ** (0.5 * (n - 1))
+        return _airy_envelope(x1 + s) * _airy_envelope(y1 + s) * trans
+
+    # past this point the envelope is far below double precision
+    upper = max(s_max + 30.0, 3.0 - min(x1, y1) + 30.0)
+    val, _ = quad(tail_integrand, s_max, upper, limit=100)
+    return float(val)
+
+
+def edge_kernel(n, x, y):
     """Edge kernel: int_0^inf Ai(x1+s) Ai(y1+s) K_{b,sqrt(s)}^{(n-1)} ds.
 
     x and y of shape (..., n) broadcast; the result has shape (...).  The
     transverse factor is the free-Laplacian kernel in dimension n-1 at
     radius sqrt(s) evaluated at the perpendicular components (1 when n=1).
-    One quad_vec call integrates every pair up to quad_plan.s_max.  The
-    default plan certifies the tail at the smallest x1 and y1; the Airy
-    envelope is nonincreasing, so that bound covers every pair.
+    One quad_vec call integrates every pair up to s_max = 40 - min(x1, y1),
+    at least 1, where the Airy envelope certifies the tail at the smallest
+    x1 and y1; the envelope is nonincreasing, so that bound covers every
+    pair.
     """
     n = int(n)
     if n < 1:
@@ -167,12 +158,12 @@ def edge_kernel(n, x, y, quad_plan=None, tol=1e-8):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("edge_kernel requires finite points")
     x1, y1 = x[..., 0], y[..., 0]
-    if quad_plan is None:
-        quad_plan = EdgeQuadrature.for_points(n, x1.min(), y1.min())
-    if quad_plan.tail_bound > tol:
-        raise ValidationError(
-            f"edge quadrature tail bound {quad_plan.tail_bound:.3e} exceeds "
-            f"tolerance {tol:.3e}; increase s_max"
+    x1_min, y1_min = x1.min(), y1.min()
+    s_max = float(max(1.0, 40.0 - min(x1_min, y1_min)))
+    tail = _edge_tail_bound(n, x1_min, y1_min, s_max)
+    if tail > _EDGE_TOL:
+        raise NumericalError(
+            f"edge quadrature tail bound {tail:.3e} exceeds {_EDGE_TOL:.3e}"
         )
     r = np.linalg.norm(x[..., 1:] - y[..., 1:], axis=-1)
 
@@ -186,13 +177,13 @@ def edge_kernel(n, x, y, quad_plan=None, tol=1e-8):
     val, err = quad_vec(
         integrand,
         0.0,
-        quad_plan.s_max,
-        points=breaks[(breaks > 0.0) & (breaks < quad_plan.s_max)],
-        epsabs=min(tol, 1e-10),
+        s_max,
+        points=breaks[(breaks > 0.0) & (breaks < s_max)],
+        epsabs=1e-10,
         epsrel=1e-10,
         norm="max",
     )
-    if not err <= 10.0 * max(tol, 1e-10) + 1e-13:
+    if not err <= 10.0 * _EDGE_TOL + 1e-13:
         raise NumericalError(
             f"edge-kernel quadrature error estimate {err:.3e} too large"
         )

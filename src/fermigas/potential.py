@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
+    "Num", "Var", "Neg", "BinOp", "Pow", "Call",  # the parsed tree's nodes
     "PotentialExpr",
     "parse_potential",
     "grad_potential",

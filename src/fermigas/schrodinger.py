@@ -33,6 +33,7 @@ __all__ = [
     "eigensolve",
     "node_rows",
     "edge_rotation",
+    "AgmonReport",
     "agmon_check",
 ]
 
@@ -559,7 +560,8 @@ def edge_rotation(grad):
 
 @dataclass
 class AgmonReport:
-    delta: float
+    """agmon_check's result: the bound and each level's weighted norm."""
+
     bound: float                 # 1 + 2 mu / delta
     eigenvalues: np.ndarray
     norms: np.ndarray            # per level RMS of |e^{f_delta/hbar} v_k|
@@ -597,7 +599,6 @@ def agmon_check(eigs, V, mu, delta):
     same = np.isclose(lam[:, None], lam[None, :], rtol=1e-9, atol=0.0)
     norms = np.sqrt(same @ sq / same.sum(axis=1))
     return AgmonReport(
-        delta=float(delta),
         bound=1.0 + 2.0 * mu / delta,
         eigenvalues=lam,
         norms=norms,

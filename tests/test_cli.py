@@ -279,6 +279,46 @@ def test_weyl_refuses_an_empty_droplet_before_any_grid_or_count(
     assert "droplet" in capsys.readouterr().err
 
 
+EMPTY_DROPLET = ["--potential", "x1^2+1", "--mu", "1", "--hbar", "0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", *EMPTY_DROPLET, "--seed", "1"],
+    ["kernel", "--kind", "projector", *EMPTY_DROPLET,
+     "--window", "-0.5:0.5:0.25"],
+    ["clt", *EMPTY_DROPLET, "--function", "gaussian:width=0.2", "--seed", "1"],
+    ["lln", *EMPTY_DROPLET, "--seed", "1"],
+    ["agmon", *EMPTY_DROPLET],
+], ids=lambda argv: argv[0])
+@pytest.mark.filterwarnings("error")
+def test_every_grid_command_refuses_an_empty_droplet(argv, monkeypatch,
+                                                     capsys):
+    # {x1^2 + 1 <= 1} is one point, Z = 0: sample wrote a header-only CSV,
+    # kernel a table of zeros and agmon one with no row, each with exit 0
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid was built for an empty droplet")
+
+    if argv[0] != "agmon":  # agmon asks once its solve has no level <= mu
+        monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", fail)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "droplet" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_clt_refuses_a_test_function_narrower_than_the_grid(capsys):
+    # the statistic lived on one node: exit 0, after an overflow warning
+    # from evaluating the bump on the nodes
+    assert main(["clt", "--potential", "x1^2", "--mu", "1", "--hbar", "0.05",
+                 "--function", "gaussian:width=1e-300", "--trials", "100",
+                 "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the test function's support")
+    assert captured.err.count("\n") == 1
+
+
 def test_kernel_projector_needs_potential(capsys):
     assert main(["kernel", "--kind", "projector", "--mu", "1",
                  "--window", "0:1:0.5"]) == 1

@@ -105,17 +105,17 @@ def test_dpp_rejects_bad_weights_and_rows():
     rows = np.eye(3)[:2]
     nodes = np.arange(3.0)[:, None]
     with pytest.raises(ValidationError, match="lie in"):
-        DPP(rows, nodes, 1.0, q=[0.5, 1.5])
+        DPP(rows, nodes, q=[0.5, 1.5])
     with pytest.raises(ValidationError, match="lie in"):
-        DPP(rows, nodes, 1.0, q=[0.5, math.nan])
+        DPP(rows, nodes, q=[0.5, math.nan])
     with pytest.raises(ValidationError, match="one spectral weight"):
-        DPP(rows, nodes, 1.0, q=[0.5])
+        DPP(rows, nodes, q=[0.5])
     with pytest.raises(ValidationError, match="orthonormal"):
-        DPP(2.0 * rows, nodes, 1.0, q=[0.5, 0.5])
+        DPP(2.0 * rows, nodes, q=[0.5, 0.5])
     nan_rows = rows.copy()
     nan_rows[0, 0] = math.nan
     with pytest.raises(ValidationError, match="orthonormal"):
-        DPP(nan_rows, nodes, 1.0)
+        DPP(nan_rows, nodes)
 
 
 def test_from_kernel_rejects_invalid_kernel():
@@ -219,7 +219,7 @@ def test_two_dimensional_sample_sequences_are_frozen(oscillator_2d):
 
 def test_sampler_rejects_non_finite_residual_mass(fermions):
     dpp, _ = fermions
-    broken = DPP(dpp.features.copy(), dpp.nodes, dpp.weight)
+    broken = DPP(dpp.features.copy(), dpp.nodes)
     broken.features[0, 0] = math.nan  # past the constructor's check
     with pytest.raises(NumericalError, match="residual mass"):
         sample(broken, RngState(3))
@@ -290,7 +290,7 @@ def test_sample_follows_the_exact_joint_law():
     # a rank-2 projection draws the pair S with probability det(F[:, S])^2
     rng = np.random.default_rng(31)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-    dpp = DPP(Q.T, np.arange(5, dtype=float)[:, None], 1.0)
+    dpp = DPP(Q.T, np.arange(5, dtype=float)[:, None])
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     probs = np.array([np.linalg.det(Q[[i, j], :]) ** 2 for i, j in pairs])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -304,12 +304,11 @@ def test_sample_follows_the_exact_joint_law():
 
 
 def test_rank_one_sample_density():
-    # single feature row: the sample is one point with mass K(x,x) * weight
+    # single feature row: the sample is one point, node i with mass v_i^2
     nodes = np.linspace(-1.0, 1.0, 41)[:, None]
-    w = nodes[1, 0] - nodes[0, 0]
     v = np.exp(-nodes[:, 0] ** 2)
     v /= math.sqrt(np.sum(v * v))
-    dpp = DPP(v[None, :], nodes, w)
+    dpp = DPP(v[None, :], nodes)
     counts = np.zeros(41)
     trials = 3000
     for k in range(trials):
@@ -510,7 +509,7 @@ def small_dpps(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     Q, _ = np.linalg.qr(rng.standard_normal((G, K)))
-    dpp = DPP(Q.T, np.arange(G, dtype=float)[:, None], 1.0, q)
+    dpp = DPP(Q.T, np.arange(G, dtype=float)[:, None], q)
     return dpp, rng.standard_normal(G)
 
 

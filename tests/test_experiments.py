@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.dpp import RngState, from_eigensystem
 from fermigas.errors import NumericalError, ValidationError
@@ -122,15 +124,6 @@ def test_test_function_validation():
         TestFunction.smooth_indicator(1, 0.0, radius=1.0, smoothing=0.0)
     with pytest.raises(ValidationError):
         TestFunction.custom("x1", support_radius=0.0)
-
-
-def test_fourier_profile_gaussian_only():
-    g = TestFunction.gaussian_bump(2, (0.0, 0.0), 0.5)
-    prof = g.fourier_sq_profile()
-    assert prof(0.0) == pytest.approx(0.5 ** 4, rel=1e-14)
-    assert prof(2.0) == pytest.approx(0.5 ** 4 * math.exp(-1.0), rel=1e-13)
-    ind = TestFunction.smooth_indicator(1, 0.0, radius=1.0, smoothing=0.5)
-    assert ind.fourier_sq_profile() is None
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +320,7 @@ def test_lln_distance_shrinks_with_hbar(harmonic, monkeypatch):
 
 
 def test_lln_single_particle_stays_far(harmonic):
-    rep = lln_wasserstein(harmonic, 0.25, 0.1, 50, RngState(3))
+    rep = lln_wasserstein(harmonic, 0.25, [0.1], 50, RngState(3))
     assert rep.column("mean_w1")[0] > 0.01
 
 
@@ -353,10 +346,6 @@ def test_tail_check_rejects_inputs_before_solving(harmonic, monkeypatch):
     f = TestFunction.gaussian_bump(1, 0.0, 0.4)
     with pytest.raises(ValidationError):
         gaussian_tail_check(harmonic, 1.0, f, 0.05, 0, RngState(5))
-    with pytest.raises(ValidationError):
-        gaussian_tail_check(
-            harmonic, 1.0, f, 0.05, 2000, RngState(5), thresholds=(0.5, -1.0)
-        )
 
 
 def test_tail_variance_scale_is_stable_in_hbar(harmonic):
@@ -435,11 +424,10 @@ def test_exact_variance_past_float_range_is_a_numerical_error():
 
 def test_exact_variance_of_a_gaussian_at_a_huge_mu():
     # var -> (1 / 2 pi) int |ghat|^2 |xi| dxi = 1 / (2 pi) for the unit bump
-    # in 1-d.  The profile is 0.0 where squaring w rho would overflow
+    # in 1-d.  |ghat|^2 is 0.0 where squaring w rho would overflow
     # (OverflowError at mu = 1e200), and quad integrates only where it is
     # not 0.0 (on all of [0, 2 mu] it stepped over the bump: 0.0 at 1e6)
     g = TestFunction.gaussian_bump(1, 0.0, 1.0)
-    assert g.fourier_sq_profile()(1e200) == 0.0
     for mu in (1e6, 1e200):
         assert free_variance_exact(1, mu, g) == pytest.approx(
             1.0 / (2.0 * math.pi), rel=1e-5)
@@ -453,6 +441,32 @@ def test_exact_variance_of_a_narrow_gaussian_matches_bruteforce(n, width):
     g = TestFunction.gaussian_bump(n, np.zeros(n), width)
     assert free_variance_exact(n, 10.0, g) == pytest.approx(
         free_variance_bruteforce(n, 10.0, g), rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]), k=st.integers(-150, 150),
+       mu_w=st.floats(0.1, 1e3))
+def test_gaussian_variance_scales_exactly_with_the_width(n, k, mu_w):
+    # var(mu, g_w) = var(mu w, g_1) exactly: in s = w rho both integrate
+    # the same s-integrand.  In 2-d, w ** 4 in rho raised OverflowError at
+    # w = 1e100 and underflowed to a variance of 0 at w = 1e-100
+    w = 10.0 ** k
+    mu = mu_w / w
+    g = TestFunction.gaussian_bump(n, np.zeros(n), w)
+    unit = TestFunction.gaussian_bump(n, np.zeros(n), 1.0)
+    assert free_variance_exact(n, mu, g) == pytest.approx(
+        free_variance_exact(n, mu * w, unit), rel=1e-10)
+
+
+def test_exact_variance_of_a_huge_gaussian():
+    # var(10, g_w) = var(10 w, g_1) -> 1 / (2 pi) in 1-d; in 2-d it grows
+    # like w and leaves float range: a NumericalError, not the OverflowError
+    # of w ** 2n
+    g = TestFunction.gaussian_bump(1, 0.0, 1e200)
+    assert free_variance_exact(1, 10.0, g) == pytest.approx(
+        1.0 / (2.0 * math.pi), rel=1e-10)
+    with pytest.raises(NumericalError, match="not finite"):
+        free_variance_exact(2, 10.0, TestFunction.gaussian_bump(2, None, 1e200))
 
 
 def test_constant_statistic_has_zero_variance():
@@ -499,7 +513,7 @@ def test_sigma_gaussian_closed_form():
     )
 
 
-@pytest.mark.parametrize("width", [1e-10, 1e-5, 1e5, 1e10])
+@pytest.mark.parametrize("width", [1e-300, 1e-10, 1e-5, 1e5, 1e10, 1e300])
 def test_sigma_gaussian_closed_form_at_extreme_widths(width):
     # quad over rho missed the bump's scale 1 / width: Sigma^2 read
     # -1.07e-7 at width 1e-5 and 0 at 1e5 in 1-d, 1.16e-9 at 1e-4 in 2-d

@@ -10,8 +10,8 @@ from fermigas import __version__, kernels
 from fermigas.cli import main
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.kernels import (
-    EdgeQuadrature,
     _airy_envelope,
+    _edge_tail_bound,
     airy_kernel_1d,
     bulk_kernel,
     bulk_scale,
@@ -210,23 +210,22 @@ def test_edge_kernel_symmetry_and_transverse_dependence():
 
 
 def test_edge_quadrature_tail_bound_monotone():
-    q5 = EdgeQuadrature.for_points(1, 0.0, 0.0, s_max=5.0)
-    q8 = EdgeQuadrature.for_points(1, 0.0, 0.0, s_max=8.0)
-    qd = EdgeQuadrature.for_points(1, 0.0, 0.0)
-    assert q5.tail_bound > q8.tail_bound >= qd.tail_bound
-    assert qd.s_max == 40.0
-    assert qd.tail_bound <= 1e-12
+    # edge_kernel cuts the s-integral at 40 - min(x1, y1) = 40 here
+    bounds = [_edge_tail_bound(n, 0.0, 0.0, s_max)
+              for n in (1, 2) for s_max in (5.0, 8.0, 40.0)]
+    assert bounds[0] > bounds[1] >= bounds[2]
+    assert bounds[3] > bounds[4] >= bounds[5]
+    assert max(bounds[2], bounds[5]) <= 1e-12
 
 
-def test_edge_quadrature_rejected_when_tail_too_large():
-    plan = EdgeQuadrature.for_points(1, 0.0, 0.0, s_max=2.0)
-    with pytest.raises(ValidationError, match="tail"):
-        edge_kernel(1, [0.0], [0.0], quad_plan=plan, tol=1e-10)
-
-
-def test_edge_quadrature_requires_positive_s_max():
-    with pytest.raises(ValidationError):
-        EdgeQuadrature.for_points(1, 0.0, 0.0, s_max=-1.0)
+def test_edge_quadrature_rejected_when_tail_too_large(monkeypatch):
+    # no point makes the certified tail exceed its tolerance, so a bound
+    # that does is a numerical failure, exit 2 from the command line
+    monkeypatch.setattr("fermigas.kernels._edge_tail_bound",
+                        lambda *args: 1.0)
+    with pytest.raises(NumericalError, match="tail"):
+        edge_kernel(1, [0.0], [0.0])
+    assert main(["kernel", "--kind", "edge", "--window", "0:1:0.5"]) == 2
 
 
 # ---------------------------------------------------------------------------
