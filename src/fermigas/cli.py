@@ -13,11 +13,13 @@ import sys
 
 import numpy as np
 
-from .dpp import RngState, from_eigensystem, samples
+from .dpp import RngState, samples
 from .errors import NumericalError, ValidationError
 from .experiments import (
     ExperimentReport,
     TestFunction,
+    _check_resolved,
+    _filled_process,
     _solve_window,
     _weyl_constant_of_droplet,
     bulk_convergence,
@@ -120,7 +122,10 @@ def _axis_window(text):
         raise argparse.ArgumentTypeError(
             f"window {text!r} has more than {_MAX_POINTS} points"
         )
-    return np.arange(a, b + 0.5 * step, step)
+    points = np.arange(a, b + 0.5 * step, step)
+    if points.size == 0:  # b + step / 2 rounded back to a
+        raise argparse.ArgumentTypeError(f"window {text!r} holds no point")
+    return points
 
 
 def _pair_window(text):
@@ -209,22 +214,18 @@ def _grid_potential(text):
 
 
 def _solve(args, cap):
-    """(V, the eigensystem up to cap) of the --potential, --hbar, --margin
-    and --resolution flags; a --n flag, where the command has one, must
-    match the potential's dimension."""
+    """(V, the eigensystem up to cap) of the --potential and --hbar flags;
+    a --n flag, where the command has one, must match the potential's
+    dimension."""
     V = _grid_potential(args.potential)
     if getattr(args, "n", V.dimension) != V.dimension:
         raise ValidationError("--n disagrees with the potential dimension")
-    return V, _solve_window(V, cap, args.hbar, margin=args.margin,
-                            c_h=args.resolution)
+    return V, _solve_window(V, cap, args.hbar)
 
 
 def _run_weyl(args):
     V = _grid_potential(args.potential)
-    rep = weyl_check(
-        V, args.mu, args.hbar, margin=args.margin, c_h=args.resolution
-    )
-    return rep.to_csv()
+    return weyl_check(V, args.mu, args.hbar).to_csv()
 
 
 def _run_kernel(args):
@@ -268,21 +269,14 @@ def _run_kernel(args):
 def _run_converge(args):
     V = _grid_potential(args.potential)
     rep = args.driver(
-        V,
-        args.mu,
-        args.x0,
-        args.hbar,
-        window=args.window,
-        probes=args.probes,
-        margin=args.margin,
-        c_h=args.resolution,
+        V, args.mu, args.x0, args.hbar, window=args.window, probes=args.probes
     )
     return rep.to_csv()
 
 
 def _run_sample(args):
-    V, eigs = _solve(args, args.mu)
-    dpp = from_eigensystem(eigs, args.mu)
+    V = _grid_potential(args.potential)
+    _, dpp = _filled_process(V, args.mu, args.hbar)
     rng = RngState(args.seed)
     n = V.dimension
     rows = []
@@ -340,15 +334,8 @@ def _run_seminorm(args):
 def _run_clt(args):
     V = _grid_potential(args.potential)
     g = _parse_function(args.function, V.dimension)
-    eigs = _solve_window(V, args.mu, args.hbar, margin=args.margin,
-                         c_h=args.resolution)
-    # refused before g is evaluated: on one node its statistic shows nothing
-    if not g.support_radius() >= eigs.grid.spacing:
-        raise ValidationError(
-            f"the test function's support radius {g.support_radius():g} is "
-            f"below the grid spacing {eigs.grid.spacing:g}"
-        )
-    dpp = from_eigensystem(eigs, args.mu)
+    grid, dpp = _filled_process(V, args.mu, args.hbar)
+    _check_resolved(g, grid)
     rep = clt_monte_carlo(dpp, g(dpp.nodes), args.trials, RngState(args.seed))
     rep.params["potential"] = V.to_text()
     rep.params["mu"] = float(args.mu)
@@ -359,21 +346,18 @@ def _run_clt(args):
 
 def _run_lln(args):
     V = _grid_potential(args.potential)
-    rep = lln_wasserstein(
-        V,
-        args.mu,
-        args.hbar,
-        args.trials,
-        RngState(args.seed),
-        margin=args.margin,
-        c_h=args.resolution,
-    )
+    rep = lln_wasserstein(V, args.mu, args.hbar, args.trials,
+                          RngState(args.seed))
     return rep.to_csv()
 
 
 def _run_agmon(args):
     if not 0.0 < args.delta <= 1.0:
         raise ValidationError("delta must lie in (0, 1]")
+    # a float quotient: inf, not an OverflowError, at a delta such as 5e-324
+    if not math.isfinite(1.0 + 2.0 * args.mu / args.delta):
+        raise ValidationError(f"delta={args.delta:g} leaves the bound "
+                              "1 + 2 mu / delta not finite")
     V, eigs = _solve(args, args.mu + args.delta)
     if eigs.below(args.mu)[0].size == 0:  # no row: is {V <= mu} empty?
         _weyl_constant_of_droplet(V, args.mu)
@@ -409,15 +393,6 @@ def _build_parser():
     common.add_argument(
         "--out", help="output path (default: stdout)"
     )
-    solver = _Parser(add_help=False)
-    solver.add_argument(
-        "--margin", type=_finite_float, default=1.0,
-        help="energy margin fixing the computational box (default 1.0)",
-    )
-    solver.add_argument(
-        "--resolution", type=_finite_float, default=2.0,
-        help="grid spacing prefactor of hbar^{3/2} (default 2.0)",
-    )
 
     parser = _Parser(
         prog="fermigas",
@@ -427,22 +402,21 @@ def _build_parser():
     trials = _at_most(_MAX_TRIALS, "trials")
     table = {}
 
-    def add(name, runner, helptext, parents):
-        sp = subs.add_parser(name, help=helptext, parents=parents)
+    def add(name, runner, helptext):
+        sp = subs.add_parser(name, help=helptext, parents=[common])
         sp.set_defaults(runner=runner)
         table[name] = sp
         return sp
 
-    sp = add("weyl", _run_weyl, "eigenvalue counts against the phase-space volume",
-             [common, solver])
+    sp = add("weyl", _run_weyl,
+             "eigenvalue counts against the phase-space volume")
     sp.add_argument("--potential", required=True, help="potential expression")
     sp.add_argument("--mu", type=_finite_float, required=True,
                     help="Fermi energy")
     sp.add_argument("--hbar", type=_float_list, required=True,
                     help="comma-separated hbar values")
 
-    sp = add("kernel", _run_kernel, "tabulate a limiting or numeric kernel",
-             [common, solver])
+    sp = add("kernel", _run_kernel, "tabulate a limiting or numeric kernel")
     sp.add_argument("--kind", required=True,
                     choices=["bulk", "edge", "free", "sine", "airy", "projector"])
     sp.add_argument("--n", type=_at_most(_MAX_DIMENSION, "dimensions"),
@@ -460,8 +434,7 @@ def _build_parser():
         ("edge", edge_convergence, "-4:2"),
     ):
         sp = add(f"converge-{target}", _run_converge,
-                 f"rescaled projector against the {target} limit",
-                 [common, solver])
+                 f"rescaled projector against the {target} limit")
         sp.set_defaults(driver=driver)
         sp.add_argument("--potential", required=True)
         sp.add_argument("--mu", type=_finite_float, required=True)
@@ -473,8 +446,7 @@ def _build_parser():
         sp.add_argument("--probes", type=_at_most(_MAX_POINTS, "points"),
                         default=17)
 
-    sp = add("sample", _run_sample, "draw exact point configurations",
-             [common, solver])
+    sp = add("sample", _run_sample, "draw exact point configurations")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)
@@ -482,19 +454,18 @@ def _build_parser():
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("variance", _run_variance,
-             "free-kernel variance: exact, brute-force, asymptotic", [common])
+             "free-kernel variance: exact, brute-force, asymptotic")
     sp.add_argument("--n", type=_positive_int, default=1)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--function", required=True,
                     help="kind:key=value,... e.g. gaussian:width=0.5")
 
     sp = add("seminorm", _run_seminorm,
-             "H^{1/2} seminorm by Fourier and Slobodeckij routes", [common])
+             "H^{1/2} seminorm by Fourier and Slobodeckij routes")
     sp.add_argument("--n", type=_positive_int, default=1)
     sp.add_argument("--function", required=True)
 
-    sp = add("clt", _run_clt, "Monte-Carlo normality of a linear statistic",
-             [common, solver])
+    sp = add("clt", _run_clt, "Monte-Carlo normality of a linear statistic")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)
@@ -502,16 +473,14 @@ def _build_parser():
     sp.add_argument("--trials", type=trials, default=1000)
     sp.add_argument("--seed", type=int, required=True)
 
-    sp = add("lln", _run_lln, "Wasserstein distance to the limiting density",
-             [common, solver])
+    sp = add("lln", _run_lln, "Wasserstein distance to the limiting density")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_float_list, required=True)
     sp.add_argument("--trials", type=trials, default=100)
     sp.add_argument("--seed", type=int, required=True)
 
-    sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet",
-             [common, solver])
+    sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)

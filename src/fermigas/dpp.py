@@ -4,17 +4,17 @@ One type, DPP, covers every symmetric kernel the package builds.  It holds
 K orthonormal feature rows on G grid nodes and spectral weights q_k in
 [0, 1]; its weighted kernel matrix is M = B^T B with B = sqrt(q) features.
 The fermion ground state is the projection case q = 1, whose rows are the
-weighted eigenfunctions below the Fermi level; chain-rule sampling then
-draws exactly N nodes.  The chain rule inverts each step's CDF over all G
-nodes when G < 4 N^2 (the dense path), and otherwise descends a binary
-tree of bucket Gram matrices to one bucket of 2N nodes (the tree path of
-Gillenwater, Kulesza, Mariet and Vassilvitskii, ICML 2019).  Both invert
-the same CDF at the same uniforms, so they pick the same nodes unless a
-uniform falls within rounding of a CDF step.  Other kernels are mixtures of
-projections, sampled by Bernoulli(q_k) thinning of the rows first.  Means,
-variances, covariances and Laplace functionals are exact finite traces and
-determinants of the K x K compressions B diag(f) B^T, on the same grid the
-sampler uses.
+weighted eigenfunctions below the Fermi level.  Exact sampling is for
+projection kernels only: the chain rule draws exactly N nodes, inverting
+each step's CDF over all G nodes when G < 4 N^2 (the dense path), and
+otherwise descending a binary tree of bucket Gram matrices to one bucket
+of 2N nodes (the tree path of Gillenwater, Kulesza, Mariet and
+Vassilvitskii, ICML 2019).  Both invert the same CDF at the same uniforms,
+so they pick the same nodes unless a uniform falls within rounding of a
+CDF step.  Other kernels (from_kernel) are mixtures of projections; for
+them, as for a projection, means, variances, covariances and Laplace
+functionals are exact finite traces and determinants of the K x K
+compressions B diag(f) B^T, on the same grid the sampler uses.
 """
 
 import math
@@ -30,7 +30,6 @@ __all__ = [
     "DPP",
     "from_eigensystem",
     "from_kernel",
-    "sample",
     "samples",
     "laplace_functional",
     "mean_linear_stat",
@@ -362,48 +361,40 @@ def _chain_rule_sample(features, uniforms, tree=None):
 
 
 def samples(dpp, rng_states):
-    """One exact sample per RNG state, drawn a block of trials at a time.
+    """One exact sample of a projection DPP per RNG state, drawn a block of
+    trials at a time.
 
-    A projection always yields exactly N points.  Other kernels first keep
-    row k with probability q_k (Bernoulli thinning), then sample the
-    projection onto the kept rows, so each of their trials is its own
-    block.  Each state's generator gives the thinning draws, then one
-    uniform per chosen point.
+    Each sample has exactly N points, and each state's generator gives one
+    uniform per point.  Exact sampling is for projection kernels only: a
+    DPP with some weight q_k < 1 is a ValidationError.
 
     A projection on G >= 4 N^2 nodes takes the chain rule's tree path: one
     _gram_tree build per call, shared by every block, after which a step
     reads O(log G) N x N Grams and one bucket of 2N nodes instead of all
-    G.  Smaller projections, and thinned kernels, whose kept rows change
-    from trial to trial, take the dense path.
+    G.  Smaller projections take the dense path.
     """
+    if not dpp.is_projection:
+        raise ValidationError("exact sampling needs a projection kernel; "
+                              "this one has spectral weights below 1")
     states = list(rng_states)
     K, G = dpp.N, dpp.node_count
     tree = None
-    if dpp.is_projection and 0 < _TREE_NODES_PER_K2 * K * K <= G:
+    if 0 < _TREE_NODES_PER_K2 * K * K <= G:
         tree = _gram_tree(dpp.features)
     # tree path: Q, P, a gathered Gram (K^2 each), a bucket's features and
     # their projections (2 K^2 each), in float64
     per_trial = 8 * (G + K * K) if tree is None else 64 * K * K
-    size = max(1, _BLOCK_BYTES // per_trial) if dpp.is_projection else 1
+    size = max(1, _BLOCK_BYTES // per_trial)
     configs = []
     for start in range(0, len(states), size):
         block = states[start:start + size]
-        rngs = [s.generator() for s in block]
-        feats = dpp.features
-        if not dpp.is_projection:
-            feats = feats[rngs[0].random(dpp.N) < dpp.q]
-        uniforms = np.array([rng.random(feats.shape[0]) for rng in rngs])
-        chosen = _chain_rule_sample(feats, uniforms, tree)
+        uniforms = np.array([s.generator().random(K) for s in block])
+        chosen = _chain_rule_sample(dpp.features, uniforms, tree)
         configs += [
             PointConfiguration(dpp.nodes[idx], idx, s.seed, s.counter)
             for s, idx in zip(block, chosen)
         ]
     return configs
-
-
-def sample(dpp, rng_state):
-    """One exact sample: `samples` with a single state."""
-    return samples(dpp, [rng_state])[0]
 
 
 def _as_grid_function(dpp, f):

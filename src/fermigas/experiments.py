@@ -83,6 +83,13 @@ _OFFSET_BYTES = 80
 # Weyl estimate behind the memory check
 _MIN_POINTS_PER_AXIS = 201
 
+# the box dominates the droplet {V <= mu + _BOX_MARGIN}, with V at least
+# that level on its boundary (choose_box)
+_BOX_MARGIN = 1.0
+
+# the grid spacing aimed at is _SPACING_FACTOR * hbar^{3/2}
+_SPACING_FACTOR = 2.0
+
 # s = width * rho past which a gaussian bump's |ghat|^2, proportional to
 # exp(-s^2), is 0.0 in floating point (it underflows from 27.3 on)
 _GAUSSIAN_CUTOFF = 30.0
@@ -279,26 +286,25 @@ def _format_value(v):
 # operator pipeline helpers
 
 
-def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0):
+def _solve_grid(V, mu, hbar):
     """(grid, H) of the boxed operator whose levels <= mu are wanted.
 
-    The grid spacing follows c_h * hbar^{3/2}: the finite-difference
-    eigenvalue defect then stays an O(hbar) fraction of the level spacing,
-    which the convergence drivers need so the discretization error scales
-    with the same power as the semiclassical one.  A solve whose estimated
-    peak memory exceeds _MEMORY_BUDGET is refused before its grid is built,
-    and so are a V not finite there and an empty droplet {V <= mu}, whose
-    Weyl constant is computed only when no node there lies below mu.
+    The box is choose_box(V, mu, _BOX_MARGIN).  The grid spacing follows
+    _SPACING_FACTOR * hbar^{3/2}, with at least _MIN_POINTS_PER_AXIS points
+    per axis: the finite-difference eigenvalue defect then stays an O(hbar)
+    fraction of the level spacing, which the convergence drivers need so
+    the discretization error scales with the same power as the
+    semiclassical one.  A solve whose estimated peak memory exceeds
+    _MEMORY_BUDGET is refused before its grid is built, and so are a V not
+    finite there and an empty droplet {V <= mu}, whose Weyl constant is
+    computed only when no node there lies below mu.
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
-    if margin <= 0.0:
-        raise ValidationError("margin must be positive")
-    if c_h <= 0.0:
-        raise ValidationError("resolution must be positive")
-    L = choose_box(V, mu, margin)
+    L = choose_box(V, mu, _BOX_MARGIN)
     n = V.dimension
-    target = c_h * hbar * math.sqrt(hbar)  # inf, not an OverflowError
+    # inf, not an OverflowError
+    target = _SPACING_FACTOR * hbar * math.sqrt(hbar)
     steps = 2.0 * L / target if target > 0.0 else math.inf  # per axis
     if not math.isfinite(steps):
         raise ValidationError(f"hbar={hbar:g} is too small to resolve")
@@ -325,10 +331,34 @@ def _solve_grid(V, mu, hbar, margin=1.0, c_h=2.0):
     return grid, assemble_hamiltonian(V, hbar, grid)
 
 
-def _solve_window(V, mu, hbar, margin=1.0, c_h=2.0):
+def _solve_window(V, mu, hbar):
     """Eigensystem of the boxed operator with all levels <= mu."""
-    grid, H = _solve_grid(V, mu, hbar, margin=margin, c_h=c_h)
+    grid, H = _solve_grid(V, mu, hbar)
     return eigensolve(H, mu, grid, hbar)
+
+
+def _filled_process(V, mu, hbar):
+    """(grid, the projection DPP of the levels <= mu) of -hbar^2 Laplace + V.
+
+    A process with no level below mu, N = 0, is a ValidationError: it has
+    no point to sample and no statistic to fluctuate.
+    """
+    eigs = _solve_window(V, mu, hbar)
+    dpp = from_eigensystem(eigs, mu)
+    if dpp.N == 0:
+        raise ValidationError("no levels below mu: the process is empty")
+    return eigs.grid, dpp
+
+
+def _check_resolved(g, grid):
+    """Refuse a test function whose support radius is below the grid
+    spacing, before it is evaluated: on one node its statistic shows
+    nothing, and a narrow bump overflows there."""
+    if not g.support_radius() >= grid.spacing:
+        raise ValidationError(
+            f"the test function's support radius {g.support_radius():g} is "
+            f"below the grid spacing {grid.spacing:g}"
+        )
 
 
 def _value_at(V, x0):
@@ -349,7 +379,7 @@ def _weyl_constant_of_droplet(V, mu):
     return Z
 
 
-def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
+def weyl_check(V, mu, hbar_list):
     """Count eigenvalues below mu and compare with the phase-space volume.
 
     Rows are (hbar, count, hbar_count, scaled_count, deviation) where
@@ -361,8 +391,7 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
     """
     n = V.dimension
     counts = [
-        level_count(_solve_grid(V, mu, hbar, margin=margin, c_h=c_h)[1], mu)
-        for hbar in hbar_list
+        level_count(_solve_grid(V, mu, hbar)[1], mu) for hbar in hbar_list
     ]
     # after the counts, not before them: computing Z first raised the peak
     # RSS of `weyl` on x1^2+x2^2 at hbar 0.1, 0.07 by 4.6 MB
@@ -385,8 +414,7 @@ def weyl_check(V, mu, hbar_list, margin=1.0, c_h=2.0):
 
 
 def _kernel_convergence(
-    experiment, V, mu, x0c, hbar_list, window, probes, margin, c_h,
-    scale, frame, reference,
+    experiment, V, mu, x0c, hbar_list, window, probes, scale, frame, reference,
 ):
     """Sup-distance between the rescaled projector and a limiting kernel.
 
@@ -402,7 +430,7 @@ def _kernel_convergence(
     rows = []
     prev_err = None
     for hbar in hbar_list:
-        eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
+        eigs = _solve_window(V, mu, hbar)
         eps = scale(hbar)
         idx, R = node_rows(eigs, mu, (x0c + eps * signed * targets)[:, None])
         us = (eigs.grid.interior_axis[idx] - x0c) / (eps * signed)
@@ -436,9 +464,7 @@ def _one_dimensional_x0(V, x0, experiment):
     return float(_point(x0, 1, "x0")[0])
 
 
-def bulk_convergence(
-    V, mu, x0, hbar_list, window=(-2.0, 2.0), probes=17, margin=1.0, c_h=2.0
-):
+def bulk_convergence(V, mu, x0, hbar_list, window=(-2.0, 2.0), probes=17):
     """Sup-distance between the rescaled projector and the bulk kernel.
 
     Rows are (hbar, eps, sup_error, ratio) with ratio the quotient of
@@ -449,16 +475,14 @@ def bulk_convergence(
     if not V_x0 < mu:
         raise ValidationError("bulk_convergence requires V(x0) < mu")
     return _kernel_convergence(
-        "bulk_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
+        "bulk_convergence", V, mu, x0c, hbar_list, window, probes,
         scale=lambda hbar: bulk_scale(hbar, V_x0, mu, 1),
         frame=np.eye(1),
         reference=lambda u, v: bulk_kernel(1, u[..., None], v[..., None]),
     )
 
 
-def edge_convergence(
-    V, mu, x0, hbar_list, window=(-4.0, 2.0), probes=17, margin=1.0, c_h=2.0
-):
+def edge_convergence(V, mu, x0, hbar_list, window=(-4.0, 2.0), probes=17):
     """Sup-distance between the rescaled projector and the edge kernel.
 
     The probe frame is rotated so the first axis points along grad V(x0);
@@ -473,7 +497,7 @@ def edge_convergence(
     if gnorm == 0.0:
         raise ValidationError("degenerate edge point: grad V(x0) vanishes")
     return _kernel_convergence(
-        "edge_convergence", V, mu, x0c, hbar_list, window, probes, margin, c_h,
+        "edge_convergence", V, mu, x0c, hbar_list, window, probes,
         scale=lambda hbar: edge_scale(hbar, gnorm),
         frame=edge_rotation(grad),
         reference=airy_kernel_1d,
@@ -504,7 +528,7 @@ def w1_to_reference(points, taxis, ref_cdf):
     return float(trapezoid(np.abs(emp - ref_cdf), taxis))
 
 
-def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
+def lln_wasserstein(V, mu, hbar, trials, rng):
     """Wasserstein distance of empirical measures to the limiting density.
 
     Rows are (hbar, trials, mean_w1, q10, q50, q90), one per hbar of the
@@ -520,11 +544,8 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
     Z = weyl_constant(V, mu)  # one cubature for every hbar
     rows = []
     for ih, hb in enumerate(hbars):
-        eigs = _solve_window(V, mu, hb, margin=margin, c_h=c_h)
-        dpp = from_eigensystem(eigs, mu)
-        if dpp.N == 0:
-            raise ValidationError("no levels below mu: the process is empty")
-        taxis, ref_cdf = _reference_cdf(V, mu, eigs.grid, Z)
+        grid, dpp = _filled_process(V, mu, hb)
+        taxis, ref_cdf = _reference_cdf(V, mu, grid, Z)
         configs = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
         w1 = np.array([
             w1_to_reference(c.points[:, 0], taxis, ref_cdf) for c in configs
@@ -546,21 +567,20 @@ def lln_wasserstein(V, mu, hbar, trials, rng, margin=1.0, c_h=2.0):
 # Gaussian concentration of linear statistics
 
 
-def gaussian_tail_check(V, mu, f, hbar, trials, rng, margin=1.0, c_h=2.0):
+def gaussian_tail_check(V, mu, f, hbar, trials, rng):
     """Exceedance frequencies of |X(f) - mean| / sqrt(hbar N), f a TestFunction.
 
     Rows are (t, frequency, envelope) for t in _TAIL_THRESHOLDS, where
     envelope = 2 exp(-c t^2) uses the largest c consistent with every
     observed frequency; the params carry c along with the exact mean and
-    variance of X(f).
+    variance of X(f).  An empty process and an f narrower than the grid
+    spacing are refused, as clt refuses them.
     """
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-    dpp = from_eigensystem(eigs, mu)
-    if dpp.N == 0:
-        raise ValidationError("no levels below mu: the process is empty")
+    grid, dpp = _filled_process(V, mu, hbar)
+    _check_resolved(f, grid)
     fvec = f(dpp.nodes)
     mean = mean_linear_stat(dpp, fvec)
     var = var_linear_stat(dpp, fvec)
@@ -830,9 +850,7 @@ def sigma_slobodeckij(g):
 # mesoscopic variance scan
 
 
-def mesoscopic_variance_scan(
-    V, mu, x0, hbar_list, beta, g, margin=1.0, c_h=2.0
-):
+def mesoscopic_variance_scan(V, mu, x0, hbar_list, beta, g):
     """delta^{n-1} var X(g((x - x0)/eps)) against the limiting constant.
 
     eps = hbar^beta and delta = hbar / eps.  For n=1 the variance comes
@@ -859,12 +877,11 @@ def mesoscopic_variance_scan(
         eps = hbar ** beta
         delta = hbar / eps
         if n == 1:
-            eigs = _solve_window(V, mu, hbar, margin=margin, c_h=c_h)
-            if eps < 4.0 * eigs.grid.spacing:
+            grid, dpp = _filled_process(V, mu, hbar)
+            if eps < 4.0 * grid.spacing:
                 raise ValidationError(
                     "eps is below four grid spacings; refine the grid"
                 )
-            dpp = from_eigensystem(eigs, mu)
             fvec = g((dpp.nodes - x0v[None, :]) / eps)
             var = var_linear_stat(dpp, fvec)
         else:

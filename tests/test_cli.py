@@ -180,7 +180,6 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     WEYL + ["--mu", "1", "--hbar", ","],
     WEYL + ["--mu", "nan", "--hbar", "0.05"],
     WEYL + ["--mu", "1", "--hbar", "nan"],
-    WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "inf"],
     ["variance", "--mu", "nan", "--function", "gaussian:width=1"],
     ["kernel", "--kind", "bulk", "--window", "0:inf:0.5"],
     ["kernel", "--kind", "bulk", "--n", "0"],
@@ -195,10 +194,6 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
                        "--seed", "1"],
     ["clt"] + SOLVE + ["--function", "gaussian:width=0.2", "--trials", "-5",
                        "--seed", "1"],
-    WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "0"],
-    WEYL + ["--mu", "1", "--hbar", "0.05", "--margin", "-1"],
-    WEYL + ["--mu", "1", "--hbar", "0.05", "--resolution", "0"],
-    WEYL + ["--mu", "1", "--hbar", "0.05", "--resolution", "-1"],
     ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=nan"],
     ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=inf"],
     ["variance", "--n", "1", "--mu", "10", "--function", "gaussian:width=abc"],
@@ -254,6 +249,15 @@ SOLVE = ["--potential", "x1^2", "--mu", "1", "--hbar", "0.05"]
     ["weyl", "--potential", "x1^2/0", "--mu", "1", "--hbar", "0.05"],
     ["converge-edge", "--potential", "x1^2", "--mu", "1", "--x0", "1",
      "--hbar", "0.01", "--window", "-1e300:1e300"],
+    # windows that hold no point: 1e300 + 1/2 rounds back to 1e300
+    ["kernel", "--kind", "edge", "--n", "1", "--window", "1e300:1e300:1"],
+    ["kernel", "--kind", "edge", "--n", "2", "--window", "1e300:1e300:1"],
+    ["kernel", "--kind", "bulk", "--window", "1e300:1e300:1"],
+    # a delta whose bound 1 + 2 mu / delta is inf
+    ["agmon"] + SOLVE + ["--delta", "5e-324"],
+    # mu below the first level, 0.05: no particle to sample
+    ["sample", "--potential", "x1^2", "--mu", "0.01", "--hbar", "0.05",
+     "--seed", "1"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_empty_and_non_positive_inputs_exit_one(argv, capsys):
@@ -304,6 +308,22 @@ def test_every_grid_command_refuses_an_empty_droplet(argv, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "droplet" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seed", "1"],
+    ["clt", "--function", "gaussian:width=0.2", "--seed", "1"],
+    ["lln", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_sampling_commands_refuse_an_empty_process(argv, capsys):
+    # x1^2 at hbar = 0.05 has no level below mu = 0.01: sample wrote a
+    # header-only CSV and clt called the statistic degenerate
+    assert main(argv + ["--potential", "x1^2", "--mu", "0.01",
+                        "--hbar", "0.05"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no levels below mu: the process is empty\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -564,6 +584,19 @@ def test_flags_override_config(tmp_path):
     assert float(rows[0][cols.index("hbar")]) == 0.1
 
 
+@pytest.mark.parametrize("flag, value", [("margin", "1"), ("resolution", "2")])
+def test_removed_solver_flags_are_usage_errors(flag, value, tmp_path, capsys):
+    # the box margin and the grid spacing factor are constants: neither is a
+    # flag or a config key
+    argv = WEYL + ["--mu", "1", "--hbar", "0.05"]
+    assert main(argv + [f"--{flag}", value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag}={value}\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("potential=x1^2\nbogus_key=3\n")
@@ -617,16 +650,58 @@ def test_parse_function_rejects_garbage():
 # README grammar
 
 
-def test_readme_commands_parse_and_cover_every_subcommand():
+def _readme_commands():
+    """Argument lists of the `fermigas ...` lines of the README's Command
+    line block, in order."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Command line")[1]
     block = section.split("```sh")[1].split("```")[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("fermigas ")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fermigas ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_commands_parse_and_cover_every_subcommand():
     parser, table = _build_parser()
-    for argv in commands:  # a mismatch exits through the parser's error
+    for argv in README_COMMANDS:  # a mismatch exits through the parser's error
         assert parser.parse_args(argv).subcommand == argv[0]
-    assert {argv[0] for argv in commands} == set(table)
+    assert {argv[0] for argv in README_COMMANDS} == set(table)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _library_versions():
+    """The VERSIONS lines of the libraries this process runs on."""
+    import scipy
+
+    lines = [f"numpy={np.__version__}", f"scipy={scipy.__version__}"]
+    for name, module in (("numpy", np), ("scipy", scipy)):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        lines.append(f"{name}_blas={blas['name']} {blas['version']}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "k, argv", list(enumerate(README_COMMANDS)),
+    ids=[f"{k:02d}_{argv[0]}" for k, argv in enumerate(README_COMMANDS)],
+)
+def test_readme_commands_reproduce_their_golden_csv(k, argv, tmp_path):
+    # identical flags and seed must give identical bytes.  A change that
+    # moves a CSV on purpose re-records it with
+    #   fermigas <README line> --out tests/golden/<id>.csv
+    # and names it in CHANGES.md; VERSIONS names the libraries recorded with
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    if out.read_bytes() != (GOLDEN / f"{k:02d}_{argv[0]}.csv").read_bytes():
+        recorded = [line for line in
+                    (GOLDEN / "VERSIONS").read_text().splitlines()
+                    if not line.startswith("#")]
+        pytest.fail(f"fermigas {shlex.join(argv)} no longer writes its golden "
+                    f"CSV; recorded with {', '.join(recorded)}; this run has "
+                    f"{', '.join(_library_versions())}")
 
 
 # ---------------------------------------------------------------------------

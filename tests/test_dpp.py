@@ -15,7 +15,6 @@ from fermigas.dpp import (
     from_kernel,
     laplace_functional,
     mean_linear_stat,
-    sample,
     samples,
     var_linear_stat,
 )
@@ -69,7 +68,7 @@ def test_from_eigensystem_empty_below_ground_state(fermions):
     es = eigensolve(H, 1.0, grid, 0.1)
     dpp = from_eigensystem(es, 0.05)
     assert dpp.N == 0
-    cfg = sample(dpp, RngState(5))
+    cfg = samples(dpp, [RngState(5)])[0]
     assert len(cfg) == 0
 
 
@@ -91,6 +90,9 @@ def test_from_kernel_sine_window():
     # spectrum is nearly a projection: few transitional eigenvalues
     assert np.count_nonzero((gd.q > 0.05) & (gd.q < 0.95)) <= 6
     assert np.count_nonzero(gd.q > 0.5) == 4
+    # a mixture of projections: its traces are exact, its samples refused
+    with pytest.raises(ValidationError, match="projection"):
+        samples(gd, [RngState(1)])
 
 
 def test_from_kernel_zero_kernel_is_empty():
@@ -98,7 +100,7 @@ def test_from_kernel_zero_kernel_is_empty():
     ke = (xs, np.zeros((21, 21)))
     gd = from_kernel(ke)
     assert gd.q.size == 0
-    assert len(sample(gd, RngState(1))) == 0
+    assert len(samples(gd, [RngState(1)])[0]) == 0
 
 
 def test_dpp_rejects_bad_weights_and_rows():
@@ -146,17 +148,17 @@ def test_from_kernel_needs_a_uniform_lattice(nodes, message):
 def test_sample_has_exactly_n_points_always(fermions):
     dpp, _ = fermions
     for k in range(40):
-        cfg = sample(dpp, RngState(123).stream(k))
+        cfg = samples(dpp, [RngState(123).stream(k)])[0]
         assert len(cfg) == dpp.N
         assert np.unique(cfg.indices).size == dpp.N
 
 
 def test_sample_bit_reproducible(fermions):
     dpp, _ = fermions
-    a = sample(dpp, RngState(2024))
-    b = sample(dpp, RngState(2024))
+    a = samples(dpp, [RngState(2024)])[0]
+    b = samples(dpp, [RngState(2024)])[0]
     assert np.array_equal(a.indices, b.indices)
-    c = sample(dpp, RngState(2025))
+    c = samples(dpp, [RngState(2025)])[0]
     assert not np.array_equal(a.indices, c.indices)
 
 
@@ -172,7 +174,8 @@ def test_sample_sequences_are_frozen(fermions):
         [143, 187, 157, 124, 162],
     ]
     for k, want in enumerate(frozen):
-        assert sample(dpp, RngState(2024).stream(k)).indices.tolist() == want
+        cfg = samples(dpp, [RngState(2024).stream(k)])[0]
+        assert cfg.indices.tolist() == want
 
 
 def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
@@ -181,19 +184,16 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
     # boundaries on either path
     per_trial = 8 * (dpp.node_count + dpp.N * dpp.N)
     monkeypatch.setattr(dpp_module, "_BLOCK_BYTES", 3 * per_trial)
-    xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    thinned = from_kernel((xs, bulk_kernel(1, xs[:, None], xs[None, :])))
     for nodes_per_k2 in (4, 10 ** 9):  # the tree path, then the dense one
         monkeypatch.setattr(dpp_module, "_TREE_NODES_PER_K2", nodes_per_k2)
-        for process in (dpp, thinned):
-            states = [RngState(55).stream(k) for k in range(10)]
-            block = samples(process, states)
-            assert len(block) == len(states)
-            for state, config in zip(states, block):
-                alone = sample(process, state)
-                assert np.array_equal(config.indices, alone.indices)
-                assert np.array_equal(config.points, alone.points)
-                assert (config.seed, config.counter) == (state.seed, state.counter)
+        states = [RngState(55).stream(k) for k in range(10)]
+        block = samples(dpp, states)
+        assert len(block) == len(states)
+        for state, config in zip(states, block):
+            alone = samples(dpp, [state])[0]
+            assert np.array_equal(config.indices, alone.indices)
+            assert np.array_equal(config.points, alone.points)
+            assert (config.seed, config.counter) == (state.seed, state.counter)
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +222,7 @@ def test_sampler_rejects_non_finite_residual_mass(fermions):
     broken = DPP(dpp.features.copy(), dpp.nodes)
     broken.features[0, 0] = math.nan  # past the constructor's check
     with pytest.raises(NumericalError, match="residual mass"):
-        sample(broken, RngState(3))
+        samples(broken, [RngState(3)])
     with pytest.raises(NumericalError, match="residual mass"):
         samples(broken, [RngState(3).stream(k) for k in range(4)])
     uniforms = np.full((2, dpp.N), 0.5)
@@ -296,8 +296,8 @@ def test_sample_follows_the_exact_joint_law():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     trials = 10000
     counts = dict.fromkeys(pairs, 0)
-    for k in range(trials):
-        counts[tuple(sorted(sample(dpp, RngState(8).stream(k)).indices))] += 1
+    for cfg in samples(dpp, [RngState(8).stream(k) for k in range(trials)]):
+        counts[tuple(sorted(cfg.indices))] += 1
     freq = np.array([counts[p] for p in pairs]) / trials
     se = np.sqrt(probs * (1.0 - probs) / trials)
     assert np.all(np.abs(freq - probs) <= 5.0 * se)
@@ -312,37 +312,12 @@ def test_rank_one_sample_density():
     counts = np.zeros(41)
     trials = 3000
     for k in range(trials):
-        cfg = sample(dpp, RngState(77).stream(k))
+        cfg = samples(dpp, [RngState(77).stream(k)])[0]
         assert len(cfg) == 1
         counts[cfg.indices[0]] += 1
     expect = trials * dpp.intensity()
     se = np.sqrt(trials * dpp.intensity() * (1.0 - dpp.intensity()))
     assert np.all(np.abs(counts - expect) <= 4.0 * se + 1e-9)
-
-
-def test_thinned_sampler_matches_laplace_functional():
-    # a kernel that is not a projection is sampled by Bernoulli thinning of
-    # its spectral rows before the chain rule
-    xs = np.arange(-2.0, 2.0001, 0.05)[:, None]
-    ke = (xs, bulk_kernel(1, xs[:, None], xs[None, :]))
-    gd = from_kernel(ke)
-    assert not gd.is_projection
-    x = xs.ravel()
-    trials = 2000
-    samples = [
-        sample(gd, RngState(808).stream(k)).indices for k in range(trials)
-    ]
-    assert len({idx.size for idx in samples}) > 1  # the count is random
-    shapes = (
-        0.5 * np.exp(-x ** 2),
-        np.where(x > 0.0, 1.0, 0.0),
-        0.2 * np.ones_like(x),
-    )
-    for f in shapes:
-        exact = laplace_functional(gd, f)
-        draws = np.array([math.exp(-f[idx].sum()) for idx in samples])
-        se = draws.std(ddof=1) / math.sqrt(trials)
-        assert abs(draws.mean() - exact) <= 4.0 * se
 
 
 def test_empirical_intensity_matches_kernel_diagonal(fermions):
@@ -351,7 +326,7 @@ def test_empirical_intensity_matches_kernel_diagonal(fermions):
     bins = np.array_split(np.arange(dpp.node_count), 10)
     counts = np.zeros(10)
     for k in range(trials):
-        cfg = sample(dpp, RngState(31).stream(k))
+        cfg = samples(dpp, [RngState(31).stream(k)])[0]
         node_hits = np.bincount(cfg.indices, minlength=dpp.node_count)
         counts += [node_hits[b].sum() for b in bins]
     for bi, b in enumerate(bins):
@@ -370,7 +345,7 @@ def test_draw_positions_are_exchangeable(fermions):
     half = dpp.node_count // 2
     first_left = last_left = 0
     for k in range(trials):
-        cfg = sample(dpp, RngState(87).stream(k))
+        cfg = samples(dpp, [RngState(87).stream(k)])[0]
         first_left += cfg.indices[0] < half
         last_left += cfg.indices[-1] < half
     p = first_left / trials
@@ -403,12 +378,10 @@ def test_laplace_functional_against_monte_carlo(fermions):
         0.4 * np.exp(-np.abs(x)),
     ]
     trials = 2500
-    samples = [
-        sample(dpp, RngState(404).stream(k)).indices for k in range(trials)
-    ]
+    configs = samples(dpp, [RngState(404).stream(k) for k in range(trials)])
     for f in shapes:
         exact = laplace_functional(dpp, f)
-        draws = np.array([math.exp(-f[idx].sum()) for idx in samples])
+        draws = np.array([math.exp(-f[c.indices].sum()) for c in configs])
         se = draws.std(ddof=1) / math.sqrt(trials)
         assert abs(draws.mean() - exact) <= 3.0 * se + 1e-12
 
@@ -537,8 +510,11 @@ def test_exact_identities_on_random_kernels(case):
     )
     k3 = _exact_skewness(dpp, f, 1.0)  # var = 1 leaves the bare cumulant
     assert abs(k3 - dense) <= 1e-10 * max(1.0, abs(dense))
-    idx = sample(dpp, RngState(0)).indices
+    if not dpp.is_projection:
+        with pytest.raises(ValidationError, match="projection"):
+            samples(dpp, [RngState(0)])
+        return
+    idx = samples(dpp, [RngState(0)])[0].indices
     assert np.unique(idx).size == idx.size
     assert np.all((idx >= 0) & (idx < dpp.node_count))
-    if dpp.is_projection:
-        assert idx.size == dpp.N
+    assert idx.size == dpp.N

@@ -179,8 +179,8 @@ def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):
 
     monkeypatch.setattr("fermigas.experiments.weyl_constant", no_weyl)
     V = parse_potential("x1^2 + x2^2")
-    with pytest.raises(ValidationError):
-        weyl_check(V, 1.0, [0.1], margin=-1.0)
+    with pytest.raises(ValidationError, match="hbar must be positive"):
+        weyl_check(V, 1.0, [0.0])
 
 
 def test_weyl_counts_by_inertia_without_eigenvectors(monkeypatch):
@@ -346,6 +346,28 @@ def test_tail_check_rejects_inputs_before_solving(harmonic, monkeypatch):
     f = TestFunction.gaussian_bump(1, 0.0, 0.4)
     with pytest.raises(ValidationError):
         gaussian_tail_check(harmonic, 1.0, f, 0.05, 0, RngState(5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tail_check_refuses_a_test_function_narrower_than_the_grid(
+        harmonic, monkeypatch):
+    # the bump overflowed on the nodes, as it did in clt before its check
+    def no_eval(*args, **kwargs):
+        raise AssertionError("the test function was evaluated")
+
+    f = TestFunction.gaussian_bump(1, 0, 1e-300)
+    monkeypatch.setattr(TestFunction, "__call__", no_eval)
+    with pytest.raises(ValidationError, match="below the grid spacing"):
+        gaussian_tail_check(harmonic, 1.0, f, 0.05, 50, RngState(1))
+
+
+def test_drivers_refuse_an_empty_process(harmonic):
+    # mu = 0.01 lies below the first level, 0.05, of x1^2 at hbar = 0.05
+    f = TestFunction.gaussian_bump(1, 0.0, 0.4)
+    with pytest.raises(ValidationError, match="the process is empty"):
+        gaussian_tail_check(harmonic, 0.01, f, 0.05, 50, RngState(1))
+    with pytest.raises(ValidationError, match="the process is empty"):
+        mesoscopic_variance_scan(harmonic, 0.01, 0.0, [0.05], 0.5, f)
 
 
 def test_tail_variance_scale_is_stable_in_hbar(harmonic):
