@@ -385,14 +385,13 @@ def weyl_check(V, mu, hbar_list):
     Rows are (hbar, count, hbar_count, scaled_count, deviation) where
     hbar_count is hbar^n N, scaled_count is hbar^n N (2 pi)^n / (omega_n Z)
     and Z integrates (mu - V)_+^{n/2}; the scaled count tends to 1 as hbar
-    goes to 0.  The counts are inertias (level_count), with no eigenvectors.
+    goes to 0.  The counts (level_count) compute no 2-D eigenvectors.
     An empty droplet, Z = 0, whose scaled count would be 0 / 0, is a
     ValidationError, found before the first grid is built (_solve_grid).
     """
     n = V.dimension
-    counts = [
-        level_count(_solve_grid(V, mu, hbar)[1], mu) for hbar in hbar_list
-    ]
+    counts = [level_count(H, mu, grid) for grid, H in
+              (_solve_grid(V, mu, hbar) for hbar in hbar_list)]
     # after the counts, not before them: computing Z first raised the peak
     # RSS of `weyl` on x1^2+x2^2 at hbar 0.1, 0.07 by 4.6 MB
     Z = _weyl_constant_of_droplet(V, mu)
@@ -750,8 +749,9 @@ def free_variance_bruteforce(n, mu, g):
     n = int(n)
     if n not in (1, 2):
         raise ValidationError("free_variance_bruteforce supports n in {1, 2}")
-    if mu <= 0.0:
-        raise ValidationError("mu must be positive")
+    # the 1-d tail's oscillatory quad steps in cycles of pi / mu
+    if not (mu > 0.0 and math.pi / mu < math.inf):
+        raise ValidationError(f"mu must be positive, with pi / mu finite: {mu!r}")
     R = g.bounding_radius()
     h = min(math.pi / (4.5 * mu), R / 25.0)
     cells = 2.0 * R / h if h > 0.0 else math.inf  # per axis

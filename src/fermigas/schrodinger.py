@@ -368,32 +368,51 @@ def _ldlt(H, shift):
         raise NumericalError(f"no inertia count at {shift:g}: {exc}") from exc
 
 
-def _isotropic_trap(H, grid):
-    """Whether the diagonal of the 2-D H is c + b.x + a |x|^2, a > 0: an
-    isotropic harmonic trap, whose levels fall into shells of k + 1 equal
-    levels.  Exactly then its second differences along x1 and along x2 are
-    one positive constant, and its mixed ones vanish, to rounding."""
+def _separable(H, grid):
+    """[T1, T2], the 1-D tridiagonals whose Kronecker sum is the 2-D H of
+    assemble_hamiltonian, where its diagonal D (x1 down the rows) is d1[i] +
+    d2[j], d1 = D[:, 0] - D[0, 0] / 2, d2 = D[0, :] - D[0, 0] / 2, to 1e-12
+    max |D|; else None.  The off-diagonals are H's offset-k and offset-1."""
+    if grid.dimension != 2:
+        return None
     k = grid.points_per_axis - 2
-    diag = H.diagonal().reshape(k, k)  # x1-major: x1 down the rows
-    along = np.diff(diag, 2, axis=0)
-    a = along[0, 0]
-    tol = 1e-12 * np.max(np.abs(diag))
-    return bool(a > tol
-                and np.max(np.abs(along - a)) <= tol
-                and np.max(np.abs(np.diff(diag, 2, axis=1) - a)) <= tol
-                and np.max(np.abs(np.diff(np.diff(diag, axis=0), axis=1))) <= tol)
+    D = H.diagonal().reshape(k, k)
+    d1, d2 = D[:, 0] - 0.5 * D[0, 0], D[0, :] - 0.5 * D[0, 0]
+    if not np.max(np.abs(D - d1[:, None] - d2)) <= 1e-12 * np.max(np.abs(D)):
+        return None
+    e1, e2 = H.diagonal(k)[::k], H.diagonal(1)[:k - 1]
+    return [sp.diags([e, d, e], (-1, 0, 1)) for d, e in ((d1, e1), (d2, e2))]
 
 
-def level_count(H, cap):
-    """Number of eigenvalues of the symmetric H below cap: the negative
-    pivots of an LDL^T of H - cap I (_ldlt), by Sylvester's law of inertia.
+def _kronecker_levels(T1, T2, cap):
+    """(U, W, order): the eigenvectors of T1 and T2 (_tridiagonal_eigenvectors)
+    below cap minus a lower bound of the other's spectrum, and the flat
+    indices i * W.shape[1] + j of the levels a_i + b_j <= cap of T1 (+) T2,
+    ascending, whose eigenvectors are kron(U[:, i], W[:, j]) (Lynch, Rice
+    and Thomas, Numer. Math. 6, 1964)."""
+    low = [T.diagonal().min() - 2.0 * np.abs(T.diagonal(1)).max(initial=0.0)
+           for T in (T1, T2)]
+    a, U = _tridiagonal_eigenvectors(T1, cap - low[1])
+    b, W = _tridiagonal_eigenvectors(T2, cap - low[0])
+    sums = (a[:, None] + b).ravel()
+    order = np.argsort(sums, kind="stable")
+    return U, W, order[:np.count_nonzero(sums <= cap)]
+
+
+def level_count(H, cap, grid):
+    """Number of eigenvalues of the symmetric H below cap: for a separable
+    2-D H the sums a_i + b_j <= cap of its 1-D levels (_kronecker_levels),
+    else the negative pivots of an LDL^T of H - cap I (_ldlt), by
+    Sylvester's law of inertia.
 
     A level within rounding of cap may be counted or not, so callers that
-    need an exact count keep cap between levels; bisection (the 1-D
-    eigensolve) counts (lo, cap] instead.  A singular factor, a row exchange
-    or a zero or non-finite pivot leaves the inertia undefined:
+    need an exact count keep cap between levels.  A singular factor, a row
+    exchange or a zero or non-finite pivot leaves the inertia undefined:
     NumericalError.
     """
+    factors = _separable(H, grid)
+    if factors is not None:
+        return _kronecker_levels(*factors, cap)[2].size
     lu = _ldlt(H, cap)
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c)
@@ -423,29 +442,17 @@ def _solve_peak_bytes(n, m, N_est):
     return 8.0 * (m * (2.0 * ncv + N) + ncv * (ncv + 8.0)) + lu
 
 
-def _lanczos(H, cap, N, shift):
-    """The N levels of the 2-D H below cap, ascending, from one Lanczos call
-    on the LDL^T of H - sigma I (_ldlt), sigma at cap (shift "cap") or below
-    the spectrum ("below"): spectral-transformation Lanczos (Ericsson and
-    Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIAM J. Matrix
-    Anal. Appl. 15, 1994).  At cap, nu = 1 / (lambda - cap) is negative on
-    exactly the N levels, the N smallest nu, and the levels just below cap
-    converge first.  Below, sigma lies a tenth of the window [gersh_lo, cap]
-    under the Gershgorin bound gersh_lo, and the N levels are the N largest
-    nu.  The eigenvalues come from one Rayleigh-Ritz step; a level above cap
-    or a residual above 1e-10 ||H||_inf raises NumericalError.
-    """
+def _lanczos(H, cap, N):
+    """Lanczos vectors of the N levels of the 2-D H below cap, from one call
+    on the LDL^T of H - sigma I (_ldlt), sigma a tenth of [gersh_lo, cap]
+    under the Gershgorin bound: the N largest 1 / (lambda - sigma)
+    (Ericsson and Ruhe, Math. Comp. 35, 1980)."""
     m = H.shape[0]
-    if shift == "cap":
-        sigma, which = cap, "SA"
-    else:
-        row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
-        diag = H.diagonal()
-        gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
-        # scaled to the window, whatever the energy units
-        sigma, which = gersh_lo - 0.1 * (cap - gersh_lo), "LM"
-    # at the cap too a factor of its own: reading the count's pivots caches
-    # a CSC copy of U on that factor (11.8 MB at m = 39,601)
+    row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
+    diag = H.diagonal()
+    gersh_lo = float(np.min(diag - (row_abs - np.abs(diag))))
+    # scaled to the window, whatever the energy units
+    sigma = gersh_lo - 0.1 * (cap - gersh_lo)
     lu = _ldlt(H, sigma)
     OPinv = LinearOperator((m, m), matvec=lu.solve, dtype=float)
     # a fixed start vector: without one ARPACK seeds each call from OS
@@ -454,22 +461,46 @@ def _lanczos(H, cap, N, shift):
     # symmetric well
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
-        vals, vecs = eigsh(H, k=N, sigma=sigma, which=which, v0=v0, OPinv=OPinv)
+        return eigsh(H, k=N, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)[1]
     except ArpackNoConvergence as exc:
         raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
-    # the factor's memory is free before the checks below allocate
-    del lu, OPinv
-    # Rayleigh-Ritz: eigsh's sigma + 1 / nu loses digits to the shift (8e-12
-    # off at the cap), the Ritz values of H on its vectors do not
+
+
+def _basis_2d(H, cap, grid):
+    """Orthonormal columns spanning the levels <= cap of the 2-D H.  For V =
+    A(x1) + B(x2) (_separable), kron(u_i, w_j) of the 1-D solves at the sums
+    a_i + b_j <= cap (_kronecker_levels); else the inertia count N
+    (level_count), then one Lanczos call for exactly N levels (_lanczos)."""
+    m = H.shape[0]
+    factors = _separable(H, grid)
+    if factors is not None:
+        U, W, order = _kronecker_levels(*factors, cap)
+        i, j = np.divmod(order, W.shape[1])
+        return (U[:, None, i] * W[None, :, j]).reshape(m, order.size)
+    N = level_count(H, cap, grid)
+    if N >= m - 1:  # eigsh's bound on k
+        raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
+    return _lanczos(H, cap, N) if N else np.empty((m, 0))
+
+
+def _rayleigh_ritz(H, vecs, cap):
+    """(vals, vecs): the Ritz pairs of H on the orthonormal columns vecs,
+    ascending.  A level above cap or a residual above 1e-10 ||H||_inf raises
+    NumericalError."""
+    if vecs.shape[1] == 0:
+        return np.empty(0), vecs
+    # not eigsh's sigma + 1 / nu, which loses digits to the shift
     vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
     vecs = vecs @ rot
     if not vals[-1] <= cap:
-        raise NumericalError(f"Lanczos found {vals[-1]!r} above cap={cap:g} "
-                             f"among the {N} levels the inertia counts")
-    resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0).max()
+        raise NumericalError(f"the solve found {vals[-1]!r} above cap={cap:g} "
+                             f"among the {vals.size} levels it counted")
+    resid = H @ vecs
+    resid -= vecs * vals
+    resid = np.linalg.norm(resid, axis=0).max()
     hnorm = abs(H).sum(axis=1).max()
     if not resid <= 1e-10 * hnorm:
-        raise NumericalError(f"Lanczos residual {resid:.3g} exceeds "
+        raise NumericalError(f"eigen-residual {resid:.3g} exceeds "
                              f"1e-10 ||H|| = {1e-10 * hnorm:.3g}")
     return vals, vecs
 
@@ -480,40 +511,22 @@ def eigensolve(H, cap, grid, hbar):
     n=1 by bisection on two spectral slices, then inverse iteration and
     Rayleigh-Ritz per cluster of close levels, on min(2, usable CPUs)
     threads from 2,000 nodes on, with the same bits on any number of threads
-    (_tridiagonal_eigenvectors); n=2 counts the N levels below cap by
-    inertia (level_count), then makes one Lanczos call for exactly N levels
-    (_lanczos), shift-inverted at cap for an isotropic harmonic trap
-    (_isotropic_trap), whose shells of equal levels converge first from
-    there, and below the spectrum for any other potential, or where the
-    call at cap fails its checks.  N = 0 gives no levels, one factor and no
-    Lanczos call.
+    (_tridiagonal_eigenvectors).  n=2 by one Rayleigh-Ritz step, with its
+    cap and residual checks (_rayleigh_ritz), on the products of two 1-D
+    solves for a separable V, else on N Lanczos vectors (_basis_2d).
     """
     m = H.shape[0]
     if grid.interior_count != m:
         raise ValidationError("grid does not match the Hamiltonian size")
-    # both solvers give unit Euclidean columns; each branch rescales them to
-    # the weighted product
+    # both solvers give unit Euclidean columns, rescaled to the weighted product
     scale = math.sqrt(grid.weight)
     if grid.dimension == 1:
         vals, vecs = _tridiagonal_eigenvectors(H, cap)
         np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
-        # a cap within rounding of a shell fails the call at the cap; tested
-        # before the count, whose factor then reuses the test's freed memory
-        shifts = ["cap"] * _isotropic_trap(H, grid) + ["below"]
-        N = level_count(H, cap)
-        if N == 0:
-            return EigenSystem(hbar, cap, np.empty(0), np.empty((m, 0)), grid)
-        if N >= m - 1:  # eigsh's bound on k
-            raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
-        for shift in shifts:
-            try:
-                vals, vecs = _lanczos(H, cap, N, shift)
-                break
-            except NumericalError:
-                if shift == shifts[-1]:
-                    raise
-        vecs = _fix_signs(vecs / scale)
+        # the basis passed, not held, so Rayleigh-Ritz frees it as it rotates
+        vals, vecs = _rayleigh_ritz(H, _basis_2d(H, cap, grid), cap)
+        vecs = _fix_signs(np.divide(vecs, scale, out=vecs))
     return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 

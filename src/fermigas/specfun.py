@@ -26,9 +26,10 @@ __all__ = [
 def _airy(x, k, name):
     """Component k of scipy.special.airy (0: Ai, 1: Ai'), elementwise in x."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} requires a finite argument")
     val = airy(x)[k]
+    # scipy gives nan from |x| of about 2^20 on
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(val))):
+        raise ValidationError(f"{name} requires a finite argument below 2^20")
     return float(val) if val.ndim == 0 else val
 
 

@@ -339,6 +339,21 @@ def test_clt_refuses_a_test_function_narrower_than_the_grid(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--kind", "airy", "--n", "1", "--window", "-1e300:1e300:1e299"],
+     "error: airy_ai requires a finite argument below 2^20\n"),
+    (["variance", "--n", "1", "--mu", "5e-324", "--function", "gaussian:width=1"],
+     "error: mu must be positive, with pi / mu finite: 5e-324\n"),
+], ids=["airy", "variance"])
+def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
+    # the airy table held 440 nan rows past scipy's Airy range, and the
+    # variance a nan brute force where its tail quadrature has no cycle
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_kernel_projector_needs_potential(capsys):
     assert main(["kernel", "--kind", "projector", "--mu", "1",
                  "--window", "0:1:0.5"]) == 1
@@ -684,6 +699,18 @@ def _library_versions():
     return lines
 
 
+def _assert_golden(name, argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    if out.read_bytes() != (GOLDEN / f"{name}.csv").read_bytes():
+        recorded = [line for line in
+                    (GOLDEN / "VERSIONS").read_text().splitlines()
+                    if not line.startswith("#")]
+        pytest.fail(f"fermigas {shlex.join(argv)} no longer writes its golden "
+                    f"CSV; recorded with {', '.join(recorded)}; this run has "
+                    f"{', '.join(_library_versions())}")
+
+
 @pytest.mark.parametrize(
     "k, argv", list(enumerate(README_COMMANDS)),
     ids=[f"{k:02d}_{argv[0]}" for k, argv in enumerate(README_COMMANDS)],
@@ -693,15 +720,25 @@ def test_readme_commands_reproduce_their_golden_csv(k, argv, tmp_path):
     # moves a CSV on purpose re-records it with
     #   fermigas <README line> --out tests/golden/<id>.csv
     # and names it in CHANGES.md; VERSIONS names the libraries recorded with
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    if out.read_bytes() != (GOLDEN / f"{k:02d}_{argv[0]}.csv").read_bytes():
-        recorded = [line for line in
-                    (GOLDEN / "VERSIONS").read_text().splitlines()
-                    if not line.startswith("#")]
-        pytest.fail(f"fermigas {shlex.join(argv)} no longer writes its golden "
-                    f"CSV; recorded with {', '.join(recorded)}; this run has "
-                    f"{', '.join(_library_versions())}")
+    _assert_golden(f"{k:02d}_{argv[0]}", argv, tmp_path)
+
+
+# 2-D commands, recorded as the README ones are, under tests/golden/<id>.csv
+KERNEL_2D = ["kernel", "--kind", "projector", "--n", "2", "--potential",
+             "x1^2+2*x2^2", "--mu", "1", "--hbar", "0.1",
+             "--window", "-0.5:0.5:0.25"]
+GOLDEN_2D = {
+    "2d_sample": ["sample", "--potential", "x1^2+x2^2", "--mu", "1",
+                  "--hbar", "0.07", "--trials", "64", "--seed", "1"],
+    "2d_weyl": ["weyl", "--potential", "x1^2+x2^2", "--mu", "1",
+                "--hbar", "0.1,0.07"],
+    "2d_kernel": KERNEL_2D,
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_2D)
+def test_2d_commands_reproduce_their_golden_csv(name, tmp_path):
+    _assert_golden(name, GOLDEN_2D[name], tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +748,8 @@ def test_readme_commands_reproduce_their_golden_csv(k, argv, tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_python(args):
-    env = dict(os.environ)
+def _run_python(args, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
@@ -728,6 +765,15 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "# experiment=weyl_check" in out.read_text()
+
+
+def test_2d_kernel_bytes_do_not_depend_on_the_blas_threads():
+    # the separable 2-D solve is two LAPACK tridiagonal solves and one
+    # Rayleigh-Ritz step; the CSV is the same on one BLAS thread and on two
+    runs = [_run_python(["-m", "fermigas", *KERNEL_2D],
+                        OPENBLAS_NUM_THREADS=threads) for threads in "12"]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 DEFERRED = ("scipy.signal", "scipy.interpolate", "scipy.ndimage")

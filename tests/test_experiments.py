@@ -185,11 +185,13 @@ def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):
 
 def test_weyl_counts_by_inertia_without_eigenvectors(monkeypatch):
     # x1^2 + x2^2 has the levels 2 hbar (j1 + j2 + 1), j1 + j2 = t held
-    # t + 1 times: 15, 28 and 55 of them lie below 1 at these hbar
+    # t + 1 times: 15, 28 and 55 of them lie below 1 at these hbar.  It is
+    # separable, so the counts are sums of 1-D levels, with no LU either
     def no_solve(*args, **kwargs):
-        raise AssertionError("weyl_check computed eigenvectors")
+        raise AssertionError("weyl_check computed eigenvectors or an LU")
 
     monkeypatch.setattr("fermigas.schrodinger.eigsh", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.splu", no_solve)
     monkeypatch.setattr("fermigas.experiments.eigensolve", no_solve)
     # the counts alone are under test: Z = pi / 2 in closed form
     monkeypatch.setattr("fermigas.experiments.weyl_constant",

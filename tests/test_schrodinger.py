@@ -3,12 +3,14 @@
 import functools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import eval_hermite
 
@@ -248,10 +250,10 @@ def test_level_count_between_levels_is_exact():
     levels = eigensolve(H, 1.0, grid, 0.01).eigenvalues
     assert levels.size == 50
     for j, mid in enumerate(0.5 * (levels[:-1] + levels[1:])):
-        assert schrodinger.level_count(H, mid) == j + 1
+        assert schrodinger.level_count(H, mid, grid) == j + 1
     for j, lam in enumerate(levels):
         for cap in (np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)):
-            assert schrodinger.level_count(H, cap) in (j, j + 1)
+            assert schrodinger.level_count(H, cap, grid) in (j, j + 1)
 
 
 @pytest.mark.parametrize("text, mu, hbar, want", [
@@ -268,17 +270,51 @@ def test_level_count_matches_the_bisection_count_1d(text, mu, hbar, want):
     lo = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
     bisected = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                                 select_range=(lo, mu), tol=1.0)
-    assert schrodinger.level_count(H, mu) == bisected.size == want
+    assert schrodinger.level_count(H, mu, grid) == bisected.size == want
 
 
-@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2"])
+@pytest.mark.parametrize("text", [
+    "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^2 + x2^2 + 0.2*x1^2*x2^2",
+])
 @pytest.mark.parametrize("hbar", [0.1, 0.07])
 def test_level_count_matches_the_eigensolve_count_2d(text, hbar):
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(parse_potential(text), hbar, grid)
     es = eigensolve(H, 1.0, grid, hbar)
     assert es.eigenvalues.size > 0
-    assert schrodinger.level_count(H, 1.0) == es.eigenvalues.size
+    assert schrodinger.level_count(H, 1.0, grid) == es.eigenvalues.size
+
+
+def polynomial(coefficients, x):
+    """The text of sum_k c_k x^k, k from 1."""
+    return " + ".join(f"({c!r})*{x}^{k}"
+                      for k, c in enumerate(coefficients, start=1))
+
+
+# a(x) = c1 x + c2 x^2 + c3 x^3 + c4 x^4, confining: c2 > 0 and c4 > 0
+COEFFICIENTS = st.tuples(
+    st.floats(-0.5, 0.5), st.floats(0.2, 2.0), st.floats(-0.3, 0.3),
+    st.floats(0.1, 1.0),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(COEFFICIENTS, COEFFICIENTS)
+def test_level_count_of_a_separable_potential_is_its_inertia(a, b):
+    # a(x1) + b(x2) counts the sums of its 1-D levels; at every cap midway
+    # between two levels that count is the inertia of H - cap I, which the
+    # count of a non-separable H takes
+    V = parse_potential(polynomial(a, "x1") + " + " + polynomial(b, "x2"))
+    grid = Grid(2, 1.5, 31)
+    H = assemble_hamiltonian(V, 0.1, grid)
+    assert schrodinger._separable(H, grid) is not None
+    levels = eigensolve(H, 1.5, grid, 0.1).eigenvalues
+    gaps = np.flatnonzero(np.diff(levels) > 1e-9)
+    for cap in 0.5 * (levels[gaps] + levels[gaps + 1]):
+        count = schrodinger.level_count(H, cap, grid)
+        with mock.patch.object(schrodinger, "_separable", lambda H, grid: None):
+            assert schrodinger.level_count(H, cap, grid) == count
+        assert count == np.count_nonzero(levels <= cap)
 
 
 @pytest.mark.parametrize("hbar", [0.02, 0.05])
@@ -473,8 +509,13 @@ def test_eigensolve_2d_isotropic_harmonic():
     assert np.max(np.abs(G - np.eye(3))) <= 1e-8
 
 
+# x1^2 + x2^2 with a mixed term: not A(x1) + B(x2), so its 2-D solve takes
+# the inertia count and one Lanczos call
+MIXED = "x1^2 + x2^2 + 0.2*x1^2*x2^2"
+
+
 def test_eigensolve_2d_one_lanczos_call_at_the_inertia_count(monkeypatch):
-    # x1^2 + x2^2 at hbar=0.08 on a coarse grid: 21 levels <= 1, all from
+    # the mixed well at hbar=0.1 on a coarse grid: 13 levels <= 1, all from
     # one Lanczos call that asks for exactly the inertia count
     ks = []
     eigsh = schrodinger.eigsh
@@ -484,22 +525,17 @@ def test_eigensolve_2d_one_lanczos_call_at_the_inertia_count(monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(schrodinger, "eigsh", counting)
-    V = parse_potential("x1^2 + x2^2")
-    grid = Grid(2, 1.5, 61)
-    H = assemble_hamiltonian(V, 0.08, grid)
-    es = eigensolve(H, 1.0, grid, 0.08)
-    assert ks == [21]
-    exact = np.sort(
-        [0.16 * (k1 + k2 + 1) for k1 in range(7) for k2 in range(7)]
-    )
-    exact = exact[exact <= 1.0]
-    # coarse grid, so only window completeness and rough locations matter here
-    assert np.allclose(es.eigenvalues, exact, atol=1.5e-2)
+    grid = Grid(2, 1.5, 41)
+    H, lam, U = dense_levels(MIXED, 0.1, grid)
+    es = eigensolve(H, 1.0, grid, 0.1)
+    assert ks == [13]
+    assert_matches_dense(es, H, lam, U)
 
 
 def test_eigensolve_2d_empty_window_runs_no_lanczos(monkeypatch):
-    # every level lies above the cap: the inertia count, one LU, is 0 and
-    # no Lanczos call follows
+    # every level lies above the cap.  The mixed well's inertia count, one
+    # LU, is 0 and no Lanczos call follows; the separable well counts the
+    # sums of its 1-D levels, with no LU at all
     lus = []
     splu = schrodinger.splu
 
@@ -513,11 +549,13 @@ def test_eigensolve_2d_empty_window_runs_no_lanczos(monkeypatch):
     monkeypatch.setattr(schrodinger, "splu", counting)
     monkeypatch.setattr(schrodinger, "eigsh", fail)
     grid = Grid(2, 1.5, 61)
-    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2 + 1"), 0.08, grid)
-    es = eigensolve(H, 0.5, grid, 0.08)
-    assert len(lus) == 1
-    assert es.eigenvalues.size == 0
-    assert es.eigenvectors.shape == (59 * 59, 0)
+    for text, factors in ((MIXED + " + 1", 1), ("x1^2 + x2^2 + 1", 0)):
+        lus.clear()
+        H = assemble_hamiltonian(parse_potential(text), 0.08, grid)
+        es = eigensolve(H, 0.5, grid, 0.08)
+        assert len(lus) == factors
+        assert es.eigenvalues.size == 0
+        assert es.eigenvectors.shape == (59 * 59, 0)
 
 
 def test_eigensolve_calls_the_solvers_the_benchmark_tracer_wraps(monkeypatch):
@@ -534,20 +572,39 @@ def test_eigensolve_calls_the_solvers_the_benchmark_tracer_wraps(monkeypatch):
     harmonic_eigensystem()
     assert calls == {"eigh_tridiagonal": 1, "eigsh": 0}
     grid = Grid(2, 1.5, 61)
-    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.08, grid)
+    H = assemble_hamiltonian(parse_potential(MIXED), 0.08, grid)
     eigensolve(H, 1.0, grid, 0.08)
     assert calls == {"eigh_tridiagonal": 1, "eigsh": 1}
+    # a separable H solves its two 1-D factors
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.08, grid)
+    eigensolve(H, 1.0, grid, 0.08)
+    assert calls == {"eigh_tridiagonal": 3, "eigsh": 1}
 
 
 def test_eigensolve_2d_singular_shift_is_a_numerical_error():
     # at hbar=1e-160 the kinetic part underflows and H - I is singular where
-    # V = 1 at a node: no inertia count, and a NumericalError (exit 2), not
-    # a traceback from the factorisation
-    V = parse_potential("x1^2 + x2^2")
+    # V = 1 at a node, (1, 0) of the mixed well: no inertia count, and a
+    # NumericalError (exit 2), not a traceback from the factorisation
     grid = Grid(2, 1.5, 61)
-    H = assemble_hamiltonian(V, 1e-160, grid)
+    H = assemble_hamiltonian(parse_potential(MIXED), 1e-160, grid)
     with pytest.raises(NumericalError, match="no inertia count"):
         eigensolve(H, 1.0, grid, 1e-160)
+
+
+def test_eigensolve_2d_separable_at_a_vanishing_hbar_is_a_numerical_error():
+    # x1^2 + x2^2 at hbar=1e-160: the 1-D factors are diagonal to rounding,
+    # and the level V(1, 0) = 1 sits on the cap, where its sum is counted.
+    # Its Ritz value may round above the cap (it does with this BLAS): the
+    # level check raises a NumericalError (exit 2), never a traceback
+    grid = Grid(2, 1.5, 61)
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 1e-160, grid)
+    try:
+        es = eigensolve(H, 1.0, grid, 1e-160)
+    except NumericalError as exc:
+        assert "above cap" in str(exc)
+    else:
+        assert es.eigenvalues.size == schrodinger.level_count(H, 1.0, grid)
+        assert es.eigenvalues.max() <= 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -580,12 +637,12 @@ def assert_matches_dense(es, H, lam, U):
 
 
 @pytest.mark.parametrize("text", [
-    "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^4 + x2^4 - x1^2",
+    "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^4 + x2^4 - x1^2", MIXED,
 ])
 def test_eigensolve_2d_matches_a_dense_oracle(text):
-    # the isotropic well shift-inverted at the cap, then Rayleigh-Ritz, and
-    # two wells shift-inverted below their spectra, against LAPACK's dense
-    # eigh of the same H (15, 9 and 33 levels below 1)
+    # three separable wells from their 1-D factors, then Rayleigh-Ritz, and
+    # the mixed well shift-inverted below its spectrum, against LAPACK's
+    # dense eigh of the same H (15, 9, 33 and 13 levels below 1)
     grid = Grid(2, 1.5, 41)
     H, lam, U = dense_levels(text, 0.1, grid)
     assert_matches_dense(eigensolve(H, 1.0, grid, 0.1), H, lam, U)
@@ -593,13 +650,13 @@ def test_eigensolve_2d_matches_a_dense_oracle(text):
 
 @pytest.mark.parametrize("text, top", [
     ("x1^2 + x2^2", 13), ("x1^2 + x2^2", 14), ("x1^2 + 2*x2^2", 7),
-], ids=["degenerate", "simple", "below-the-spectrum"])
+    (MIXED, 11),
+], ids=["degenerate", "simple", "below-the-spectrum", "mixed"])
 def test_eigensolve_2d_cap_just_above_a_level(text, top):
-    # H - cap I is within 1e-6 of singular: a near-zero pivot in the count's
-    # LDL^T and, in the isotropic well, a 1e6 eigenvalue of the operator
-    # shift-inverted at the cap; level 13 of that well is a pair of equal
-    # levels, level 14 a single one.  The anisotropic well shift-inverts
-    # below its spectrum
+    # a cap 1e-6 above level `top`, which the sums of the 1-D levels and,
+    # for the mixed well, the inertia count of the nearly singular H - cap I
+    # must keep; level 13 of the isotropic well is a pair of equal levels,
+    # level 14 a single one
     grid = Grid(2, 1.5, 41)
     H, lam, U = dense_levels(text, 0.1, grid)
     cap = lam[top] + 1e-6
@@ -609,10 +666,8 @@ def test_eigensolve_2d_cap_just_above_a_level(text, top):
 
 
 def test_eigensolve_2d_caps_across_the_isotropic_window():
-    # shift-invert at the cap factors the indefinite H - cap I without
-    # pivoting: every cap midway between two of the first 55 levels, and
-    # 1e-9 above each distinct level, meets the dense oracle, from the call
-    # at the cap or, where that fails its checks, from the fallback
+    # every cap midway between two of the first 55 levels of the isotropic
+    # well, and 1e-9 above each distinct level, meets the dense oracle
     grid = Grid(2, 1.5, 41)
     H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
     distinct = lam[:56][np.diff(lam[:57]) > 1e-8]
@@ -621,35 +676,61 @@ def test_eigensolve_2d_caps_across_the_isotropic_window():
         assert_matches_dense(eigensolve(H, cap, grid, 0.1), H, lam, U)
 
 
-def test_eigensolve_2d_cap_within_rounding_of_a_shell_shifts_below(monkeypatch):
-    # 1e-9 above the equal levels 30 and 31 of the isotropic well, the
-    # operator shift-inverted at the cap has norm 1e9, and its call leaves
-    # residuals near 1e-8 ||H||; the solve shifts below the spectrum instead
+@pytest.mark.parametrize("bump, lanczos", [(0.5e-12, False), (2e-12, True)],
+                         ids=["within", "above"])
+def test_eigensolve_2d_mixed_term_past_the_tolerance_takes_lanczos(
+    monkeypatch, bump, lanczos
+):
+    # one diagonal entry of x1^2 + x2^2 moved by bump * max |D|: a mixed
+    # remainder of that size, which the 1-D split accepts up to 1e-12
     calls = []
     eigsh = schrodinger.eigsh
 
-    def spying(A, **kwargs):
-        calls.append(kwargs["which"])
-        return eigsh(A, **kwargs)
+    def spying(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(schrodinger, "eigsh", spying)
     grid = Grid(2, 1.5, 41)
-    H, lam, U = dense_levels("x1^2 + x2^2", 0.1, grid)
-    assert lam[31] - lam[30] < 1e-8 < lam[32] - lam[31]
-    es = eigensolve(H, lam[31] + 1e-9, grid, 0.1)
-    assert calls == ["SA", "LM"]
-    assert_matches_dense(es, H, lam, U)
+    H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 0.1, grid)
+    D = H.diagonal()
+    H = H + sp.diags(np.where(np.arange(D.size) == D.size // 2,
+                              bump * np.max(np.abs(D)), 0.0))
+    assert (schrodinger._separable(H, grid) is None) == lanczos
+    es = eigensolve(H, 1.0, grid, 0.1)
+    assert calls == ([15] if lanczos else [])
+    _, lam, _ = dense_levels("x1^2 + x2^2", 0.1, grid)
+    assert np.max(np.abs(es.eigenvalues - lam[:15])) <= 1e-10
 
 
-@pytest.mark.parametrize("text, shift", [
-    ("x1^2 + x2^2", "cap"), ("(x1 - 0.3)^2 + x2^2 + 5", "cap"),
-    ("x1^2 + 2*x2^2", "below"), ("x1^2 + x2^2 + 0.2*x1^2*x2^2", "below"),
-    ("x1^4 + x2^4 - x1^2", "below"),
-])
+@pytest.mark.parametrize("text", ["x1^4 + x2^4 - x1^2", "x1^2 + 2*x2^2"])
+def test_eigensolve_2d_below_the_spectrum_factors_by_the_symmetric_ldlt(
+    monkeypatch, text
+):
+    # each well plus the mixed term 0.2 x1^2 x2^2, which is not separable:
+    # the count and the Lanczos call both factor with _ldlt (symmetric mode,
+    # no pivoting, a symmetric minimum-degree order)
+    calls = []
+    splu = schrodinger.splu
+
+    def recording(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "splu", recording)
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(parse_potential(f"{text} + 0.2*x1^2*x2^2"), 0.1,
+                             grid)
+    eigensolve(H, 1.0, grid, 0.1)
+    ldlt = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True}}
+    assert calls == [ldlt, ldlt]
+
+
+@pytest.mark.parametrize("text, shift", [(MIXED, "below"), ("x1^2 + x2^2", None)])
 def test_eigensolve_2d_shift_follows_the_trap(monkeypatch, text, shift):
-    # an isotropic harmonic trap shift-inverts at the cap and takes the
-    # smallest 1 / (lambda - cap); any other potential shift-inverts below
-    # the Gershgorin bound and takes the largest 1 / (lambda - sigma)
+    # a non-separable trap shift-inverts below the Gershgorin bound and takes
+    # the largest 1 / (lambda - sigma); a separable one runs no Lanczos call
     calls = []
     eigsh = schrodinger.eigsh
 
@@ -660,53 +741,38 @@ def test_eigensolve_2d_shift_follows_the_trap(monkeypatch, text, shift):
     monkeypatch.setattr(schrodinger, "eigsh", spying)
     grid = Grid(2, 1.5, 41)
     H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
-    cap = 6.0 if "+ 5" in text else 1.0
-    eigensolve(H, cap, grid, 0.1)
-    [(sigma, which)] = calls
-    if shift == "cap":
-        assert (sigma, which) == (cap, "SA")
-    else:
-        assert which == "LM" and sigma < H.diagonal().min() - 4.0 * 0.1 ** 2 / grid.spacing ** 2
-
-
-@pytest.mark.parametrize("text", ["x1^4 + x2^4 - x1^2", "x1^2 + 2*x2^2"])
-def test_eigensolve_2d_below_the_spectrum_factors_by_the_symmetric_ldlt(
-    monkeypatch, text
-):
-    # the count and the Lanczos call below the spectrum both factor with
-    # _ldlt: symmetric mode, no pivoting, a symmetric minimum-degree order
-    calls = []
-    splu = schrodinger.splu
-
-    def recording(A, **kwargs):
-        calls.append(kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(schrodinger, "splu", recording)
-    grid = Grid(2, 1.5, 41)
-    H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
     eigensolve(H, 1.0, grid, 0.1)
-    ldlt = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-            "options": {"SymmetricMode": True}}
-    assert calls == [ldlt, ldlt]
+    if shift is None:
+        assert calls == []
+    else:
+        [(sigma, which)] = calls
+        assert which == "LM"
+        assert sigma < H.diagonal().min() - 4.0 * 0.1 ** 2 / grid.spacing ** 2
 
 
-@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2"])
+@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^2 + 2*x2^2", MIXED])
 def test_eigensolve_2d_corrupted_solve_is_a_numerical_error(monkeypatch, text):
-    # a shift-invert operator that is not (H - sigma I)^-1, here off by a
-    # random diagonal of 1e-3, has eigenvectors that are not H's: the
-    # residual check refuses them, and no EigenSystem reaches a CSV; at the
-    # cap (isotropic) and below the spectrum (anisotropic)
-    eigsh = schrodinger.eigsh
+    # vectors that are not H's eigenvectors reach no CSV: the residual check
+    # refuses them.  The separable wells get 1-D factor vectors perturbed by
+    # a random 1e-3 and orthonormalised again; the mixed well a
+    # shift-invert operator that is not (H - sigma I)^-1, here off by a
+    # random diagonal of 1e-3
+    eigsh, factor = schrodinger.eigsh, schrodinger._tridiagonal_eigenvectors
+    rng = np.random.default_rng(1)
 
     def corrupted(A, **kwargs):
         solve = kwargs["OPinv"].matvec
-        noise = np.random.default_rng(1).uniform(0.0, 1e-3, A.shape[0])
+        noise = rng.uniform(0.0, 1e-3, A.shape[0])
         kwargs["OPinv"] = LinearOperator(
             A.shape, matvec=lambda x: solve(x) + noise * x.ravel(), dtype=float)
         return eigsh(A, **kwargs)
 
+    def perturbed(T, cap):
+        vals, vecs = factor(T, cap)
+        return vals, np.linalg.qr(vecs + rng.uniform(0.0, 1e-3, vecs.shape))[0]
+
     monkeypatch.setattr(schrodinger, "eigsh", corrupted)
+    monkeypatch.setattr(schrodinger, "_tridiagonal_eigenvectors", perturbed)
     grid = Grid(2, 1.5, 41)
     H = assemble_hamiltonian(parse_potential(text), 0.1, grid)
     with pytest.raises(NumericalError, match="residual"):

@@ -100,6 +100,16 @@ def test_airy_rejects_non_finite():
         airy_ai_prime(math.nan)
 
 
+def test_airy_rejects_arguments_past_scipys_range():
+    # scipy.special.airy returns nan from |x| of about 2^20 on, on both sides
+    assert airy_ai(1e6) == 0.0 and math.isfinite(airy_ai_prime(-1e6))
+    for x in (2.0 ** 20, -2.0 ** 20, [0.0, 1e300]):
+        with pytest.raises(ValidationError, match="below 2"):
+            airy_ai(x)
+        with pytest.raises(ValidationError, match="below 2"):
+            airy_ai_prime(x)
+
+
 def test_bessel_frozen_values():
     assert bessel_j(0.5, math.pi / 2) == pytest.approx(2.0 / math.pi, abs=1e-8)
     assert bessel_j(1.0, 1.0) == pytest.approx(J1_1, abs=1e-10)
