@@ -318,8 +318,9 @@ def _run_variance(args):
 
 def _run_seminorm(args):
     g = _parse_function(args.function, args.n)
-    fourier = sigma_fourier(g)
+    # first: it refuses a lattice step out of float range before any work
     slobodeckij = sigma_slobodeckij(g)
+    fourier = sigma_fourier(g)
     scale = (2.0 * math.pi) ** (args.n + 1) * sigma_n_squared(args.n)
     duality = slobodeckij / (scale * fourier) if fourier > 0.0 else math.nan
     rep = ExperimentReport(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
-from scipy.special import j0, j1
+from scipy.special import j0, j1, sici
 from scipy.stats import kstest
 
 from . import __version__
@@ -649,10 +649,11 @@ def _fourier_sq_lattice(g):
     m = 8192 if n == 1 else 256
     h = 2.0 * A / m
     ax = -A + h * np.arange(m)
-    norm = (h / math.sqrt(2.0 * math.pi)) ** n
+    # float products, which overflow to inf where ** would raise
+    norm = math.prod([h / math.sqrt(2.0 * math.pi)] * n)
     ghat = np.fft.fftn(g(lattice(ax, n)).reshape((m,) * n)).ravel() * norm
     xi = lattice(2.0 * math.pi * np.fft.fftfreq(m, d=h), n)
-    dxi = (2.0 * math.pi / (m * h)) ** n
+    dxi = math.prod([2.0 * math.pi / (m * h)] * n)
     return np.abs(ghat) ** 2, xi, dxi
 
 
@@ -743,13 +744,13 @@ def free_variance_bruteforce(n, mu, g):
     """Variance of X(g) as the double integral of (g(x)-g(y))^2 K(x,y)^2 / 2.
 
     The double integral reduces to the difference variable with FFT
-    autocorrelation, plus the closed-form Bessel tail beyond the sampled
-    window.
+    autocorrelation, plus the closed-form tail beyond the sampled window:
+    sine-integral in 1-D, Bessel in 2-D.
     """
     n = int(n)
     if n not in (1, 2):
         raise ValidationError("free_variance_bruteforce supports n in {1, 2}")
-    # the 1-d tail's oscillatory quad steps in cycles of pi / mu
+    # the lattice step is a fraction of pi / mu
     if not (mu > 0.0 and math.pi / mu < math.inf):
         raise ValidationError(f"mu must be positive, with pi / mu finite: {mu!r}")
     R = g.bounding_radius()
@@ -782,10 +783,10 @@ def free_variance_bruteforce(n, mu, g):
         # closed-form tail starts exactly at Z
         weights[dist[inside].ravel() == Z] *= 0.5
         lattice = 0.5 * float(np.sum(weights)) * h
-        osc, _ = quad(
-            lambda z: 1.0 / (z * z), Z, math.inf, weight="cos", wvar=2.0 * mu
-        )
-        tail_int = (1.0 / Z - osc) / math.pi ** 2
+        # int_Z^inf (1 - cos 2 mu z) / z^2 dz by parts, in closed form
+        si = sici(2.0 * mu * Z)[0]
+        tail_int = (2.0 * math.sin(mu * Z) ** 2 / Z
+                    + 2.0 * mu * (0.5 * math.pi - si)) / math.pi ** 2
     else:
         # midpoint cells tile an area of count * h^2; start the tail at the
         # radius of the disk with that area so no measure is dropped
@@ -830,9 +831,11 @@ def sigma_slobodeckij(g):
     A = 2.0 * g.bounding_radius()
     m = 2048 if n == 1 else 160
     h = 2.0 * A / m
-    if not h ** (n + 1) >= sys.float_info.min:  # the ring sum's |z|^{n+1}
-        raise ValidationError(f"the test function is too narrow: the seminorm "
-                              f"lattice step {h:g} to the power {n + 1} underflows")
+    # |z|^{n+1} as a float product, which overflows to inf where ** raises
+    if not sys.float_info.min <= math.prod([h] * (n + 1)) < math.inf:
+        raise ValidationError(f"the test function is too narrow or too wide: "
+                              f"the seminorm lattice step {h:g} to the power "
+                              f"{n + 1} is out of float range")
     ax = -A + h * np.arange(m)
     vals, l2, dist, big_d = _lattice_autocorrelation(g, n, ax, h)
     grads = np.reshape(np.gradient(vals, h), (n,) + vals.shape)

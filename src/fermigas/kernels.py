@@ -56,7 +56,12 @@ def free_kernel_radial(n, mu, r):
         * bessel_j(0.5 * n, mu * safe)
         / (2.0 * math.pi * safe) ** (0.5 * n)
     )
-    diag = mu ** n * unit_ball_volume(n) / (2.0 * math.pi) ** n
+    # a float product, which overflows to inf where ** would raise
+    diag = math.prod([mu] * n) * unit_ball_volume(n) / (2.0 * math.pi) ** n
+    if not math.isfinite(diag):
+        raise ValidationError(f"mu={mu:g} is too large: the free kernel's "
+                              f"diagonal mu^{n} omega_{n} / (2 pi)^{n} "
+                              "overflows")
     return np.where(r == 0.0, diag, val)
 
 

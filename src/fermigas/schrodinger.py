@@ -1,13 +1,14 @@
 """Discretized Schrodinger operator -hbar^2 Laplacian + V and its projector.
 
 A truncated box with Dirichlet boundary carries a second-order central
-difference Hamiltonian.  Its eigenpairs below an energy cap form an
-EigenSystem, and EigenSystem.below(mu) selects the filled levels <= mu that
-every consumer shares: the convergence drivers and the projector table of
-the kernel command, which read the projector off the rows of the grid nodes
-nearest their points (node_rows), the DPP and the Agmon-weighted norms,
-which quantify how strongly eigenfunctions stick to the classically allowed
-region.
+difference Hamiltonian.  Its eigenpairs below an energy cap, each from one
+checked Rayleigh-Ritz step whatever the solver path, form an EigenSystem
+whose columns are eigenvectors up to sign.  EigenSystem.below(mu) selects
+the filled levels <= mu that every consumer shares: the convergence
+drivers and the projector table of the kernel command, which read the
+projector off the rows of the grid nodes nearest their points
+(node_rows), the DPP and the Agmon-weighted norms, which quantify how
+strongly eigenfunctions stick to the classically allowed region.
 """
 
 import ctypes
@@ -131,23 +132,6 @@ class EigenSystem:
             )
         N = int(np.count_nonzero(self.eigenvalues <= mu))
         return self.eigenvalues[:N], self.eigenvectors[:, :N]
-
-
-def _fix_signs(vecs):
-    """Pin each column's sign in place: its first entry of at least half the
-    column's largest magnitude is made positive.
-
-    Lanczos and inverse iteration return eigenvectors up to sign.  The
-    largest entry itself would pick between the two mirror-image peaks of an
-    odd eigenfunction in a symmetric well, which a last-bit change swaps;
-    the first entry past half the peak, scanned from one end, stays put.
-    """
-    half = 0.5 * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
-    big = vecs >= half  # booleans, not a float copy of |vecs|
-    big |= vecs <= -half
-    first = np.argmax(big, axis=0)
-    vecs *= np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
-    return vecs
 
 
 # levels further apart than this fraction of ||H|| get separate inverse
@@ -279,7 +263,7 @@ def _parallel_map(fn, args, workers):
 
 def _tridiagonal_eigenvectors(H, cap):
     """(vals, vecs): the eigenpairs of the tridiagonal H with eigenvalue <=
-    cap, ascending, with unit columns and pinned signs.
+    cap, ascending, with unit columns.
 
     A coarse bisection (eigh_tridiagonal to 1/64 of the window) counts the
     N levels in (lo, cap] and cuts the window into _SLICES slices of about
@@ -291,10 +275,11 @@ def _tridiagonal_eigenvectors(H, cap):
     (dstein) call per cluster of levels closer than _CLUSTER_GAP * ||H||,
     the clusters cut over the whole spectrum, so that a tunnelling pair the
     slices split is joined again, shrinks the vector error by that 1e-4 on
-    each of its three or more solves, and Rayleigh-Ritz on the cluster gives
-    the eigenvalues to O(eps ||H||).  dstein orthogonalises only within a
-    call; given all levels at once it would re-orthogonalise every vector
-    against all earlier ones at O(N^2 G) cost on a fine grid.
+    each of its three or more solves, and the checked Rayleigh-Ritz step
+    (_rayleigh_ritz) on the cluster gives the eigenvalues to O(eps ||H||)
+    and refuses a residual above 1e-10 ||H||.  dstein orthogonalises only
+    within a call; given all levels at once it would re-orthogonalise every
+    vector against all earlier ones at O(N^2 G) cost on a fine grid.
 
     Slices, then clusters, are independent tasks (Lo, Philippe and Sameh,
     SIAM J. Sci. Stat. Comput. 8, 1987), run on min(_SLICES, usable CPUs)
@@ -327,18 +312,11 @@ def _tridiagonal_eigenvectors(H, cap):
     gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
     edges = np.flatnonzero(gaps > _CLUSTER_GAP * tnorm)  # 0, cuts..., N
     vecs = np.empty((G, N))
+    hnorm = abs(H).sum(axis=1).max()  # ||H||_inf, once for every cluster
 
     def cluster(a, b):
-        z = _inverse_iteration(d, e, vals[a:b])
-        hz = d[:, None] * z  # H @ z, summed in the CSR product's order
-        hz[1:] += e[:, None] * z[:-1]
-        hz[:-1] += e[:, None] * z[1:]
-        ritz, rot = np.linalg.eigh(z.T @ hz)
-        # the bisection count decides which levels exist, not the rounding
-        vals[a:b] = np.minimum(ritz, cap)
-        # pinned per cluster: the temporaries of pinning all N columns at
-        # once would add 27 MB to the peak RSS at G=33,941, N=400
-        vecs[:, a:b] = _fix_signs(z @ rot)
+        vals[a:b], vecs[:, a:b] = _rayleigh_ritz(
+            H, _inverse_iteration(d, e, vals[a:b]), cap, hnorm)
 
     _parallel_map(cluster, list(zip(edges[:-1], edges[1:])), workers)
     return vals, vecs
@@ -483,50 +461,55 @@ def _basis_2d(H, cap, grid):
     return _lanczos(H, cap, N) if N else np.empty((m, 0))
 
 
-def _rayleigh_ritz(H, vecs, cap):
+def _rayleigh_ritz(H, vecs, cap, hnorm):
     """(vals, vecs): the Ritz pairs of H on the orthonormal columns vecs,
-    ascending.  A level above cap or a residual above 1e-10 ||H||_inf raises
-    NumericalError."""
+    ascending, checked to one tolerance, tol = 1e-10 hnorm with hnorm =
+    ||H||_inf, which callers compute once per matrix.  The level count
+    decided that every pair lies below cap, so a value at most tol above it
+    is clamped to cap; one further above, or a residual above tol, raises
+    NumericalError (Parlett, The Symmetric Eigenvalue Problem, ch. 11)."""
     if vecs.shape[1] == 0:
         return np.empty(0), vecs
     # not eigsh's sigma + 1 / nu, which loses digits to the shift
     vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
     vecs = vecs @ rot
-    if not vals[-1] <= cap:
+    tol = 1e-10 * hnorm
+    if not vals[-1] <= cap + tol:
         raise NumericalError(f"the solve found {vals[-1]!r} above cap={cap:g} "
                              f"among the {vals.size} levels it counted")
     resid = H @ vecs
     resid -= vecs * vals
     resid = np.linalg.norm(resid, axis=0).max()
-    hnorm = abs(H).sum(axis=1).max()
-    if not resid <= 1e-10 * hnorm:
+    if not resid <= tol:
         raise NumericalError(f"eigen-residual {resid:.3g} exceeds "
-                             f"1e-10 ||H|| = {1e-10 * hnorm:.3g}")
-    return vals, vecs
+                             f"1e-10 ||H|| = {tol:.3g}")
+    return np.minimum(vals, cap), vecs
 
 
 def eigensolve(H, cap, grid, hbar):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
 
-    n=1 by bisection on two spectral slices, then inverse iteration and
-    Rayleigh-Ritz per cluster of close levels, on min(2, usable CPUs)
-    threads from 2,000 nodes on, with the same bits on any number of threads
-    (_tridiagonal_eigenvectors).  n=2 by one Rayleigh-Ritz step, with its
-    cap and residual checks (_rayleigh_ritz), on the products of two 1-D
-    solves for a separable V, else on N Lanczos vectors (_basis_2d).
+    Every pair leaves through one checked Rayleigh-Ritz step
+    (_rayleigh_ritz), whose cap and residual checks share the tolerance
+    1e-10 ||H||_inf.  n=1 by bisection on two spectral slices, then inverse
+    iteration and that step per cluster of close levels, on min(2, usable
+    CPUs) threads from 2,000 nodes on, with the same bits on any number of
+    threads (_tridiagonal_eigenvectors).  n=2 by that step on the products
+    of two such 1-D solves for a separable V, else on N Lanczos vectors
+    (_basis_2d).  Each column is an eigenvector up to sign: every consumer
+    uses it only in products with itself, where a sign flip is exact.
     """
     m = H.shape[0]
     if grid.interior_count != m:
         raise ValidationError("grid does not match the Hamiltonian size")
-    # both solvers give unit Euclidean columns, rescaled to the weighted product
-    scale = math.sqrt(grid.weight)
     if grid.dimension == 1:
         vals, vecs = _tridiagonal_eigenvectors(H, cap)
-        np.divide(vecs, scale, out=vecs)  # 108 MB at G=33,941, N=400
     else:
         # the basis passed, not held, so Rayleigh-Ritz frees it as it rotates
-        vals, vecs = _rayleigh_ritz(H, _basis_2d(H, cap, grid), cap)
-        vecs = _fix_signs(np.divide(vecs, scale, out=vecs))
+        vals, vecs = _rayleigh_ritz(H, _basis_2d(H, cap, grid), cap,
+                                    abs(H).sum(axis=1).max())
+    # unit Euclidean columns, rescaled to the weighted product in place
+    np.divide(vecs, math.sqrt(grid.weight), out=vecs)  # 108 MB at G=33,941
     return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 

@@ -339,15 +339,38 @@ def test_clt_refuses_a_test_function_narrower_than_the_grid(capsys):
     assert captured.err.count("\n") == 1
 
 
+SEMINORM_RANGE = ("error: the test function is too narrow or too wide: the "
+                  "seminorm lattice step {} to the power {} is out of float "
+                  "range\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kernel", "--kind", "airy", "--n", "1", "--window", "-1e300:1e300:1e299"],
      "error: airy_ai requires a finite argument below 2^20\n"),
     (["variance", "--n", "1", "--mu", "5e-324", "--function", "gaussian:width=1"],
      "error: mu must be positive, with pi / mu finite: 5e-324\n"),
-], ids=["airy", "variance"])
+    (["seminorm", "--n", "1", "--function", "gaussian:width=1e300"],
+     SEMINORM_RANGE.format("1.45192e+298", 2)),
+    (["seminorm", "--n", "1", "--function", "custom:expr=x1,radius=1e300"],
+     SEMINORM_RANGE.format("1.95313e+297", 2)),
+    (["seminorm", "--n", "2", "--function", "indicator:radius=1e300,smoothing=1"],
+     SEMINORM_RANGE.format("2.5e+298", 3)),
+    (["seminorm", "--n", "1", "--function",
+      "indicator:radius=1e-300,smoothing=1e-300"],
+     SEMINORM_RANGE.format("3.90625e-303", 2)),
+    (["kernel", "--kind", "free", "--n", "2", "--mu", "1e200", "--window",
+      "-1:1:1"],
+     "error: mu=1e+200 is too large: the free kernel's diagonal "
+     "mu^2 omega_2 / (2 pi)^2 overflows\n"),
+], ids=["airy", "variance", "seminorm-wide-gaussian", "seminorm-wide-custom",
+        "seminorm-wide-indicator", "seminorm-narrow-indicator", "free-huge-mu"])
+@pytest.mark.filterwarnings("error")
 def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # the airy table held 440 nan rows past scipy's Airy range, and the
-    # variance a nan brute force where its tail quadrature has no cycle
+    # variance a nan brute force where pi / mu, its lattice scale, overflows.
+    # The wide seminorm lattices and the free kernel's mu^2 ended in
+    # OverflowError tracebacks from a power; the narrow indicator warned
+    # twice in sigma_fourier before the lattice check refused it
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

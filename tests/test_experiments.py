@@ -467,6 +467,18 @@ def test_exact_variance_of_a_narrow_gaussian_matches_bruteforce(n, width):
         free_variance_bruteforce(n, 10.0, g), rel=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bruteforce_variance_at_a_tiny_mu_sums_its_tail_in_closed_form():
+    # at mu = 1e-8 the variance mu / sqrt(pi) sits almost all in the 1-d
+    # tail past the lattice; quad's cosine weight returned 0.012 for it,
+    # with an IntegrationWarning; the sine integral gives it to rounding
+    g = TestFunction.gaussian_bump(1, 0.0, 1.0)
+    exact = free_variance_exact(1, 1e-8, g)
+    assert exact == pytest.approx(1e-8 / math.sqrt(math.pi), rel=1e-9)
+    assert free_variance_bruteforce(1, 1e-8, g) == pytest.approx(exact,
+                                                                 rel=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([1, 2]), k=st.integers(-150, 150),
        mu_w=st.floats(0.1, 1e3))

@@ -1,9 +1,12 @@
 """Every name a fermigas module exports in __all__ exists in that module,
-and every public function or class it defines is exported."""
+and every public function or class it defines is exported; no private
+definition or module-level import is left without a use."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +46,68 @@ def test_every_public_definition_is_exported(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+SOURCES = {path.name: ast.parse(path.read_text())
+           for path in sorted(Path(fermigas.__file__).parent.glob("*.py"))}
+
+
+def _private_definitions(tree):
+    """(name, node): the module's top-level functions, classes and assigned
+    names that begin with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _uses(tree, name, skip=None):
+    """How often the module reads name, as a name, an attribute or an
+    imported alias, outside the subtree skip."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    return sum(
+        id(node) not in inside and (
+            isinstance(node, ast.Name) and node.id == name
+            and not isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name)
+        for node in ast.walk(tree)
+    )
+
+
+def test_every_private_definition_is_used():
+    # a helper whose last caller is deleted goes with it
+    unused = [
+        f"{module}:{name}"
+        for module, tree in SOURCES.items()
+        for name, node in _private_definitions(tree)
+        if not any(_uses(other, name, node if other is tree else None)
+                   for other in SOURCES.values())
+    ]
+    assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for module, tree in SOURCES.items():
+        exported = {
+            elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in exported and not _uses(tree, bound, node):
+                    unused.append(f"{module}:{bound}")
+    assert unused == []
