@@ -20,6 +20,7 @@ from .experiments import (
     TestFunction,
     _check_resolved,
     _filled_process,
+    _solve_rows,
     _solve_window,
     _weyl_constant_of_droplet,
     bulk_convergence,
@@ -41,7 +42,7 @@ from .kernels import (
     free_laplacian_kernel,
 )
 from .potential import parse_potential
-from .schrodinger import agmon_check, node_rows
+from .schrodinger import agmon_check
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to status 2; the contract here is 1.
@@ -213,16 +214,6 @@ def _grid_potential(text):
     return V
 
 
-def _solve(args, cap):
-    """(V, the eigensystem up to cap) of the --potential and --hbar flags;
-    a --n flag, where the command has one, must match the potential's
-    dimension."""
-    V = _grid_potential(args.potential)
-    if getattr(args, "n", V.dimension) != V.dimension:
-        raise ValidationError("--n disagrees with the potential dimension")
-    return V, _solve_window(V, cap, args.hbar)
-
-
 def _run_weyl(args):
     V = _grid_potential(args.potential)
     return weyl_check(V, args.mu, args.hbar).to_csv()
@@ -238,10 +229,13 @@ def _run_kernel(args):
             raise ValidationError(
                 "kernel --kind projector needs --potential and --hbar"
             )
-        V, eigs = _solve(args, args.mu)
+        V = _grid_potential(args.potential)
+        if n != V.dimension:
+            raise ValidationError("--n disagrees with the potential dimension")
         # Pi is exact at the grid nodes: the table reads it at the nodes
-        # nearest the window's points
-        idx, R = node_rows(eigs, args.mu, pts)
+        # nearest the window's points, the only rows solved for
+        idx, eigs = _solve_rows(V, args.mu, args.hbar, pts)
+        R = eigs.below(args.mu)[1]
         pts, values = eigs.grid.interior_points()[idx], R @ R.T
         params.update(potential=V.to_text(), mu=float(args.mu),
                       hbar=float(args.hbar))
@@ -359,7 +353,8 @@ def _run_agmon(args):
     if not math.isfinite(1.0 + 2.0 * args.mu / args.delta):
         raise ValidationError(f"delta={args.delta:g} leaves the bound "
                               "1 + 2 mu / delta not finite")
-    V, eigs = _solve(args, args.mu + args.delta)
+    V = _grid_potential(args.potential)
+    eigs = _solve_window(V, args.mu + args.delta, args.hbar)
     if eigs.below(args.mu)[0].size == 0:  # no row: is {V <= mu} empty?
         _weyl_constant_of_droplet(V, args.mu)
     rep = agmon_check(eigs, V, args.mu, args.delta)

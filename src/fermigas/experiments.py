@@ -39,13 +39,16 @@ from .kernels import (
 from .potential import choose_box, grad_potential, lattice, parse_potential
 from .schrodinger import (
     Grid,
+    _MEMORY_BUDGET,
+    _additive_parts,
+    _separable,
     _solve_peak_bytes,
     _weyl_count,
     assemble_hamiltonian,
     edge_rotation,
     eigensolve,
     level_count,
-    node_rows,
+    node_index,
 )
 from .specfun import unit_ball_volume
 
@@ -70,10 +73,6 @@ __all__ = [
 
 # |g| is treated as zero outside the support radius once it drops below this
 _SUPPORT_FLOOR = 1e-12
-
-# a solve or brute-force lattice whose estimated peak memory would exceed
-# this is refused before any array is built
-_MEMORY_BUDGET = 2 * 1024 ** 3
 
 # peak bytes of free_variance_bruteforce per node of its offset lattice
 # (2m - 1)^n, measured at 58 in 2-d and 78 in 1-d
@@ -286,18 +285,22 @@ def _format_value(v):
 # operator pipeline helpers
 
 
-def _solve_grid(V, mu, hbar):
-    """(grid, H) of the boxed operator whose levels <= mu are wanted.
+def _solve_grid(V, mu, hbar, rows=None):
+    """(grid, H) of the boxed operator whose levels <= mu are wanted, on
+    at most rows nodes of the grid (every node when None).
 
     The box is choose_box(V, mu, _BOX_MARGIN).  The grid spacing follows
     _SPACING_FACTOR * hbar^{3/2}, with at least _MIN_POINTS_PER_AXIS points
     per axis: the finite-difference eigenvalue defect then stays an O(hbar)
     fraction of the level spacing, which the convergence drivers need so
     the discretization error scales with the same power as the
-    semiclassical one.  A solve whose estimated peak memory exceeds
-    _MEMORY_BUDGET is refused before its grid is built, and so are a V not
-    finite there and an empty droplet {V <= mu}, whose Weyl constant is
-    computed only when no node there lies below mu.
+    semiclassical one.  A solve whose estimated peak memory
+    (_solve_peak_bytes) exceeds _MEMORY_BUDGET is refused before its grid
+    is built, and so are a V not finite there and an empty droplet {V <=
+    mu}, whose Weyl constant is computed only when no node there lies below
+    mu.  A 2-D V is priced as separable when it is so on the coarse
+    lattice; should its H on the fine grid not be, the price is taken
+    again before the solve.
     """
     if hbar <= 0.0:
         raise ValidationError("hbar must be positive")
@@ -320,21 +323,40 @@ def _solve_grid(V, mu, hbar):
         _weyl_constant_of_droplet(V, mu)
     N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
     m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
-    need = _solve_peak_bytes(n, m, N_est)
-    if not need <= _MEMORY_BUDGET:  # nan is refused too
-        raise ValidationError(
-            f"hbar={hbar:g} needs about {need / 1024 ** 3:.3g} GiB at the "
-            f"solve's peak, for about {N_est:.3g} levels on {m:.3g} nodes, "
-            f"over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget"
-        )
+    separable = n == 2 and _additive_parts(
+        pot.reshape(grid.points_per_axis - 2, -1)) is not None
+
+    def within_budget(kronecker):
+        need = _solve_peak_bytes(n, m, N_est, rows, kronecker)
+        if not need <= _MEMORY_BUDGET:  # nan is refused too
+            raise ValidationError(
+                f"hbar={hbar:g} needs about {need / 1024 ** 3:.3g} GiB at "
+                f"the solve's peak, for about {N_est:.3g} levels on "
+                f"{m:.3g} nodes, over the {_MEMORY_BUDGET / 1024 ** 3:g} "
+                "GiB budget"
+            )
+
+    within_budget(separable)
     grid = Grid(n, L, ppa)
-    return grid, assemble_hamiltonian(V, hbar, grid)
+    H = assemble_hamiltonian(V, hbar, grid)
+    if separable and _separable(H, grid) is None:
+        within_budget(False)
+    return grid, H
 
 
 def _solve_window(V, mu, hbar):
     """Eigensystem of the boxed operator with all levels <= mu."""
     grid, H = _solve_grid(V, mu, hbar)
     return eigensolve(H, mu, grid, hbar)
+
+
+def _solve_rows(V, mu, hbar, points):
+    """(idx, eigs): the interior nodes nearest the points (node_index), and
+    the eigensystem of the boxed operator with all levels <= mu on those
+    rows alone.  A point outside the box raises before the solve."""
+    grid, H = _solve_grid(V, mu, hbar, rows=len(points))
+    idx = node_index(grid, points)
+    return idx, eigensolve(H, mu, grid, hbar, rows=idx)
 
 
 def _filled_process(V, mu, hbar):
@@ -421,7 +443,8 @@ def _kernel_convergence(
     reference(u, v) the limiting kernel at probe offsets u and v, which
     broadcast.  Each probe moves to its nearest interior node, where the
     projector is exact: eps Pi there is a product of the filled eigenvectors'
-    node rows (node_rows).  A probe outside the box raises.
+    rows at those nodes, the only rows solved for (_solve_rows).  A probe
+    outside the box raises.
     """
     # frame^T e_1 is the probe direction; offsets along it carry its sign
     signed = float(frame[0, 0])
@@ -429,9 +452,10 @@ def _kernel_convergence(
     rows = []
     prev_err = None
     for hbar in hbar_list:
-        eigs = _solve_window(V, mu, hbar)
         eps = scale(hbar)
-        idx, R = node_rows(eigs, mu, (x0c + eps * signed * targets)[:, None])
+        idx, eigs = _solve_rows(V, mu, hbar,
+                                (x0c + eps * signed * targets)[:, None])
+        R = eigs.below(mu)[1]
         us = (eigs.grid.interior_axis[idx] - x0c) / (eps * signed)
         err = float(np.max(np.abs(
             eps * (R @ R.T) - reference(us[:, None], us[None, :])
@@ -712,10 +736,17 @@ def free_variance_exact(n, mu, g):
         var = pref * surface * total
     else:
         w2, xi, dxi = _fourier_sq_lattice(g)
+        if not np.any(w2):  # g vanishes on the lattice, and so does var
+            return 0.0
         vol = _ball_difference_volume(n, np.sqrt(np.sum(xi * xi, axis=1)) / mu)
         var = pref * float(np.sum(w2 * vol)) * dxi
     if not math.isfinite(var):
         raise NumericalError(f"free-field variance is not finite at mu={mu:g}")
+    # a nonzero g has a positive variance; a subnormal one has lost digits
+    if not var >= sys.float_info.min:
+        raise ValidationError(f"mu={mu:g} is too small: the free-field "
+                              f"variance {var:g} underflows below the normal "
+                              "float range")
     return var
 
 

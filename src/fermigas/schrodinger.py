@@ -5,10 +5,11 @@ difference Hamiltonian.  Its eigenpairs below an energy cap, each from one
 checked Rayleigh-Ritz step whatever the solver path, form an EigenSystem
 whose columns are eigenvectors up to sign.  EigenSystem.below(mu) selects
 the filled levels <= mu that every consumer shares: the convergence
-drivers and the projector table of the kernel command, which read the
-projector off the rows of the grid nodes nearest their points
-(node_rows), the DPP and the Agmon-weighted norms, which quantify how
-strongly eigenfunctions stick to the classically allowed region.
+drivers and the projector table of the kernel command, which solve for
+the rows of the grid nodes nearest their points alone (node_index) and
+read the projector off them, the DPP and the Agmon-weighted norms, which
+quantify how strongly eigenfunctions stick to the classically allowed
+region.
 """
 
 import ctypes
@@ -32,6 +33,7 @@ __all__ = [
     "assemble_hamiltonian",
     "level_count",
     "eigensolve",
+    "node_index",
     "node_rows",
     "edge_rotation",
     "AgmonReport",
@@ -112,12 +114,17 @@ def assemble_hamiltonian(V, hbar, grid):
 
 @dataclass
 class EigenSystem:
-    """All eigenpairs with eigenvalue at most mu_cap, weighted-orthonormal."""
+    """All eigenpairs with eigenvalue at most mu_cap, weighted-orthonormal.
+
+    The eigenvectors hold every interior node, or the rows a caller asked
+    eigensolve for alone; in 1-D they are column-major, one contiguous
+    column per level.
+    """
 
     hbar: float
     mu_cap: float
     eigenvalues: np.ndarray       # ascending, all <= mu_cap
-    eigenvectors: np.ndarray      # column k: v_k on interior nodes
+    eigenvectors: np.ndarray      # column k: v_k on the solved rows
     grid: Grid
 
     def below(self, mu):
@@ -134,6 +141,10 @@ class EigenSystem:
         return self.eigenvalues[:N], self.eigenvectors[:, :N]
 
 
+# a solve or brute-force lattice whose estimated peak memory would exceed
+# this is refused before its large arrays are built
+_MEMORY_BUDGET = 2 * 1024 ** 3
+
 # levels further apart than this fraction of ||H|| get separate inverse
 # iterations; the vectors of two such clusters stay orthogonal to about
 # eps ||H|| / gap <= 2e-10, well inside the DPP's 1e-8 gate
@@ -148,6 +159,10 @@ _SLICES = 2
 # time of the solve at G = 199 to 1,499 (above 1 in most runs), and
 # 0.54-0.76 times from G = 1,756 on
 _THREADED_NODES = 2000
+
+# scratch bytes per node of a 1-D solve that keeps a few rows: its traced
+# peak was 147-167 bytes per node on 2 threads for G = 4,242 to 33,941
+_ROW_SOLVE_BYTES = 256.0
 
 _LAPACK_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
@@ -261,9 +276,10 @@ def _parallel_map(fn, args, workers):
     return results
 
 
-def _tridiagonal_eigenvectors(H, cap):
+def _tridiagonal_eigenvectors(H, cap, rows=None, scale=1.0):
     """(vals, vecs): the eigenpairs of the tridiagonal H with eigenvalue <=
-    cap, ascending, with unit columns.
+    cap, ascending, with columns of norm 1 / scale, column-major, on the
+    nodes rows alone (every node when None).
 
     A coarse bisection (eigh_tridiagonal to 1/64 of the window) counts the
     N levels in (lo, cap] and cuts the window into _SLICES slices of about
@@ -279,7 +295,13 @@ def _tridiagonal_eigenvectors(H, cap):
     (_rayleigh_ritz) on the cluster gives the eigenvalues to O(eps ||H||)
     and refuses a residual above 1e-10 ||H||.  dstein orthogonalises only
     within a call; given all levels at once it would re-orthogonalise every
-    vector against all earlier ones at O(N^2 G) cost on a fine grid.
+    vector against all earlier ones at O(N^2 G) cost on a fine grid.  The
+    cluster task then divides its rows by scale into its own contiguous
+    block of columns, the only write of its vectors: at G = 33,941 and N =
+    400 a C-order (G, N) output took one cache line per entry, and a
+    caller that reads 17 rows keeps 17 rows, not 108 MB.  Clusters whose
+    blocks, with the output, would outgrow _MEMORY_BUDGET are refused
+    (ValidationError) before the first one is solved.
 
     Slices, then clusters, are independent tasks (Lo, Philippe and Sameh,
     SIAM J. Sci. Stat. Comput. 8, 1987), run on min(_SLICES, usable CPUs)
@@ -293,8 +315,9 @@ def _tridiagonal_eigenvectors(H, cap):
     emax = float(np.max(np.abs(e), initial=0.0))
     tnorm = float(np.max(np.abs(d))) + 2.0 * emax
     lo = float(np.min(d)) - 2.0 * emax - 1.0
+    keep, height = (slice(None), G) if rows is None else (rows, len(rows))
     if lo >= cap:
-        return np.empty(0), np.empty((G, 0))
+        return np.empty(0), np.empty((0, height)).T
     coarse = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                               select_range=(lo, cap), tol=(cap - lo) / 64)
     N = coarse.size
@@ -311,12 +334,23 @@ def _tridiagonal_eigenvectors(H, cap):
                              f"{vals.size} levels, not the {N} counted")
     gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
     edges = np.flatnonzero(gaps > _CLUSTER_GAP * tnorm)  # 0, cuts..., N
-    vecs = np.empty((G, N))
+    # a cluster task holds three (G, k) blocks in Rayleigh-Ritz; where the
+    # level spacing falls below _CLUSTER_GAP ||H|| (2 hbar on x1^2 from
+    # hbar = 7e-4 down) every level joins one cluster
+    held = np.sort(np.diff(edges))[-workers:].sum()  # levels in flight
+    need = 8.0 * height * N + 24.0 * G * held
+    if not need <= _MEMORY_BUDGET:
+        raise ValidationError(
+            f"the solve needs about {need / 1024 ** 3:.3g} GiB, for "
+            f"inverse-iteration clusters of {held} of its {N} levels on {G} "
+            f"nodes, over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget")
+    vecs = np.empty((N, height)).T
     hnorm = abs(H).sum(axis=1).max()  # ||H||_inf, once for every cluster
 
     def cluster(a, b):
-        vals[a:b], vecs[:, a:b] = _rayleigh_ritz(
+        vals[a:b], block = _rayleigh_ritz(
             H, _inverse_iteration(d, e, vals[a:b]), cap, hnorm)
+        np.divide(block[keep], scale, out=vecs[:, a:b])
 
     _parallel_map(cluster, list(zip(edges[:-1], edges[1:])), workers)
     return vals, vecs
@@ -346,20 +380,28 @@ def _ldlt(H, shift):
         raise NumericalError(f"no inertia count at {shift:g}: {exc}") from exc
 
 
-def _separable(H, grid):
-    """[T1, T2], the 1-D tridiagonals whose Kronecker sum is the 2-D H of
-    assemble_hamiltonian, where its diagonal D (x1 down the rows) is d1[i] +
-    d2[j], d1 = D[:, 0] - D[0, 0] / 2, d2 = D[0, :] - D[0, 0] / 2, to 1e-12
-    max |D|; else None.  The off-diagonals are H's offset-k and offset-1."""
-    if grid.dimension != 2:
-        return None
-    k = grid.points_per_axis - 2
-    D = H.diagonal().reshape(k, k)
+def _additive_parts(D):
+    """(d1, d2) with D[i, j] = d1[i] + d2[j] to 1e-12 max |D|, d1 = D[:, 0]
+    - D[0, 0] / 2 and d2 = D[0, :] - D[0, 0] / 2; else None."""
     d1, d2 = D[:, 0] - 0.5 * D[0, 0], D[0, :] - 0.5 * D[0, 0]
     if not np.max(np.abs(D - d1[:, None] - d2)) <= 1e-12 * np.max(np.abs(D)):
         return None
+    return d1, d2
+
+
+def _separable(H, grid):
+    """[T1, T2], the 1-D tridiagonals whose Kronecker sum is the 2-D H of
+    assemble_hamiltonian, where its diagonal (x1 down the rows) is a sum
+    d1[i] + d2[j] (_additive_parts); else None.  The off-diagonals are H's
+    offset-k and offset-1."""
+    if grid.dimension != 2:
+        return None
+    k = grid.points_per_axis - 2
+    parts = _additive_parts(H.diagonal().reshape(k, k))
+    if parts is None:
+        return None
     e1, e2 = H.diagonal(k)[::k], H.diagonal(1)[:k - 1]
-    return [sp.diags([e, d, e], (-1, 0, 1)) for d, e in ((d1, e1), (d2, e2))]
+    return [sp.diags([e, d, e], (-1, 0, 1)) for d, e in zip(parts, (e1, e2))]
 
 
 def _kronecker_levels(T1, T2, cap):
@@ -400,21 +442,33 @@ def level_count(H, cap, grid):
     return int(np.count_nonzero(pivots < 0.0))
 
 
-def _solve_peak_bytes(n, m, N_est):
+def _solve_peak_bytes(n, m, N_est, rows=None, separable=False):
     """Estimated peak bytes of a solve with about N_est levels on m interior
-    nodes, its eigenvectors included.
+    nodes, its eigenvectors on at most rows nodes (every node when None)
+    included.
 
-    1-D: the (m, N) eigenvectors and the one copy of them that the DPP or
-    the Agmon check makes.  2-D, for the Lanczos call at k = N: eigsh's
-    Lanczos basis and Ritz block (ncv columns each), the N returned
-    vectors, ARPACK's ncv (ncv + 8) work array, and the LDL^T of H - sigma I
-    (_ldlt), whose minimum-degree fill took 33-37 m log2 m bytes of RSS for
-    m from 1e4 to 3.6e5 on the square grid (48 here).  m is a float, so a
-    huge grid gives inf rather than an OverflowError.
+    1-D on every node: the (m, N) eigenvectors and the one copy of them that
+    the DPP or the Agmon check makes.  1-D on rows nodes: the (rows, N)
+    eigenvectors and _ROW_SOLVE_BYTES per node of scratch, which the
+    bisection slices and clusters of one level hold; larger clusters are
+    priced once they are known (_tridiagonal_eigenvectors).  2-D, for a
+    separable V: the three (m, N) blocks that the Rayleigh-Ritz step on the
+    Kronecker products holds at once (_rayleigh_ritz).  Else for the
+    Lanczos call at k = N: eigsh's Lanczos basis and Ritz block (ncv
+    columns each), the N returned vectors, ARPACK's ncv (ncv + 8) work
+    array, and the LDL^T of H - sigma I (_ldlt), whose minimum-degree fill
+    took 33-37 m log2 m bytes of RSS for m from 1e4 to 3.6e5 on the square
+    grid (48 here).  The 2-D solves build every row first, so rows does not
+    lower their price.  m is a float, so a huge grid gives inf rather than
+    an OverflowError.
     """
     N = min(N_est, m)
     if n == 1:
-        return 16.0 * m * N
+        if rows is None:
+            return 16.0 * m * N
+        return 8.0 * min(rows, m) * N + _ROW_SOLVE_BYTES * m
+    if separable:
+        return 24.0 * m * N
     ncv = min(m, max(2.0 * N + 1.0, 20.0))
     lu = 48.0 * m * math.log2(m)
     return 8.0 * (m * (2.0 * ncv + N) + ncv * (ncv + 8.0)) + lu
@@ -454,7 +508,10 @@ def _basis_2d(H, cap, grid):
     if factors is not None:
         U, W, order = _kronecker_levels(*factors, cap)
         i, j = np.divmod(order, W.shape[1])
-        return (U[:, None, i] * W[None, :, j]).reshape(m, order.size)
+        # C order whatever the factors' layout: the rounding of the
+        # Rayleigh-Ritz GEMMs depends on it
+        return np.multiply(U[:, None, i], W[None, :, j],
+                           order="C").reshape(m, order.size)
     N = level_count(H, cap, grid)
     if N >= m - 1:  # eigsh's bound on k
         raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
@@ -470,58 +527,61 @@ def _rayleigh_ritz(H, vecs, cap, hnorm):
     NumericalError (Parlett, The Symmetric Eigenvalue Problem, ch. 11)."""
     if vecs.shape[1] == 0:
         return np.empty(0), vecs
+    HV = H @ vecs  # the one sparse product: H (V rot) = (H V) rot
     # not eigsh's sigma + 1 / nu, which loses digits to the shift
-    vals, rot = np.linalg.eigh(vecs.T @ (H @ vecs))
+    vals, rot = np.linalg.eigh(vecs.T @ HV)
     vecs = vecs @ rot
     tol = 1e-10 * hnorm
     if not vals[-1] <= cap + tol:
         raise NumericalError(f"the solve found {vals[-1]!r} above cap={cap:g} "
                              f"among the {vals.size} levels it counted")
-    resid = H @ vecs
-    resid -= vecs * vals
-    resid = np.linalg.norm(resid, axis=0).max()
+    HV = HV @ rot  # rebound, so that at most three (m, N) blocks live
+    HV -= vecs * vals
+    resid = np.linalg.norm(HV, axis=0).max()
     if not resid <= tol:
         raise NumericalError(f"eigen-residual {resid:.3g} exceeds "
                              f"1e-10 ||H|| = {tol:.3g}")
     return np.minimum(vals, cap), vecs
 
 
-def eigensolve(H, cap, grid, hbar):
-    """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized.
+def eigensolve(H, cap, grid, hbar, rows=None):
+    """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized,
+    on the interior nodes rows alone (flat indices; every node when None).
 
     Every pair leaves through one checked Rayleigh-Ritz step
     (_rayleigh_ritz), whose cap and residual checks share the tolerance
     1e-10 ||H||_inf.  n=1 by bisection on two spectral slices, then inverse
-    iteration and that step per cluster of close levels, on min(2, usable
-    CPUs) threads from 2,000 nodes on, with the same bits on any number of
-    threads (_tridiagonal_eigenvectors).  n=2 by that step on the products
-    of two such 1-D solves for a separable V, else on N Lanczos vectors
-    (_basis_2d).  Each column is an eigenvector up to sign: every consumer
-    uses it only in products with itself, where a sign flip is exact.
+    iteration, that step and the division by sqrt(weight) per cluster of
+    close levels, on min(2, usable CPUs) threads from 2,000 nodes on, with
+    the same bits on any number of threads; each cluster writes its rows
+    once into column-major eigenvectors (_tridiagonal_eigenvectors).  n=2
+    by that step on the products of two such 1-D solves for a separable V,
+    else on N Lanczos vectors (_basis_2d); the rows are taken after it, so
+    they hold the bits of a full solve.  Each column is an eigenvector up
+    to sign: every consumer uses it only in products with itself, where a
+    sign flip is exact.
     """
     m = H.shape[0]
     if grid.interior_count != m:
         raise ValidationError("grid does not match the Hamiltonian size")
     if grid.dimension == 1:
-        vals, vecs = _tridiagonal_eigenvectors(H, cap)
+        vals, vecs = _tridiagonal_eigenvectors(H, cap, rows,
+                                               math.sqrt(grid.weight))
     else:
         # the basis passed, not held, so Rayleigh-Ritz frees it as it rotates
         vals, vecs = _rayleigh_ritz(H, _basis_2d(H, cap, grid), cap,
                                     abs(H).sum(axis=1).max())
-    # unit Euclidean columns, rescaled to the weighted product in place
-    np.divide(vecs, math.sqrt(grid.weight), out=vecs)  # 108 MB at G=33,941
+        if rows is not None:
+            vecs = vecs[rows]
+        np.divide(vecs, math.sqrt(grid.weight), out=vecs)
     return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 
-def node_rows(eigs, mu, points):
-    """(idx, R): the interior nodes nearest the points (m, n) and their rows
-    of the filled levels <= mu, so that R @ R.T is the projector Pi there.
-
-    Each coordinate rounds to its nearest interior node on its own axis;
-    idx holds the flat x1-major indices of those nodes, ascending, each
-    once.  A point outside the box raises.
+def node_index(grid, points):
+    """The flat x1-major indices of the interior nodes nearest the points
+    (m, n), ascending, each once: each coordinate rounds to its nearest
+    interior node on its own axis.  A point outside the box raises.
     """
-    grid = eigs.grid
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dimension:
         raise ValidationError(f"points must form an (m, {grid.dimension}) array")
@@ -532,7 +592,15 @@ def node_rows(eigs, mu, points):
     mi = grid.points_per_axis - 2
     axes = np.clip(np.round((pts - grid.interior_axis[0]) / grid.spacing), 0,
                    mi - 1).astype(int)
-    idx = np.unique(np.ravel_multi_index(tuple(axes.T), (mi,) * grid.dimension))
+    return np.unique(np.ravel_multi_index(tuple(axes.T),
+                                          (mi,) * grid.dimension))
+
+
+def node_rows(eigs, mu, points):
+    """(idx, R): the interior nodes nearest the points (node_index) and
+    their rows of the filled levels <= mu of a solve on every node, so that
+    R @ R.T is the projector Pi there."""
+    idx = node_index(eigs.grid, points)
     return idx, eigs.below(mu)[1][idx]
 
 

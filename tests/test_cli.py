@@ -349,6 +349,9 @@ SEMINORM_RANGE = ("error: the test function is too narrow or too wide: the "
      "error: airy_ai requires a finite argument below 2^20\n"),
     (["variance", "--n", "1", "--mu", "5e-324", "--function", "gaussian:width=1"],
      "error: mu must be positive, with pi / mu finite: 5e-324\n"),
+    (["variance", "--n", "2", "--mu", "1e-300", "--function", "gaussian:width=1"],
+     "error: mu=1e-300 is too small: the free-field variance 0 underflows "
+     "below the normal float range\n"),
     (["seminorm", "--n", "1", "--function", "gaussian:width=1e300"],
      SEMINORM_RANGE.format("1.45192e+298", 2)),
     (["seminorm", "--n", "1", "--function", "custom:expr=x1,radius=1e300"],
@@ -362,12 +365,15 @@ SEMINORM_RANGE = ("error: the test function is too narrow or too wide: the "
       "-1:1:1"],
      "error: mu=1e+200 is too large: the free kernel's diagonal "
      "mu^2 omega_2 / (2 pi)^2 overflows\n"),
-], ids=["airy", "variance", "seminorm-wide-gaussian", "seminorm-wide-custom",
-        "seminorm-wide-indicator", "seminorm-narrow-indicator", "free-huge-mu"])
+], ids=["airy", "variance", "variance-2d-underflow", "seminorm-wide-gaussian",
+        "seminorm-wide-custom", "seminorm-wide-indicator",
+        "seminorm-narrow-indicator", "free-huge-mu"])
 @pytest.mark.filterwarnings("error")
 def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # the airy table held 440 nan rows past scipy's Airy range, and the
-    # variance a nan brute force where pi / mu, its lattice scale, overflows.
+    # variance a nan brute force where pi / mu, its lattice scale, overflows,
+    # and in 2-D an exact and brute-force variance of 0 and a nan gap where
+    # mu^2 underflows.
     # The wide seminorm lattices and the free kernel's mu^2 ended in
     # OverflowError tracebacks from a power; the narrow indicator warned
     # twice in sigma_fourier before the lattice check refused it
@@ -558,6 +564,53 @@ def test_grids_over_the_memory_budget_exit_one_before_solving(
     monkeypatch.setattr("fermigas.experiments.eigensolve", no_build)
     code = main(["weyl", "--potential", potential, "--mu", "1", "--hbar", hbar])
     assert code == 1
+    assert "GiB budget" in capsys.readouterr().err
+
+
+def test_a_rows_only_solve_is_priced_without_its_eigenvectors(monkeypatch,
+                                                              capsys):
+    # x1^2 below mu = 100 at hbar = 4e-3: every row of the eigenvectors of
+    # its 12,500 levels on 41,504 nodes and the DPP's copy of them come to
+    # 7.7 GiB; converge-edge keeps 17 rows and is priced at their size and
+    # the solve's scratch.  Its levels, 0.008 apart, each get a cluster
+    class Solved(Exception):
+        pass
+
+    def solved(H, cap, grid, hbar, rows=None):
+        assert len(rows) <= 17
+        raise Solved
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid over the budget was assembled or solved")
+
+    monkeypatch.setattr("fermigas.experiments.eigensolve", solved)
+    with pytest.raises(Solved):
+        main(["converge-edge", "--potential", "x1^2", "--mu", "100", "--x0",
+              "10", "--hbar", "4e-3"])
+    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
+    monkeypatch.setattr("fermigas.experiments.eigensolve", no_build)
+    assert main(["sample", "--potential", "x1^2", "--mu", "100", "--hbar",
+                 "4e-3", "--seed", "1"]) == 1
+    assert "7.73 GiB" in capsys.readouterr().err
+
+
+def test_a_separable_2d_solve_is_priced_as_its_product_columns(
+        tmp_path, monkeypatch, capsys):
+    # x1^2 + x2^2 at hbar = 0.021 (242,000 nodes): the Lanczos price, 2.76
+    # GiB, refused it, but the Kronecker path holds three (m, N) blocks at
+    # most.  Its levels 0.042 (j + 1) avoid the cap: 23 * 24 / 2 below it
+    code, text = run(["weyl", "--potential", "x1^2+x2^2", "--mu", "1",
+                      "--hbar", "0.021"], tmp_path)
+    assert code == 0
+    cols, rows = data_rows(text)
+    assert rows[0][cols.index("count")] == "276"
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid over the budget was assembled or solved")
+
+    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
+    assert main(["weyl", "--potential", "x1^2+x2^2+0.1*x1*x2", "--mu", "1",
+                 "--hbar", "0.021"]) == 1
     assert "GiB budget" in capsys.readouterr().err
 
 

@@ -41,6 +41,7 @@ from fermigas.schrodinger import (
     assemble_hamiltonian,
     edge_rotation,
     eigensolve,
+    node_index,
     node_rows,
 )
 from oracles import hermite_functions
@@ -369,8 +370,43 @@ def test_eigensolve_1d_is_bit_identical_on_one_and_two_workers(monkeypatch):
         solves.append(eigensolve(H, 1.0, grid, 0.0025))
     one, two = solves
     assert one.eigenvalues.size == 200
+    # column-major: each cluster writes one contiguous block of columns
+    assert one.eigenvectors.flags.f_contiguous
+    assert two.eigenvectors.flags.f_contiguous
     assert np.array_equal(one.eigenvalues, two.eigenvalues)
     assert np.array_equal(one.eigenvectors, two.eigenvectors)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eigensolve_1d_rows_are_the_full_solve_rows_bit_for_bit(
+        workers, monkeypatch):
+    # each cluster writes the rows the caller asked for and no others, with
+    # the bits of a full solve, on either thread count
+    grid, H = _solve_grid(parse_potential("x1^2"), 1.0, 0.0025)
+    monkeypatch.setattr(schrodinger, "_worker_count", lambda: workers)
+    idx = node_index(grid, np.linspace(0.8, 1.2, 17)[:, None])
+    full = eigensolve(H, 1.0, grid, 0.0025)
+    part = eigensolve(H, 1.0, grid, 0.0025, rows=idx)
+    assert part.eigenvectors.shape == (17, 200)
+    assert part.eigenvectors.flags.f_contiguous
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
+    assert np.array_equal(part.eigenvectors, full.eigenvectors[idx])
+
+
+def test_eigensolve_1d_refuses_a_cluster_over_the_budget(monkeypatch):
+    # where the level spacing falls below _CLUSTER_GAP ||H|| every level
+    # joins one inverse-iteration cluster, whose three (G, N) blocks outgrow
+    # the budget on x1^2 at mu = 1 from hbar = 5e-4 down; here every level
+    # of the oscillator joins one cluster and the budget is 1e5 bytes
+    def no_cluster(*args):
+        raise AssertionError("a cluster over the budget was solved")
+
+    monkeypatch.setattr(schrodinger, "_CLUSTER_GAP", 1.0)
+    monkeypatch.setattr(schrodinger, "_MEMORY_BUDGET", 1e5)
+    monkeypatch.setattr(schrodinger, "_inverse_iteration", no_cluster)
+    with pytest.raises(ValidationError, match="clusters of 10 of its 10 "
+                       "levels on 1199 nodes"):
+        harmonic_eigensystem()
 
 
 def test_eigensolve_1d_slice_counts_must_add_up(monkeypatch):
@@ -792,6 +828,14 @@ def test_solve_peak_estimate():
     # estimated 70 MB; at hbar = 0.03 (N = 136 on 288^2 nodes) by 418 MB,
     # estimated 528 MB
     assert 65e6 < schrodinger._solve_peak_bytes(2, m, 25.5) < 1.25 * 65e6
+    # x1^2 at hbar = 1.25e-3 (N = 400 on 33,941 nodes), 17 rows kept: the
+    # solve's traced peak was 5.0 MB, against 113 MB for every row
+    assert 5.0e6 < schrodinger._solve_peak_bytes(1, 33941.0, 400.0,
+                                                 rows=17) < 2.0 * 5.0e6
+    # the Kronecker path at hbar = 0.03 (N = 136 on 288^2 nodes) grew RSS
+    # by 257.9 MB, with a traced peak of 270.9 MB: three (m, N) blocks
+    kron = schrodinger._solve_peak_bytes(2, 288.0 ** 2, 136.0, separable=True)
+    assert 257.9e6 < kron < 1.1 * 270.9e6
     # a grid too big for a float gives inf, not an OverflowError
     assert schrodinger._solve_peak_bytes(2, 1e200 * 1e200, 5.0) == math.inf
     assert schrodinger._solve_peak_bytes(2, m, math.inf) > 8.0 * m * m
@@ -819,6 +863,24 @@ def test_eigensolve_2d_is_reproducible():
     b = eigensolve(H, 1.0, grid, 0.2)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+@pytest.mark.parametrize("text, hbar", [
+    ("x1^2+2*x2^2", 0.1),  # the kernel --n 2 golden: the Kronecker basis
+    (MIXED, 0.15),         # the Lanczos basis
+])
+def test_eigensolve_2d_rows_are_the_full_solve_rows_bit_for_bit(text, hbar):
+    # 2-D rows are taken after the Rayleigh-Ritz step, so its numerics are
+    # those of a full solve
+    grid, H = _solve_grid(parse_potential(text), 1.0, hbar)
+    pts = np.zeros((5, 2))
+    pts[:, 0] = np.linspace(-0.5, 0.5, 5)
+    idx = node_index(grid, pts)
+    full = eigensolve(H, 1.0, grid, hbar)
+    part = eigensolve(H, 1.0, grid, hbar, rows=idx)
+    assert part.eigenvectors.shape == (5, full.eigenvalues.size)
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
+    assert np.array_equal(part.eigenvectors, full.eigenvectors[idx])
 
 
 # ---------------------------------------------------------------------------
