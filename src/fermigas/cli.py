@@ -18,7 +18,6 @@ from .errors import NumericalError, ValidationError
 from .experiments import (
     ExperimentReport,
     TestFunction,
-    _check_resolved,
     _filled_process,
     _solve_rows,
     _solve_window,
@@ -68,8 +67,9 @@ _MAX_POINTS = 2001
 # most coordinates a kernel --n may ask for: potentials stop at x3
 _MAX_DIMENSION = 3
 
-# most --trials a sampling command may ask for: every trial keeps its
-# stream and its points, about 1 KB each, until the report is written
+# most --trials a sampling command may ask for: every trial keeps its N
+# node indices, and in sample its N rows of coordinates, until the report
+# is written
 _MAX_TRIALS = 100_000
 
 
@@ -101,6 +101,18 @@ def _at_most(cap, noun):
             raise argparse.ArgumentTypeError(f"at most {cap} {noun}, got {value}")
         return value
     return parse
+
+
+def _seed(text):
+    """A Philox key: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, 2^64), got {value}")
+    return value
 
 
 def _float_list(text):
@@ -273,11 +285,10 @@ def _run_sample(args):
     _, dpp = _filled_process(V, args.mu, args.hbar)
     rng = RngState(args.seed)
     n = V.dimension
-    rows = []
-    configs = samples(dpp, [rng.stream(t) for t in range(args.trials)])
-    for t, config in enumerate(configs):
-        for pt in config.points:
-            rows.append((t,) + tuple(float(c) for c in pt))
+    drawn = samples(dpp, [rng.stream(t) for t in range(args.trials)])
+    # float rows: a trial t prints as "t" in either format
+    rows = np.column_stack([np.repeat(np.arange(args.trials), dpp.N),
+                            dpp.nodes[drawn.ravel()]])
     rep = ExperimentReport(
         "sample",
         ("trial",) + tuple(f"x{k + 1}" for k in range(n)),
@@ -329,12 +340,8 @@ def _run_seminorm(args):
 def _run_clt(args):
     V = _grid_potential(args.potential)
     g = _parse_function(args.function, V.dimension)
-    grid, dpp = _filled_process(V, args.mu, args.hbar)
-    _check_resolved(g, grid)
-    rep = clt_monte_carlo(dpp, g(dpp.nodes), args.trials, RngState(args.seed))
-    rep.params["potential"] = V.to_text()
-    rep.params["mu"] = float(args.mu)
-    rep.params["hbar"] = float(args.hbar)
+    rep = clt_monte_carlo(V, args.mu, g, args.hbar, args.trials,
+                          RngState(args.seed))
     rep.params["function"] = args.function
     return rep.to_csv()
 
@@ -447,7 +454,7 @@ def _build_parser():
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_finite_float, required=True)
     sp.add_argument("--trials", type=trials, default=1)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
 
     sp = add("variance", _run_variance,
              "free-kernel variance: exact, brute-force, asymptotic")
@@ -467,14 +474,14 @@ def _build_parser():
     sp.add_argument("--hbar", type=_finite_float, required=True)
     sp.add_argument("--function", required=True)
     sp.add_argument("--trials", type=trials, default=1000)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
 
     sp = add("lln", _run_lln, "Wasserstein distance to the limiting density")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--mu", type=_finite_float, required=True)
     sp.add_argument("--hbar", type=_float_list, required=True)
     sp.add_argument("--trials", type=trials, default=100)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
 
     sp = add("agmon", _run_agmon, "weighted-norm bound outside the droplet")
     sp.add_argument("--potential", required=True)

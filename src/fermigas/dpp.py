@@ -26,7 +26,6 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "RngState",
-    "PointConfiguration",
     "DPP",
     "from_eigensystem",
     "from_kernel",
@@ -59,19 +58,6 @@ class RngState:
     def stream(self, k):
         """Independent derived stream number k."""
         return RngState(self.seed, self.counter + 1 + int(k))
-
-
-@dataclass
-class PointConfiguration:
-    """One exact sample: node coordinates plus provenance."""
-
-    points: np.ndarray   # (N, n)
-    indices: np.ndarray  # node indices into the process's grid
-    seed: int
-    counter: int
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 class DPP:
@@ -362,7 +348,9 @@ def _chain_rule_sample(features, uniforms, tree=None):
 
 def samples(dpp, rng_states):
     """One exact sample of a projection DPP per RNG state, drawn a block of
-    trials at a time.
+    trials at a time: a (len(rng_states), N) int array whose row t holds
+    the node indices of state t's draw, in the order drawn; its points are
+    dpp.nodes[row].
 
     Each sample has exactly N points, and each state's generator gives one
     uniform per point.  Exact sampling is for projection kernels only: a
@@ -385,16 +373,13 @@ def samples(dpp, rng_states):
     # their projections (2 K^2 each), in float64
     per_trial = 8 * (G + K * K) if tree is None else 64 * K * K
     size = max(1, _BLOCK_BYTES // per_trial)
-    configs = []
+    drawn = np.empty((len(states), K), dtype=int)
     for start in range(0, len(states), size):
         block = states[start:start + size]
         uniforms = np.array([s.generator().random(K) for s in block])
-        chosen = _chain_rule_sample(dpp.features, uniforms, tree)
-        configs += [
-            PointConfiguration(dpp.nodes[idx], idx, s.seed, s.counter)
-            for s, idx in zip(block, chosen)
-        ]
-    return configs
+        drawn[start:start + size] = _chain_rule_sample(dpp.features, uniforms,
+                                                       tree)
+    return drawn
 
 
 def _as_grid_function(dpp, f):

@@ -19,7 +19,6 @@ from scipy.stats import kstest
 
 from . import __version__
 from .dpp import (
-    _as_grid_function,
     _compressed,
     from_eigensystem,
     mean_linear_stat,
@@ -383,6 +382,17 @@ def _check_resolved(g, grid):
         )
 
 
+def _linear_statistic(V, mu, f, hbar):
+    """(dpp, fvec, mean, var) of X(f) = sum_i f(x_i) in the filled process
+    of -hbar^2 Laplace + V below mu: f a TestFunction, fvec its values on
+    the nodes, mean and var the exact traces.  An empty process and an f
+    narrower than the grid spacing are refused before f is evaluated."""
+    grid, dpp = _filled_process(V, mu, hbar)
+    _check_resolved(f, grid)
+    fvec = f(dpp.nodes)
+    return dpp, fvec, mean_linear_stat(dpp, fvec), var_linear_stat(dpp, fvec)
+
+
 def _value_at(V, x0):
     pt = np.asarray(x0, dtype=float).reshape(1, -1)
     return float(V(pt)[0])
@@ -569,10 +579,9 @@ def lln_wasserstein(V, mu, hbar, trials, rng):
     for ih, hb in enumerate(hbars):
         grid, dpp = _filled_process(V, mu, hb)
         taxis, ref_cdf = _reference_cdf(V, mu, grid, Z)
-        configs = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
-        w1 = np.array([
-            w1_to_reference(c.points[:, 0], taxis, ref_cdf) for c in configs
-        ])
+        drawn = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
+        x = dpp.nodes[drawn, 0]
+        w1 = np.array([w1_to_reference(row, taxis, ref_cdf) for row in x])
         q10, q50, q90 = np.quantile(w1, [0.1, 0.5, 0.9])
         rows.append(
             (hb, trials, float(np.mean(w1)), float(q10), float(q50), float(q90))
@@ -597,19 +606,15 @@ def gaussian_tail_check(V, mu, f, hbar, trials, rng):
     envelope = 2 exp(-c t^2) uses the largest c consistent with every
     observed frequency; the params carry c along with the exact mean and
     variance of X(f).  An empty process and an f narrower than the grid
-    spacing are refused, as clt refuses them.
+    spacing are refused, as clt_monte_carlo refuses them.
     """
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    grid, dpp = _filled_process(V, mu, hbar)
-    _check_resolved(f, grid)
-    fvec = f(dpp.nodes)
-    mean = mean_linear_stat(dpp, fvec)
-    var = var_linear_stat(dpp, fvec)
+    dpp, fvec, mean, var = _linear_statistic(V, mu, f, hbar)
     scale = math.sqrt(hbar * dpp.N)
-    configs = samples(dpp, [rng.stream(t) for t in range(trials)])
-    stats = np.array([np.sum(fvec[c.indices]) for c in configs])
+    drawn = samples(dpp, [rng.stream(t) for t in range(trials)])
+    stats = fvec[drawn].sum(axis=1)
     deviations = np.abs(stats - mean) / scale
     rows = []
     c_fit = math.inf
@@ -944,34 +949,37 @@ def mesoscopic_variance_scan(V, mu, x0, hbar_list, beta, g):
 # central limit theorem
 
 
-def clt_monte_carlo(process, f, trials, rng):
-    """Kolmogorov-Smirnov test of the standardized linear statistic.
+def clt_monte_carlo(V, mu, f, hbar, trials, rng):
+    """Kolmogorov-Smirnov test of the standardized linear statistic X(f),
+    f a TestFunction, in the filled process of -hbar^2 Laplace + V below mu.
 
     The mean and variance are exact traces, never estimated, so the
-    standardized samples are z = (X(f) - tr fM) / sqrt(var), f the
-    statistic's value at each node.  Rows are (trials, ks_stat, ks_pvalue,
-    skewness, third_moment_se).
+    standardized samples are z = (X(f) - tr fM) / sqrt(var).  Rows are
+    (trials, ks_stat, ks_pvalue, skewness, third_moment_se).  Fewer than
+    two trials are refused before the solve, a statistic of variance below
+    1e-12 before any draw.
     """
     trials = int(trials)
     if trials < 2:
         raise ValidationError("clt_monte_carlo needs at least 2 trials")
-    fvec = _as_grid_function(process, f)
-    mean = mean_linear_stat(process, fvec)
-    var = var_linear_stat(process, fvec)
+    dpp, fvec, mean, var = _linear_statistic(V, mu, f, hbar)
     if var < 1e-12:
         raise ValidationError(
             "the statistic is degenerate: its variance is below 1e-12"
         )
-    configs = samples(process, [rng.stream(t) for t in range(trials)])
-    stats = np.array([np.sum(fvec[c.indices]) for c in configs])
+    drawn = samples(dpp, [rng.stream(t) for t in range(trials)])
+    stats = fvec[drawn].sum(axis=1)
     z = (stats - mean) / math.sqrt(var)
     ks_stat, ks_p = kstest(z, "norm")
     skew = float(np.mean(z ** 3))
     skew_se = math.sqrt(15.0 / trials)
     params = {
+        "potential": V.to_text(),
+        "mu": float(mu),
+        "hbar": float(hbar),
         "mean": mean,
         "var": var,
-        "skew_exact": _exact_skewness(process, fvec, var),
+        "skew_exact": _exact_skewness(dpp, fvec, var),
     }
     return ExperimentReport(
         "clt_monte_carlo",

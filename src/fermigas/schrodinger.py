@@ -34,7 +34,6 @@ __all__ = [
     "level_count",
     "eigensolve",
     "node_index",
-    "node_rows",
     "edge_rotation",
     "AgmonReport",
     "agmon_check",
@@ -594,14 +593,6 @@ def node_index(grid, points):
                    mi - 1).astype(int)
     return np.unique(np.ravel_multi_index(tuple(axes.T),
                                           (mi,) * grid.dimension))
-
-
-def node_rows(eigs, mu, points):
-    """(idx, R): the interior nodes nearest the points (node_index) and
-    their rows of the filled levels <= mu of a solve on every node, so that
-    R @ R.T is the projector Pi there."""
-    idx = node_index(eigs.grid, points)
-    return idx, eigs.below(mu)[1][idx]
 
 
 def edge_rotation(grad):

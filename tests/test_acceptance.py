@@ -164,11 +164,9 @@ def test_criterion_06_dpp_identities():
     fvals = 0.8 * np.exp(-x ** 2 / 0.3)
     exact = laplace_functional(dpp, fvals)
     rng = RngState(123)
-    configs = samples(dpp, [rng.stream(t) for t in range(10000)])
-    counts_ok = all(len(config) == dpp.N for config in configs)
-    draws = np.array([
-        math.exp(-float(np.sum(fvals[config.indices]))) for config in configs
-    ])
+    drawn = samples(dpp, [rng.stream(t) for t in range(10000)])
+    counts_ok = drawn.shape == (10000, dpp.N)
+    draws = np.array([math.exp(-s) for s in fvals[drawn].sum(axis=1)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     laplace_dev = abs(draws.mean() - exact)
     ok = var_dev <= 1e-10 and laplace_dev <= 3.0 * se and counts_ok
@@ -218,10 +216,8 @@ def test_criterion_08_seminorm_duality():
 
 def test_criterion_09_clt():
     t0 = time.perf_counter()
-    eigs = _solve_window(HARMONIC, 1.0, 0.02)
-    dpp = from_eigensystem(eigs, 1.0)
     f = TestFunction.gaussian_bump(1, 0.0, 0.2)
-    rep = clt_monte_carlo(dpp, f(dpp.nodes), 10000, RngState(2718))
+    rep = clt_monte_carlo(HARMONIC, 1.0, f, 0.02, 10000, RngState(2718))
     _, _, pvalue, skew, _ = rep.rows[0]
     elapsed = time.perf_counter() - t0
     ok = pvalue >= 0.01 and abs(skew) <= 0.1 and elapsed < 300.0

@@ -633,6 +633,26 @@ def test_trials_above_the_cap_exit_one_before_solving(argv, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["sample"] + SOLVE + ["--seed", "-1"],
+    ["clt"] + SOLVE + ["--function", "gaussian:width=0.2",
+                       "--seed", "18446744073709551616"],
+    ["lln"] + SOLVE + ["--seed", "-1"],
+], ids=lambda argv: argv[0])
+def test_a_seed_outside_64_bits_exits_one_before_solving(argv, monkeypatch,
+                                                        capsys):
+    # sample and clt took --seed as any int and refused it after the solve;
+    # lln refused it before, but not as a usage error naming --seed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the --seed check")
+
+    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    assert main(argv) == 1
+    assert "--seed" in capsys.readouterr().err
+    top = ["--seed", str(2 ** 64 - 1)]
+    assert _build_parser()[0].parse_args(argv[:-2] + top).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("argv", [
     ["converge-bulk", "--x0", "0,0", "--hbar", "0.05"],
     ["converge-edge", "--x0", "1,0", "--hbar", "0.05"],
     ["lln", "--hbar", "0.05", "--seed", "1"],

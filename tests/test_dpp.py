@@ -68,8 +68,7 @@ def test_from_eigensystem_empty_below_ground_state(fermions):
     es = eigensolve(H, 1.0, grid, 0.1)
     dpp = from_eigensystem(es, 0.05)
     assert dpp.N == 0
-    cfg = samples(dpp, [RngState(5)])[0]
-    assert len(cfg) == 0
+    assert samples(dpp, [RngState(5)]).shape == (1, 0)
 
 
 def test_rng_state_validation():
@@ -148,18 +147,18 @@ def test_from_kernel_needs_a_uniform_lattice(nodes, message):
 def test_sample_has_exactly_n_points_always(fermions):
     dpp, _ = fermions
     for k in range(40):
-        cfg = samples(dpp, [RngState(123).stream(k)])[0]
-        assert len(cfg) == dpp.N
-        assert np.unique(cfg.indices).size == dpp.N
+        idx = samples(dpp, [RngState(123).stream(k)])[0]
+        assert len(idx) == dpp.N
+        assert np.unique(idx).size == dpp.N
 
 
 def test_sample_bit_reproducible(fermions):
     dpp, _ = fermions
     a = samples(dpp, [RngState(2024)])[0]
     b = samples(dpp, [RngState(2024)])[0]
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a, b)
     c = samples(dpp, [RngState(2025)])[0]
-    assert not np.array_equal(a.indices, c.indices)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_sequences_are_frozen(fermions):
@@ -174,8 +173,8 @@ def test_sample_sequences_are_frozen(fermions):
         [143, 187, 157, 124, 162],
     ]
     for k, want in enumerate(frozen):
-        cfg = samples(dpp, [RngState(2024).stream(k)])[0]
-        assert cfg.indices.tolist() == want
+        idx = samples(dpp, [RngState(2024).stream(k)])[0]
+        assert idx.tolist() == want
 
 
 def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
@@ -188,12 +187,9 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
         monkeypatch.setattr(dpp_module, "_TREE_NODES_PER_K2", nodes_per_k2)
         states = [RngState(55).stream(k) for k in range(10)]
         block = samples(dpp, states)
-        assert len(block) == len(states)
-        for state, config in zip(states, block):
-            alone = samples(dpp, [state])[0]
-            assert np.array_equal(config.indices, alone.indices)
-            assert np.array_equal(config.points, alone.points)
-            assert (config.seed, config.counter) == (state.seed, state.counter)
+        assert block.shape == (len(states), dpp.N)
+        for state, idx in zip(states, block):
+            assert np.array_equal(idx, samples(dpp, [state])[0])
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +210,7 @@ def test_two_dimensional_sample_sequences_are_frozen(oscillator_2d):
          27702, 10412, 14667, 25202, 7866, 22397],
     ]
     got = samples(dpp, [RngState(2024).stream(k) for k in range(3)])
-    assert [c.indices.tolist() for c in got] == frozen
+    assert got.tolist() == frozen
 
 
 def test_sampler_rejects_non_finite_residual_mass(fermions):
@@ -296,8 +292,8 @@ def test_sample_follows_the_exact_joint_law():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     trials = 10000
     counts = dict.fromkeys(pairs, 0)
-    for cfg in samples(dpp, [RngState(8).stream(k) for k in range(trials)]):
-        counts[tuple(sorted(cfg.indices))] += 1
+    for idx in samples(dpp, [RngState(8).stream(k) for k in range(trials)]):
+        counts[tuple(sorted(idx))] += 1
     freq = np.array([counts[p] for p in pairs]) / trials
     se = np.sqrt(probs * (1.0 - probs) / trials)
     assert np.all(np.abs(freq - probs) <= 5.0 * se)
@@ -312,9 +308,9 @@ def test_rank_one_sample_density():
     counts = np.zeros(41)
     trials = 3000
     for k in range(trials):
-        cfg = samples(dpp, [RngState(77).stream(k)])[0]
-        assert len(cfg) == 1
-        counts[cfg.indices[0]] += 1
+        idx = samples(dpp, [RngState(77).stream(k)])[0]
+        assert len(idx) == 1
+        counts[idx[0]] += 1
     expect = trials * dpp.intensity()
     se = np.sqrt(trials * dpp.intensity() * (1.0 - dpp.intensity()))
     assert np.all(np.abs(counts - expect) <= 4.0 * se + 1e-9)
@@ -326,8 +322,8 @@ def test_empirical_intensity_matches_kernel_diagonal(fermions):
     bins = np.array_split(np.arange(dpp.node_count), 10)
     counts = np.zeros(10)
     for k in range(trials):
-        cfg = samples(dpp, [RngState(31).stream(k)])[0]
-        node_hits = np.bincount(cfg.indices, minlength=dpp.node_count)
+        idx = samples(dpp, [RngState(31).stream(k)])[0]
+        node_hits = np.bincount(idx, minlength=dpp.node_count)
         counts += [node_hits[b].sum() for b in bins]
     for bi, b in enumerate(bins):
         ind = np.zeros(dpp.node_count)
@@ -345,9 +341,9 @@ def test_draw_positions_are_exchangeable(fermions):
     half = dpp.node_count // 2
     first_left = last_left = 0
     for k in range(trials):
-        cfg = samples(dpp, [RngState(87).stream(k)])[0]
-        first_left += cfg.indices[0] < half
-        last_left += cfg.indices[-1] < half
+        idx = samples(dpp, [RngState(87).stream(k)])[0]
+        first_left += idx[0] < half
+        last_left += idx[-1] < half
     p = first_left / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(first_left - last_left) / trials <= 4.0 * se + 1e-9
@@ -378,10 +374,10 @@ def test_laplace_functional_against_monte_carlo(fermions):
         0.4 * np.exp(-np.abs(x)),
     ]
     trials = 2500
-    configs = samples(dpp, [RngState(404).stream(k) for k in range(trials)])
+    drawn = samples(dpp, [RngState(404).stream(k) for k in range(trials)])
     for f in shapes:
         exact = laplace_functional(dpp, f)
-        draws = np.array([math.exp(-f[c.indices].sum()) for c in configs])
+        draws = np.array([math.exp(-s) for s in f[drawn].sum(axis=1)])
         se = draws.std(ddof=1) / math.sqrt(trials)
         assert abs(draws.mean() - exact) <= 3.0 * se + 1e-12
 
@@ -514,7 +510,7 @@ def test_exact_identities_on_random_kernels(case):
         with pytest.raises(ValidationError, match="projection"):
             samples(dpp, [RngState(0)])
         return
-    idx = samples(dpp, [RngState(0)])[0].indices
+    idx = samples(dpp, [RngState(0)])[0]
     assert np.unique(idx).size == idx.size
     assert np.all((idx >= 0) & (idx < dpp.node_count))
     assert idx.size == dpp.N

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigas.dpp import RngState, from_eigensystem
+from fermigas.dpp import RngState
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import (
     ExperimentReport,
     TestFunction,
     _ball_difference_volume,
     _reference_cdf,
-    _solve_window,
     bulk_convergence,
     clt_monte_carlo,
     edge_convergence,
@@ -38,12 +37,6 @@ from fermigas.schrodinger import Grid
 @pytest.fixture(scope="module")
 def harmonic():
     return parse_potential("x1^2")
-
-
-@pytest.fixture(scope="module")
-def clt_process(harmonic):
-    eigs = _solve_window(harmonic, 1.0, 0.02)
-    return from_eigensystem(eigs, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +333,23 @@ def test_tail_zero_statistic_never_deviates(harmonic):
     np.testing.assert_allclose(rep.column("frequency"), 0.0)
 
 
-def test_tail_check_rejects_inputs_before_solving(harmonic, monkeypatch):
+@pytest.mark.parametrize(
+    "driver", [clt_monte_carlo, gaussian_tail_check, lln_wasserstein],
+    ids=lambda driver: driver.__name__)
+def test_sampling_drivers_reject_too_few_trials_before_solving(
+        driver, harmonic, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the eigensolve ran before the input check")
 
     monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
     f = TestFunction.gaussian_bump(1, 0.0, 0.4)
-    with pytest.raises(ValidationError):
-        gaussian_tail_check(harmonic, 1.0, f, 0.05, 0, RngState(5))
+    args = {
+        clt_monte_carlo: (harmonic, 1.0, f, 0.05, 1, RngState(5)),
+        gaussian_tail_check: (harmonic, 1.0, f, 0.05, 0, RngState(5)),
+        lln_wasserstein: (harmonic, 1.0, [0.05], 0, RngState(5)),
+    }[driver]
+    with pytest.raises(ValidationError, match="trials"):
+        driver(*args)
 
 
 @pytest.mark.filterwarnings("error")
@@ -625,29 +627,41 @@ def test_mesoscopic_validates_inputs(harmonic):
 # central limit behavior
 
 
-def test_clt_standardized_statistic_looks_normal(clt_process):
+def test_clt_standardized_statistic_looks_normal(harmonic):
     f = TestFunction.gaussian_bump(1, 0.0, 0.2)
-    rep = clt_monte_carlo(clt_process, f(clt_process.nodes), 2000, RngState(2718))
+    rep = clt_monte_carlo(harmonic, 1.0, f, 0.02, 2000, RngState(2718))
     trials, ks_stat, pvalue, skew, skew_se = rep.rows[0]
     assert pvalue >= 0.01
     assert abs(skew) <= 0.1
     assert abs(skew - rep.params["skew_exact"]) <= 4.0 * skew_se
 
 
-def test_clt_exact_moments_are_recorded(clt_process):
+def test_row_sums_of_draws_equal_the_per_draw_sums():
+    # the drivers sum f over every draw at once; each row must round as
+    # np.sum rounds that draw alone, or the CSVs of a fixed seed change
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(1000)
+    for N in (3, 9, 130, 400):
+        drawn = np.argsort(rng.random((7, 1000)), axis=1)[:, :N]
+        want = [np.sum(f[row]) for row in drawn]
+        assert f[drawn].sum(axis=1).tolist() == want
+
+
+def test_clt_exact_moments_are_recorded(harmonic):
     f = TestFunction.gaussian_bump(1, 0.0, 0.2)
-    rep = clt_monte_carlo(clt_process, f(clt_process.nodes), 100, RngState(1))
+    rep = clt_monte_carlo(harmonic, 1.0, f, 0.02, 100, RngState(1))
     assert rep.params["var"] > 0.0
     assert abs(rep.params["skew_exact"]) < 0.05
+    assert (rep.params["potential"], rep.params["mu"], rep.params["hbar"]) \
+        == ("x1^2", 1.0, 0.02)
 
 
-def test_clt_rejects_deterministic_statistic(clt_process):
-    ones = np.ones(clt_process.node_count)
-    with pytest.raises(ValidationError):
-        clt_monte_carlo(clt_process, ones, 100, RngState(1))
+def test_clt_rejects_deterministic_statistic(harmonic, monkeypatch):
+    # f = 1 on every node: X(f) = N in every draw, refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a degenerate statistic was sampled")
 
-
-def test_clt_rejects_too_few_trials(clt_process):
-    f = TestFunction.gaussian_bump(1, 0.0, 0.2)
-    with pytest.raises(ValidationError):
-        clt_monte_carlo(clt_process, f(clt_process.nodes), 1, RngState(1))
+    monkeypatch.setattr("fermigas.experiments.samples", no_draw)
+    ones = TestFunction.custom("0*x1 + 1", support_radius=3.0)
+    with pytest.raises(ValidationError, match="degenerate"):
+        clt_monte_carlo(harmonic, 1.0, ones, 0.02, 100, RngState(1))

@@ -42,7 +42,6 @@ from fermigas.schrodinger import (
     edge_rotation,
     eigensolve,
     node_index,
-    node_rows,
 )
 from oracles import hermite_functions
 
@@ -961,14 +960,14 @@ def test_edge_convergence_mirrors_across_an_even_potential():
 
 
 def test_node_rows_point_outside_box():
-    es = harmonic_eigensystem()
+    grid = harmonic_eigensystem().grid
     for point in (5.0, -3.0001, math.nan):
         with pytest.raises(ValidationError, match="outside"):
-            node_rows(es, 1.0, [[point]])
+            node_index(grid, [[point]])
     # a flat list of 1-D points, or 2-D points, is not read as (m, 1)
     for points in ([0.0, 0.1], [[0.0, 0.1]]):
         with pytest.raises(ValidationError, match=r"\(m, 1\) array"):
-            node_rows(es, 1.0, points)
+            node_index(grid, points)
 
 
 @functools.cache
@@ -990,7 +989,7 @@ def test_node_rows_read_the_projector_at_the_nearest_nodes(n, data):
         st.lists(st.floats(-L, L), min_size=n, max_size=n),
         min_size=1, max_size=40,
     )))
-    idx, R = node_rows(es, 1.0, pts)
+    idx = node_index(grid, pts)
     assert np.array_equal(idx, np.unique(idx))
     # every point's nearest interior node is among idx, within half a step
     # on each axis unless the point lies beyond the outermost node
@@ -999,10 +998,10 @@ def test_node_rows_read_the_projector_at_the_nearest_nodes(n, data):
     edge = np.abs(pts) > grid.interior_axis[-1]
     near = (gap <= 0.5 * grid.spacing * (1 + 1e-12)) | edge[:, None, :]
     assert np.all(np.any(np.all(near, axis=2), axis=1))
-    # the rows are the filled eigenvectors' rows at idx, bit for bit, so
-    # R R^T is the full projector restricted to idx; the two products agree
-    # to a few ulps only, as BLAS picks its kernel by the matrix shape
-    assert np.array_equal(R, es.below(1.0)[1][idx])
+    # the filled eigenvectors' rows R at idx give R R^T, the full projector
+    # restricted to idx; the two products agree to a few ulps only, as BLAS
+    # picks its kernel by the matrix shape
+    R = es.below(1.0)[1][idx]
     full = projector_matrix(es, 1.0)
     ulp = np.finfo(float).eps * np.abs(full).max()
     np.testing.assert_allclose(R @ R.T, full[np.ix_(idx, idx)], rtol=0.0,
@@ -1012,9 +1011,10 @@ def test_node_rows_read_the_projector_at_the_nearest_nodes(n, data):
 @pytest.mark.parametrize("n", [1, 2])
 def test_node_rows_over_every_node_trace_the_count(n):
     es = small_eigensystem(n)
-    idx, R = node_rows(es, 1.0, es.grid.interior_points())
+    idx = node_index(es.grid, es.grid.interior_points())
     assert np.array_equal(idx, np.arange(es.grid.interior_count))
-    N = es.below(1.0)[0].size
+    levels, vecs = es.below(1.0)
+    R, N = vecs[idx], levels.size
     assert N == (3 if n == 1 else 6)
     assert np.trace(R @ R.T) * es.grid.weight == pytest.approx(N, rel=1e-12)
 
@@ -1037,9 +1037,9 @@ def sign_blind_statistics(V, es, mu):
     f = np.exp(-np.sum((nodes - 0.3) ** 2, axis=1))
     var = var_linear_stat(dpp, f)
     draws = samples(dpp, [RngState(7).stream(t) for t in range(8)])
-    R = node_rows(es, mu, nodes[::7])[1]
+    R = es.below(mu)[1][node_index(es.grid, nodes[::7])]
     return [
-        np.array([c.indices for c in draws]),
+        draws,
         mean_linear_stat(dpp, f),
         var,
         _exact_skewness(dpp, f, var),
