@@ -256,6 +256,9 @@ def _run_kernel(args):
             raise ValidationError(f"the {args.kind} kernel is one-dimensional")
         if args.kind == "free":
             params["mu"] = float(args.mu)
+        span = float(args.window[-1] - args.window[0])
+        if args.kind in ("bulk", "sine", "free") and math.isinf(span * span):
+            raise ValidationError(f"the window span {span:g} squares to inf")
         fn = {
             "bulk": lambda x, y: bulk_kernel(n, x, y),
             "sine": lambda x, y: bulk_kernel(1, x, y),

@@ -58,7 +58,6 @@ __all__ = [
     "bulk_convergence",
     "edge_convergence",
     "lln_wasserstein",
-    "w1_to_reference",
     "gaussian_tail_check",
     "free_variance_exact",
     "free_variance_bruteforce",
@@ -386,10 +385,14 @@ def _linear_statistic(V, mu, f, hbar):
     """(dpp, fvec, mean, var) of X(f) = sum_i f(x_i) in the filled process
     of -hbar^2 Laplace + V below mu: f a TestFunction, fvec its values on
     the nodes, mean and var the exact traces.  An empty process and an f
-    narrower than the grid spacing are refused before f is evaluated."""
+    narrower than the grid spacing are refused before f is evaluated, and
+    an f not finite on a node before any trace."""
     grid, dpp = _filled_process(V, mu, hbar)
     _check_resolved(f, grid)
-    fvec = f(dpp.nodes)
+    with np.errstate(all="ignore"):
+        fvec = f(dpp.nodes)
+    if not np.all(np.isfinite(fvec)):
+        raise ValidationError("the test function is not finite at a node")
     return dpp, fvec, mean_linear_stat(dpp, fvec), var_linear_stat(dpp, fvec)
 
 
@@ -544,19 +547,17 @@ def edge_convergence(V, mu, x0, hbar_list, window=(-4.0, 2.0), probes=17):
 def _reference_cdf(V, mu, grid, Z):
     """Limiting-density CDF tabulated on a fine axis covering the box; Z is
     weyl_constant(V, mu)."""
-    lo = -grid.half_width
-    hi = grid.half_width
-    taxis = np.linspace(lo, hi, 8001)
+    taxis = np.linspace(-grid.half_width, grid.half_width, 8001)
     dens = density_of_states(V, mu, taxis[:, None], Z)
     cdf = cumulative_trapezoid(dens, taxis, initial=0.0)
     return taxis, cdf
 
 
-def w1_to_reference(points, taxis, ref_cdf):
+def _w1_to_reference(points, taxis, ref_cdf):
     """Integral of |F_emp - F_ref| over the tabulation axis."""
     pts = np.sort(np.asarray(points, dtype=float).reshape(-1))
     if pts.size == 0:
-        raise ValidationError("w1_to_reference needs at least one point")
+        raise ValidationError("the W1 distance needs at least one point")
     emp = np.searchsorted(pts, taxis, side="right") / pts.size
     return float(trapezoid(np.abs(emp - ref_cdf), taxis))
 
@@ -581,7 +582,7 @@ def lln_wasserstein(V, mu, hbar, trials, rng):
         taxis, ref_cdf = _reference_cdf(V, mu, grid, Z)
         drawn = samples(dpp, [rng.stream(ih * trials + t) for t in range(trials)])
         x = dpp.nodes[drawn, 0]
-        w1 = np.array([w1_to_reference(row, taxis, ref_cdf) for row in x])
+        w1 = np.array([_w1_to_reference(row, taxis, ref_cdf) for row in x])
         q10, q50, q90 = np.quantile(w1, [0.1, 0.5, 0.9])
         rows.append(
             (hb, trials, float(np.mean(w1)), float(q10), float(q50), float(q90))

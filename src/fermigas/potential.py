@@ -30,7 +30,6 @@ __all__ = [
     "parse_potential",
     "grad_potential",
     "lattice",
-    "droplet_half_width",
     "choose_box",
 ]
 
@@ -444,7 +443,7 @@ _MAX_HALF_WIDTH = 64.0
 _SCAN_STEP = 0.05
 
 
-def droplet_half_width(V, level):
+def _droplet_half_width(V, level):
     """Outermost |x|_inf among scanned points with V < level, by outward scan.
 
     Scans the rays along every nonzero direction in {-1, 0, 1}^n: axes and
@@ -480,7 +479,7 @@ def choose_box(V, M, margin):
     if V.dimension > 2:  # before a 257^n boundary lattice
         raise ValidationError("boxes exist in dimensions 1 and 2 only")
     with np.errstate(all="ignore"):  # a V not finite is refused where used
-        inner = droplet_half_width(V, level)  # raises when unconfined
+        inner = _droplet_half_width(V, level)  # raises when unconfined
         L = 0.5 * max(1.0, math.ceil(inner / 0.5))
         while L <= _MAX_HALF_WIDTH:
             if L >= inner and _boundary_min(V, L) >= level:

@@ -1,15 +1,17 @@
 """Discretized Schrodinger operator -hbar^2 Laplacian + V and its projector.
 
 A truncated box with Dirichlet boundary carries a second-order central
-difference Hamiltonian.  Its eigenpairs below an energy cap, each from one
-checked Rayleigh-Ritz step whatever the solver path, form an EigenSystem
-whose columns are eigenvectors up to sign.  EigenSystem.below(mu) selects
-the filled levels <= mu that every consumer shares: the convergence
-drivers and the projector table of the kernel command, which solve for
-the rows of the grid nodes nearest their points alone (node_index) and
-read the projector off them, the DPP and the Agmon-weighted norms, which
-quantify how strongly eigenfunctions stick to the classically allowed
-region.
+difference Hamiltonian.  Its eigenpairs below an energy cap, each checked
+to a residual of 1e-10 ||H|| (by a Rayleigh-Ritz step, or for a separable
+2-D V, whose eigenvectors are products u_i x w_j of 1-D ones, by the bound
+max_i ||T1 u_i - a_i u_i|| + max_j ||T2 w_j - b_j w_j|| on it), form an
+EigenSystem whose columns are eigenvectors up to sign.
+EigenSystem.below(mu) selects the filled levels <= mu that every consumer
+shares: the convergence drivers and the projector table of the kernel
+command, which solve for the rows of the grid nodes nearest their points
+alone (node_index) and read the projector off them, the DPP and the
+Agmon-weighted norms, which quantify how strongly eigenfunctions stick to
+the classically allowed region.
 """
 
 import ctypes
@@ -93,15 +95,8 @@ def assemble_hamiltonian(V, hbar, grid):
     c = hbar * hbar / (h * h)
     if not math.isfinite(c * c):  # bisection squares the off-diagonal -c
         raise ValidationError(f"hbar={hbar:g} is too large for the grid")
-    lap1 = sp.diags(
-        [
-            -c * np.ones(mi - 1),
-            2.0 * c * np.ones(mi),
-            -c * np.ones(mi - 1),
-        ],
-        offsets=(-1, 0, 1),
-        format="csr",
-    )
+    lap1 = sp.diags([-c, 2.0 * c, -c], (-1, 0, 1), shape=(mi, mi),
+                    format="csr")
     kinetic = lap1
     for _ in range(grid.dimension - 1):
         kinetic = sp.kronsum(kinetic, lap1)
@@ -403,19 +398,37 @@ def _separable(H, grid):
     return [sp.diags([e, d, e], (-1, 0, 1)) for d, e in zip(parts, (e1, e2))]
 
 
-def _kronecker_levels(T1, T2, cap):
-    """(U, W, order): the eigenvectors of T1 and T2 (_tridiagonal_eigenvectors)
-    below cap minus a lower bound of the other's spectrum, and the flat
-    indices i * W.shape[1] + j of the levels a_i + b_j <= cap of T1 (+) T2,
-    ascending, whose eigenvectors are kron(U[:, i], W[:, j]) (Lynch, Rice
-    and Thomas, Numer. Math. 6, 1964)."""
+def _kronecker_levels(H, T1, T2, cap, rows=None, scale=1.0):
+    """(vals, vecs): the levels a_i + b_j <= cap of H = T1 (+) T2, ascending
+    in a stable sort of the flat indices i * b.size + j, and their
+    unrotated eigenvectors u_i x w_j (Lynch, Rice and Thomas, Numer. Math.
+    6, 1964), u_i and w_j the unit eigenvectors of T1 and T2
+    (_tridiagonal_eigenvectors) below cap minus a lower bound of the
+    other's spectrum; columns of norm 1 / scale, C order, on the flat nodes
+    rows alone (every node when None).  As ||H (u x w) - (a + b) u x w|| <=
+    ||T1 u - a u|| + ||T2 w - b w||, the check max_i ||T1 u_i - a_i u_i|| +
+    max_j ||T2 w_j - b_j w_j|| <= 1e-10 ||H||_inf on the factor vectors
+    used, O(k N) work on k nodes per axis, bounds every product's residual
+    by the tolerance of _rayleigh_ritz; else NumericalError."""
     low = [T.diagonal().min() - 2.0 * np.abs(T.diagonal(1)).max(initial=0.0)
            for T in (T1, T2)]
-    a, U = _tridiagonal_eigenvectors(T1, cap - low[1])
-    b, W = _tridiagonal_eigenvectors(T2, cap - low[0])
+    (a, U), (b, W) = factors = [_tridiagonal_eigenvectors(T1, cap - low[1]),
+                                _tridiagonal_eigenvectors(T2, cap - low[0])]
     sums = (a[:, None] + b).ravel()
-    order = np.argsort(sums, kind="stable")
-    return U, W, order[:np.count_nonzero(sums <= cap)]
+    order = np.argsort(sums, kind="stable")[:np.count_nonzero(sums <= cap)]
+    i, j = np.divmod(order, b.size)
+    r1, r2 = (np.linalg.norm(T @ Z - Z * lam, axis=0)
+              for T, (lam, Z) in zip((T1, T2), factors))
+    resid = r1[i].max(initial=0.0) + r2[j].max(initial=0.0)
+    tol = 1e-10 * abs(H).sum(axis=1).max()
+    if not resid <= tol:
+        raise NumericalError(f"product eigen-residual bound {resid:.3g} "
+                             f"exceeds 1e-10 ||H|| = {tol:.3g}")
+    vals, U, k = sums[order], U / scale, W.shape[0]
+    if rows is None:  # C order (k, k, N): row p * k + q holds U[p] W[q]
+        return vals, np.multiply(U[:, None, i], W[:, j]).reshape(k * k, -1)
+    p, q = np.divmod(np.asarray(rows, dtype=int)[:, None], k)
+    return vals, np.multiply(U[p, i], W[q, j])
 
 
 def level_count(H, cap, grid):
@@ -431,7 +444,7 @@ def level_count(H, cap, grid):
     """
     factors = _separable(H, grid)
     if factors is not None:
-        return _kronecker_levels(*factors, cap)[2].size
+        return _kronecker_levels(H, *factors, cap, rows=())[0].size
     lu = _ldlt(H, cap)
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c)
@@ -446,28 +459,24 @@ def _solve_peak_bytes(n, m, N_est, rows=None, separable=False):
     nodes, its eigenvectors on at most rows nodes (every node when None)
     included.
 
-    1-D on every node: the (m, N) eigenvectors and the one copy of them that
-    the DPP or the Agmon check makes.  1-D on rows nodes: the (rows, N)
-    eigenvectors and _ROW_SOLVE_BYTES per node of scratch, which the
-    bisection slices and clusters of one level hold; larger clusters are
-    priced once they are known (_tridiagonal_eigenvectors).  2-D, for a
-    separable V: the three (m, N) blocks that the Rayleigh-Ritz step on the
-    Kronecker products holds at once (_rayleigh_ritz).  Else for the
-    Lanczos call at k = N: eigsh's Lanczos basis and Ritz block (ncv
-    columns each), the N returned vectors, ARPACK's ncv (ncv + 8) work
+    1-D, or 2-D for a separable V, whose 1-D factors are small: on every
+    node the (m, N) eigenvectors and the one copy of them that the DPP or
+    the Agmon check makes; on rows nodes the (rows, N) eigenvectors and
+    _ROW_SOLVE_BYTES per node of scratch, which the bisection slices and
+    clusters of one level hold (larger 1-D clusters are priced once they
+    are known, _tridiagonal_eigenvectors).  Else for the Lanczos call at k
+    = N, which builds every row first: eigsh's Lanczos basis and Ritz block
+    (ncv columns each), the N returned vectors, ARPACK's ncv (ncv + 8) work
     array, and the LDL^T of H - sigma I (_ldlt), whose minimum-degree fill
     took 33-37 m log2 m bytes of RSS for m from 1e4 to 3.6e5 on the square
-    grid (48 here).  The 2-D solves build every row first, so rows does not
-    lower their price.  m is a float, so a huge grid gives inf rather than
-    an OverflowError.
+    grid (48 here).  m is a float, so a huge grid gives inf rather than an
+    OverflowError.
     """
     N = min(N_est, m)
-    if n == 1:
+    if n == 1 or separable:
         if rows is None:
             return 16.0 * m * N
         return 8.0 * min(rows, m) * N + _ROW_SOLVE_BYTES * m
-    if separable:
-        return 24.0 * m * N
     ncv = min(m, max(2.0 * N + 1.0, 20.0))
     lu = 48.0 * m * math.log2(m)
     return 8.0 * (m * (2.0 * ncv + N) + ncv * (ncv + 8.0)) + lu
@@ -495,26 +504,6 @@ def _lanczos(H, cap, N):
         return eigsh(H, k=N, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)[1]
     except ArpackNoConvergence as exc:
         raise NumericalError(f"Lanczos failed for {N} levels: {exc}") from exc
-
-
-def _basis_2d(H, cap, grid):
-    """Orthonormal columns spanning the levels <= cap of the 2-D H.  For V =
-    A(x1) + B(x2) (_separable), kron(u_i, w_j) of the 1-D solves at the sums
-    a_i + b_j <= cap (_kronecker_levels); else the inertia count N
-    (level_count), then one Lanczos call for exactly N levels (_lanczos)."""
-    m = H.shape[0]
-    factors = _separable(H, grid)
-    if factors is not None:
-        U, W, order = _kronecker_levels(*factors, cap)
-        i, j = np.divmod(order, W.shape[1])
-        # C order whatever the factors' layout: the rounding of the
-        # Rayleigh-Ritz GEMMs depends on it
-        return np.multiply(U[:, None, i], W[None, :, j],
-                           order="C").reshape(m, order.size)
-    N = level_count(H, cap, grid)
-    if N >= m - 1:  # eigsh's bound on k
-        raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
-    return _lanczos(H, cap, N) if N else np.empty((m, 0))
 
 
 def _rayleigh_ritz(H, vecs, cap, hnorm):
@@ -547,32 +536,39 @@ def eigensolve(H, cap, grid, hbar, rows=None):
     """All eigenpairs of H with eigenvalue <= cap, weighted-orthonormalized,
     on the interior nodes rows alone (flat indices; every node when None).
 
-    Every pair leaves through one checked Rayleigh-Ritz step
-    (_rayleigh_ritz), whose cap and residual checks share the tolerance
-    1e-10 ||H||_inf.  n=1 by bisection on two spectral slices, then inverse
-    iteration, that step and the division by sqrt(weight) per cluster of
-    close levels, on min(2, usable CPUs) threads from 2,000 nodes on, with
-    the same bits on any number of threads; each cluster writes its rows
-    once into column-major eigenvectors (_tridiagonal_eigenvectors).  n=2
-    by that step on the products of two such 1-D solves for a separable V,
-    else on N Lanczos vectors (_basis_2d); the rows are taken after it, so
-    they hold the bits of a full solve.  Each column is an eigenvector up
-    to sign: every consumer uses it only in products with itself, where a
-    sign flip is exact.
+    Every pair passes a residual check at the tolerance 1e-10 ||H||_inf.
+    n=1 by bisection on two spectral slices, then inverse iteration, a
+    checked Rayleigh-Ritz step (_rayleigh_ritz) and the division by
+    sqrt(weight) per cluster of close levels, on min(2, usable CPUs)
+    threads from 2,000 nodes on, with the same bits on any number of
+    threads (_tridiagonal_eigenvectors).  n=2 for a separable V by the level
+    sums a_i + b_j and the products u_i x w_j of two such 1-D solves, on the
+    rows alone, whose residuals max_i ||T1 u_i - a_i u_i|| + max_j ||T2 w_j
+    - b_j w_j|| bounds (_kronecker_levels); else by that step on N Lanczos
+    vectors, N the inertia count, with the rows taken after it.  Each
+    column is an eigenvector up to sign: every consumer uses it only in
+    products with itself, where a sign flip is exact.
     """
     m = H.shape[0]
     if grid.interior_count != m:
         raise ValidationError("grid does not match the Hamiltonian size")
+    scale = math.sqrt(grid.weight)
+    factors = _separable(H, grid)
     if grid.dimension == 1:
-        vals, vecs = _tridiagonal_eigenvectors(H, cap, rows,
-                                               math.sqrt(grid.weight))
+        vals, vecs = _tridiagonal_eigenvectors(H, cap, rows, scale)
+    elif factors is not None:
+        vals, vecs = _kronecker_levels(H, *factors, cap, rows, scale)
     else:
+        N = level_count(H, cap, grid)
+        if N >= m - 1:  # eigsh's bound on k
+            raise ValidationError(f"{N} levels below {cap:g} on only {m} nodes")
         # the basis passed, not held, so Rayleigh-Ritz frees it as it rotates
-        vals, vecs = _rayleigh_ritz(H, _basis_2d(H, cap, grid), cap,
-                                    abs(H).sum(axis=1).max())
+        vals, vecs = _rayleigh_ritz(
+            H, _lanczos(H, cap, N) if N else np.empty((m, 0)), cap,
+            abs(H).sum(axis=1).max())
         if rows is not None:
             vecs = vecs[rows]
-        np.divide(vecs, math.sqrt(grid.weight), out=vecs)
+        np.divide(vecs, scale, out=vecs)
     return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
 
 

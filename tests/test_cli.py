@@ -365,9 +365,16 @@ SEMINORM_RANGE = ("error: the test function is too narrow or too wide: the "
       "-1:1:1"],
      "error: mu=1e+200 is too large: the free kernel's diagonal "
      "mu^2 omega_2 / (2 pi)^2 overflows\n"),
+    (["clt", "--potential", "x1^2", "--mu", "1", "--hbar", "0.05",
+      "--function", "custom:expr=1/x1,radius=1", "--trials", "10",
+      "--seed", "1"],
+     "error: the test function is not finite at a node\n"),
+    (["kernel", "--kind", "sine", "--n", "1", "--window", "-1e300:1e300:1e299"],
+     "error: the window span 2e+300 squares to inf\n"),
 ], ids=["airy", "variance", "variance-2d-underflow", "seminorm-wide-gaussian",
         "seminorm-wide-custom", "seminorm-wide-indicator",
-        "seminorm-narrow-indicator", "free-huge-mu"])
+        "seminorm-narrow-indicator", "free-huge-mu", "clt-pole-on-a-node",
+        "sine-huge-window"])
 @pytest.mark.filterwarnings("error")
 def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # the airy table held 440 nan rows past scipy's Airy range, and the
@@ -376,7 +383,9 @@ def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # mu^2 underflows.
     # The wide seminorm lattices and the free kernel's mu^2 ended in
     # OverflowError tracebacks from a power; the narrow indicator warned
-    # twice in sigma_fourier before the lattice check refused it
+    # twice in sigma_fourier before the lattice check refused it.
+    # clt took 1/x1 on the node x1 = 0 and wrote a nan KS statistic; the
+    # sine kernel warned of an overflow in |x - y| before its error
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -597,8 +606,9 @@ def test_a_rows_only_solve_is_priced_without_its_eigenvectors(monkeypatch,
 def test_a_separable_2d_solve_is_priced_as_its_product_columns(
         tmp_path, monkeypatch, capsys):
     # x1^2 + x2^2 at hbar = 0.021 (242,000 nodes): the Lanczos price, 2.76
-    # GiB, refused it, but the Kronecker path holds three (m, N) blocks at
-    # most.  Its levels 0.042 (j + 1) avoid the cap: 23 * 24 / 2 below it
+    # GiB, refused it, but the Kronecker path holds its (m, N) products and
+    # one copy of them, 1.1 GB.  Its levels 0.042 (j + 1) avoid the cap:
+    # 23 * 24 / 2 below it
     code, text = run(["weyl", "--potential", "x1^2+x2^2", "--mu", "1",
                       "--hbar", "0.021"], tmp_path)
     assert code == 0
@@ -864,8 +874,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_2d_kernel_bytes_do_not_depend_on_the_blas_threads():
-    # the separable 2-D solve is two LAPACK tridiagonal solves and one
-    # Rayleigh-Ritz step; the CSV is the same on one BLAS thread and on two
+    # the separable 2-D solve is two LAPACK tridiagonal solves and their
+    # products; the CSV is the same on one BLAS thread and on two
     runs = [_run_python(["-m", "fermigas", *KERNEL_2D],
                         OPENBLAS_NUM_THREADS=threads) for threads in "12"]
     assert [p.returncode for p in runs] == [0, 0], runs[0].stderr

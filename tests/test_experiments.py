@@ -14,6 +14,7 @@ from fermigas.experiments import (
     TestFunction,
     _ball_difference_volume,
     _reference_cdf,
+    _w1_to_reference,
     bulk_convergence,
     clt_monte_carlo,
     edge_convergence,
@@ -26,7 +27,6 @@ from fermigas.experiments import (
     sigma_fourier,
     sigma_n_squared,
     sigma_slobodeckij,
-    w1_to_reference,
     weyl_check,
 )
 from fermigas.kernels import weyl_constant
@@ -288,7 +288,7 @@ def test_w1_of_exact_step_cdf_is_zero():
     pts = np.array([-0.3, 0.1, 0.4])
     taxis = np.linspace(-1.0, 1.0, 4001)
     ref = np.searchsorted(np.sort(pts), taxis, side="right") / pts.size
-    assert w1_to_reference(pts, taxis, ref.astype(float)) == 0.0
+    assert _w1_to_reference(pts, taxis, ref.astype(float)) == 0.0
 
 
 def test_reference_cdf_is_monotone_unit_mass(harmonic):

@@ -14,8 +14,8 @@ from fermigas.potential import (
     Pow,
     PotentialExpr,
     Var,
+    _droplet_half_width,
     choose_box,
-    droplet_half_width,
     grad_potential,
     lattice,
     parse_potential,
@@ -262,26 +262,26 @@ def test_lattice_is_x1_major_in_every_dimension():
 
 def test_droplet_half_width_quadratic():
     V = parse_potential("x1^2")
-    w = droplet_half_width(V, 1.0)
+    w = _droplet_half_width(V, 1.0)
     assert 0.9 <= w <= 1.0
 
 
 def test_droplet_half_width_double_well():
     # (1 - x^2)^2 < 0.5 out to x^2 = 1 + sqrt(0.5), i.e. |x| ~ 1.3066
     V = parse_potential("(1 - x1^2)^2")
-    w = droplet_half_width(V, 0.5)
+    w = _droplet_half_width(V, 0.5)
     assert 1.25 <= w <= 1.35
 
 
 def test_droplet_half_width_radial_2d():
     V = parse_potential("x1^2 + x2^2")
-    w = droplet_half_width(V, 1.0)
+    w = _droplet_half_width(V, 1.0)
     assert 0.9 <= w <= 1.0
 
 
 def test_droplet_half_width_unconfined():
     with pytest.raises(ValidationError, match="unconfined"):
-        droplet_half_width(parse_potential("-x1^2"), 1.0)
+        _droplet_half_width(parse_potential("-x1^2"), 1.0)
 
 
 def test_choose_box_refuses_three_dimensions():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -831,10 +832,11 @@ def test_solve_peak_estimate():
     # solve's traced peak was 5.0 MB, against 113 MB for every row
     assert 5.0e6 < schrodinger._solve_peak_bytes(1, 33941.0, 400.0,
                                                  rows=17) < 2.0 * 5.0e6
-    # the Kronecker path at hbar = 0.03 (N = 136 on 288^2 nodes) grew RSS
-    # by 257.9 MB, with a traced peak of 270.9 MB: three (m, N) blocks
+    # the Kronecker path at hbar = 0.03 (N = 136 on 288^2 nodes) and the
+    # DPP built on it grew RSS by 172.7 MB, with a traced peak of 183.2 MB:
+    # the (m, N) products and the DPP's copy of them
     kron = schrodinger._solve_peak_bytes(2, 288.0 ** 2, 136.0, separable=True)
-    assert 257.9e6 < kron < 1.1 * 270.9e6
+    assert 172.7e6 < kron < 1.1 * 183.2e6
     # a grid too big for a float gives inf, not an OverflowError
     assert schrodinger._solve_peak_bytes(2, 1e200 * 1e200, 5.0) == math.inf
     assert schrodinger._solve_peak_bytes(2, m, math.inf) > 8.0 * m * m
@@ -880,6 +882,44 @@ def test_eigensolve_2d_rows_are_the_full_solve_rows_bit_for_bit(text, hbar):
     assert part.eigenvectors.shape == (5, full.eigenvalues.size)
     assert np.array_equal(part.eigenvalues, full.eigenvalues)
     assert np.array_equal(part.eigenvectors, full.eigenvectors[idx])
+
+
+def test_eigensolve_2d_separable_runs_no_rayleigh_ritz_on_the_products(
+        monkeypatch):
+    # the products are checked through their factors' residuals: every
+    # Rayleigh-Ritz step runs on a 1-D cluster of 39 rows, none on m rows
+    heights = []
+    rayleigh_ritz = schrodinger._rayleigh_ritz
+
+    def spying(H, vecs, cap, hnorm):
+        heights.append(vecs.shape[0])
+        return rayleigh_ritz(H, vecs, cap, hnorm)
+
+    monkeypatch.setattr(schrodinger, "_rayleigh_ritz", spying)
+    grid = Grid(2, 1.5, 41)
+    H = assemble_hamiltonian(parse_potential("x1^2 + 2*x2^2"), 0.1, grid)
+    assert eigensolve(H, 1.0, grid, 0.1).eigenvalues.size == 9
+    assert heights and set(heights) == {39}
+
+
+def test_eigensolve_2d_separable_rows_peak_below_one_product_block():
+    # x1^2 + x2^2 at hbar = 0.03: 136 levels on 82,944 nodes, so one (m, N)
+    # block of products is 90 MB; 5 rows of them come from the factors alone
+    grid, H = _solve_grid(parse_potential("x1^2 + x2^2"), 1.0, 0.03)
+    m = H.shape[0]
+    pts = np.zeros((5, 2))
+    pts[:, 0] = np.linspace(-0.5, 0.5, 5)
+    idx = node_index(grid, pts)
+    tracemalloc.start()
+    try:
+        es = eigensolve(H, 1.0, grid, 0.03, rows=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = es.eigenvalues.size
+    assert (m, N) == (82944, 136)
+    assert es.eigenvectors.shape == (5, N)
+    assert peak < 8 * m * N
 
 
 # ---------------------------------------------------------------------------
