@@ -19,9 +19,6 @@ from .experiments import (
     ExperimentReport,
     TestFunction,
     _filled_process,
-    _solve_rows,
-    _solve_window,
-    _weyl_constant_of_droplet,
     bulk_convergence,
     clt_monte_carlo,
     edge_convergence,
@@ -41,7 +38,7 @@ from .kernels import (
     free_laplacian_kernel,
 )
 from .potential import parse_potential
-from .schrodinger import agmon_check
+from .schrodinger import agmon_check, solve
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to status 2; the contract here is 1.
@@ -246,9 +243,9 @@ def _run_kernel(args):
             raise ValidationError("--n disagrees with the potential dimension")
         # Pi is exact at the grid nodes: the table reads it at the nodes
         # nearest the window's points, the only rows solved for
-        idx, eigs = _solve_rows(V, args.mu, args.hbar, pts)
+        eigs = solve(V, args.mu, args.hbar, pts)
         R = eigs.below(args.mu)[1]
-        pts, values = eigs.grid.interior_points()[idx], R @ R.T
+        pts, values = eigs.nodes, R @ R.T
         params.update(potential=V.to_text(), mu=float(args.mu),
                       hbar=float(args.hbar))
     else:
@@ -259,6 +256,9 @@ def _run_kernel(args):
         span = float(args.window[-1] - args.window[0])
         if args.kind in ("bulk", "sine", "free") and math.isinf(span * span):
             raise ValidationError(f"the window span {span:g} squares to inf")
+        if args.kind == "free" and math.isinf(args.mu * span):
+            raise ValidationError(f"mu={args.mu:g} times the window span "
+                                  f"{span:g} overflows")
         fn = {
             "bulk": lambda x, y: bulk_kernel(n, x, y),
             "sine": lambda x, y: bulk_kernel(1, x, y),
@@ -364,10 +364,8 @@ def _run_agmon(args):
         raise ValidationError(f"delta={args.delta:g} leaves the bound "
                               "1 + 2 mu / delta not finite")
     V = _grid_potential(args.potential)
-    eigs = _solve_window(V, args.mu + args.delta, args.hbar)
-    if eigs.below(args.mu)[0].size == 0:  # no row: is {V <= mu} empty?
-        _weyl_constant_of_droplet(V, args.mu)
-    rep = agmon_check(eigs, V, args.mu, args.delta)
+    rep = agmon_check(solve(V, args.mu + args.delta, args.hbar), V, args.mu,
+                      args.delta)
     rows = [
         (float(lam), float(norm), rep.bound)
         for lam, norm in zip(rep.eigenvalues, rep.norms)

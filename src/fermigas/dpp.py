@@ -134,7 +134,7 @@ def from_eigensystem(eigs, mu):
     _, vecs = eigs.below(mu)
     # rows contiguous: the layout every sampler and trace GEMM has rounded in
     features = np.multiply(math.sqrt(eigs.grid.weight), vecs.T, order="C")
-    return DPP(features, eigs.grid.interior_points())
+    return DPP(features, eigs.nodes)
 
 
 def _infer_weight(points):

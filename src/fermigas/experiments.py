@@ -1,6 +1,7 @@
 """Experiment drivers that turn the limit theorems into desk-scale checks.
 
-Each driver assembles the operator pipeline for a list of semiclassical
+Each driver takes its eigensystem from schrodinger.solve (to count levels
+alone, its grid and H from boxed_hamiltonian) for a list of semiclassical
 parameters, runs the comparison prescribed by the corresponding theorem
 (Weyl count, bulk/edge kernel convergence, Wasserstein law of large
 numbers, Gaussian tails, variance asymptotics, H^{1/2} seminorm duality,
@@ -35,19 +36,14 @@ from .kernels import (
     free_kernel_radial,
     weyl_constant,
 )
-from .potential import choose_box, grad_potential, lattice, parse_potential
+from .potential import grad_potential, lattice, parse_potential
 from .schrodinger import (
-    Grid,
-    _MEMORY_BUDGET,
-    _additive_parts,
-    _separable,
-    _solve_peak_bytes,
-    _weyl_count,
-    assemble_hamiltonian,
+    _check_budget,
+    _weyl_constant_of_droplet,
+    boxed_hamiltonian,
     edge_rotation,
-    eigensolve,
     level_count,
-    node_index,
+    solve,
 )
 from .specfun import unit_ball_volume
 
@@ -75,17 +71,6 @@ _SUPPORT_FLOOR = 1e-12
 # peak bytes of free_variance_bruteforce per node of its offset lattice
 # (2m - 1)^n, measured at 58 in 2-d and 78 in 1-d
 _OFFSET_BYTES = 80
-
-# points per axis: the floor of every solve grid, and the lattice of the
-# Weyl estimate behind the memory check
-_MIN_POINTS_PER_AXIS = 201
-
-# the box dominates the droplet {V <= mu + _BOX_MARGIN}, with V at least
-# that level on its boundary (choose_box)
-_BOX_MARGIN = 1.0
-
-# the grid spacing aimed at is _SPACING_FACTOR * hbar^{3/2}
-_SPACING_FACTOR = 2.0
 
 # s = width * rho past which a gaussian bump's |ghat|^2, proportional to
 # exp(-s^2), is 0.0 in floating point (it underflows from 27.3 on)
@@ -280,81 +265,7 @@ def _format_value(v):
 
 
 # ---------------------------------------------------------------------------
-# operator pipeline helpers
-
-
-def _solve_grid(V, mu, hbar, rows=None):
-    """(grid, H) of the boxed operator whose levels <= mu are wanted, on
-    at most rows nodes of the grid (every node when None).
-
-    The box is choose_box(V, mu, _BOX_MARGIN).  The grid spacing follows
-    _SPACING_FACTOR * hbar^{3/2}, with at least _MIN_POINTS_PER_AXIS points
-    per axis: the finite-difference eigenvalue defect then stays an O(hbar)
-    fraction of the level spacing, which the convergence drivers need so
-    the discretization error scales with the same power as the
-    semiclassical one.  A solve whose estimated peak memory
-    (_solve_peak_bytes) exceeds _MEMORY_BUDGET is refused before its grid
-    is built, and so are a V not finite there and an empty droplet {V <=
-    mu}, whose Weyl constant is computed only when no node there lies below
-    mu.  A 2-D V is priced as separable when it is so on the coarse
-    lattice; should its H on the fine grid not be, the price is taken
-    again before the solve.
-    """
-    if hbar <= 0.0:
-        raise ValidationError("hbar must be positive")
-    L = choose_box(V, mu, _BOX_MARGIN)
-    n = V.dimension
-    # inf, not an OverflowError
-    target = _SPACING_FACTOR * hbar * math.sqrt(hbar)
-    steps = 2.0 * L / target if target > 0.0 else math.inf  # per axis
-    if not math.isfinite(steps):
-        raise ValidationError(f"hbar={hbar:g} is too small to resolve")
-    ppa = max(int(math.ceil(steps)) + 1, _MIN_POINTS_PER_AXIS)
-    grid = Grid(n, L, _MIN_POINTS_PER_AXIS)
-    with np.errstate(all="ignore"):
-        pot = V(grid.interior_points())
-    # reductions, not boolean arrays: those moved the peak RSS of `weyl`
-    lo = pot.min()
-    if not (np.isfinite(lo) and np.isfinite(pot.max())):
-        raise ValidationError("the potential is not finite at an interior node")
-    if not lo < mu:
-        _weyl_constant_of_droplet(V, mu)
-    N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
-    m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
-    separable = n == 2 and _additive_parts(
-        pot.reshape(grid.points_per_axis - 2, -1)) is not None
-
-    def within_budget(kronecker):
-        need = _solve_peak_bytes(n, m, N_est, rows, kronecker)
-        if not need <= _MEMORY_BUDGET:  # nan is refused too
-            raise ValidationError(
-                f"hbar={hbar:g} needs about {need / 1024 ** 3:.3g} GiB at "
-                f"the solve's peak, for about {N_est:.3g} levels on "
-                f"{m:.3g} nodes, over the {_MEMORY_BUDGET / 1024 ** 3:g} "
-                "GiB budget"
-            )
-
-    within_budget(separable)
-    grid = Grid(n, L, ppa)
-    H = assemble_hamiltonian(V, hbar, grid)
-    if separable and _separable(H, grid) is None:
-        within_budget(False)
-    return grid, H
-
-
-def _solve_window(V, mu, hbar):
-    """Eigensystem of the boxed operator with all levels <= mu."""
-    grid, H = _solve_grid(V, mu, hbar)
-    return eigensolve(H, mu, grid, hbar)
-
-
-def _solve_rows(V, mu, hbar, points):
-    """(idx, eigs): the interior nodes nearest the points (node_index), and
-    the eigensystem of the boxed operator with all levels <= mu on those
-    rows alone.  A point outside the box raises before the solve."""
-    grid, H = _solve_grid(V, mu, hbar, rows=len(points))
-    idx = node_index(grid, points)
-    return idx, eigensolve(H, mu, grid, hbar, rows=idx)
+# the filled process and its linear statistics
 
 
 def _filled_process(V, mu, hbar):
@@ -363,7 +274,7 @@ def _filled_process(V, mu, hbar):
     A process with no level below mu, N = 0, is a ValidationError: it has
     no point to sample and no statistic to fluctuate.
     """
-    eigs = _solve_window(V, mu, hbar)
+    eigs = solve(V, mu, hbar)
     dpp = from_eigensystem(eigs, mu)
     if dpp.N == 0:
         raise ValidationError("no levels below mu: the process is empty")
@@ -405,15 +316,6 @@ def _value_at(V, x0):
 # Weyl law
 
 
-def _weyl_constant_of_droplet(V, mu):
-    """weyl_constant(V, mu); an empty droplet, Z = 0, is a ValidationError."""
-    Z = weyl_constant(V, mu)
-    if not Z > 0.0:
-        raise ValidationError(f"the droplet {{V <= {mu:g}}} is empty: mu "
-                              "must exceed the minimum of the potential")
-    return Z
-
-
 def weyl_check(V, mu, hbar_list):
     """Count eigenvalues below mu and compare with the phase-space volume.
 
@@ -422,11 +324,12 @@ def weyl_check(V, mu, hbar_list):
     and Z integrates (mu - V)_+^{n/2}; the scaled count tends to 1 as hbar
     goes to 0.  The counts (level_count) compute no 2-D eigenvectors.
     An empty droplet, Z = 0, whose scaled count would be 0 / 0, is a
-    ValidationError, found before the first grid is built (_solve_grid).
+    ValidationError, found before the first grid is built
+    (boxed_hamiltonian).
     """
     n = V.dimension
     counts = [level_count(H, mu, grid) for grid, H in
-              (_solve_grid(V, mu, hbar) for hbar in hbar_list)]
+              (boxed_hamiltonian(V, mu, hbar) for hbar in hbar_list)]
     # after the counts, not before them: computing Z first raised the peak
     # RSS of `weyl` on x1^2+x2^2 at hbar 0.1, 0.07 by 4.6 MB
     Z = _weyl_constant_of_droplet(V, mu)
@@ -456,8 +359,9 @@ def _kernel_convergence(
     reference(u, v) the limiting kernel at probe offsets u and v, which
     broadcast.  Each probe moves to its nearest interior node, where the
     projector is exact: eps Pi there is a product of the filled eigenvectors'
-    rows at those nodes, the only rows solved for (_solve_rows).  A probe
-    outside the box raises.
+    rows at those nodes, the only rows solved for (solve with points), whose
+    coordinates the EigenSystem gives as nodes.  A probe outside the box
+    raises.
     """
     # frame^T e_1 is the probe direction; offsets along it carry its sign
     signed = float(frame[0, 0])
@@ -466,10 +370,9 @@ def _kernel_convergence(
     prev_err = None
     for hbar in hbar_list:
         eps = scale(hbar)
-        idx, eigs = _solve_rows(V, mu, hbar,
-                                (x0c + eps * signed * targets)[:, None])
+        eigs = solve(V, mu, hbar, (x0c + eps * signed * targets)[:, None])
         R = eigs.below(mu)[1]
-        us = (eigs.grid.interior_axis[idx] - x0c) / (eps * signed)
+        us = (eigs.nodes[:, 0] - x0c) / (eps * signed)
         err = float(np.max(np.abs(
             eps * (R @ R.T) - reference(us[:, None], us[None, :])
         )))
@@ -794,13 +697,8 @@ def free_variance_bruteforce(n, mu, g):
     h = min(math.pi / (4.5 * mu), R / 25.0)
     cells = 2.0 * R / h if h > 0.0 else math.inf  # per axis
     # a float product, which overflows to inf where ** would raise
-    need = _OFFSET_BYTES * math.prod([2.0 * cells + 1.0] * n)
-    if not need <= _MEMORY_BUDGET:
-        raise ValidationError(
-            f"mu={mu:g} needs about {need / 1024 ** 3:.3g} GiB for the "
-            f"brute-force lattice, over the {_MEMORY_BUDGET / 1024 ** 3:g} "
-            "GiB budget"
-        )
+    _check_budget(_OFFSET_BYTES * math.prod([2.0 * cells + 1.0] * n),
+                  f"mu={mu:g}", "for the brute-force lattice")
     # the lattice sums weigh by h^n and the 1-d tail by 1 / z^2, z >= h
     if not h * h >= sys.float_info.min:
         raise ValidationError(

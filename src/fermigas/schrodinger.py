@@ -1,17 +1,17 @@
 """Discretized Schrodinger operator -hbar^2 Laplacian + V and its projector.
 
-A truncated box with Dirichlet boundary carries a second-order central
-difference Hamiltonian.  Its eigenpairs below an energy cap, each checked
-to a residual of 1e-10 ||H|| (by a Rayleigh-Ritz step, or for a separable
-2-D V, whose eigenvectors are products u_i x w_j of 1-D ones, by the bound
-max_i ||T1 u_i - a_i u_i|| + max_j ||T2 w_j - b_j w_j|| on it), form an
-EigenSystem whose columns are eigenvectors up to sign.
+solve(V, mu, hbar, points) boxes the droplet, prices and assembles the
+central-difference Hamiltonian with Dirichlet boundary (boxed_hamiltonian)
+and solves for every level <= mu, on every interior node or on the nodes
+nearest the points alone (node_index).  Each pair is checked to a residual
+of 1e-10 ||H|| (by a Rayleigh-Ritz step, or for a separable 2-D V, whose
+eigenvectors are products u_i x w_j of 1-D ones, by the bound max_i ||T1
+u_i - a_i u_i|| + max_j ||T2 w_j - b_j w_j|| on it).  The EigenSystem
+holds columns that are eigenvectors up to sign, its rows and their nodes;
 EigenSystem.below(mu) selects the filled levels <= mu that every consumer
-shares: the convergence drivers and the projector table of the kernel
-command, which solve for the rows of the grid nodes nearest their points
-alone (node_index) and read the projector off them, the DPP and the
-Agmon-weighted norms, which quantify how strongly eigenfunctions stick to
-the classically allowed region.
+shares: the convergence drivers and the kernel command's projector table,
+read off the probe rows, the DPP and the Agmon-weighted norms, which
+quantify how strongly eigenfunctions stick to the classically allowed set.
 """
 
 import ctypes
@@ -26,7 +26,8 @@ from scipy.linalg import cython_lapack, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
-from .potential import lattice
+from .kernels import weyl_constant
+from .potential import choose_box, lattice
 from .specfun import unit_ball_volume
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "level_count",
     "eigensolve",
     "node_index",
+    "boxed_hamiltonian",
+    "solve",
     "edge_rotation",
     "AgmonReport",
     "agmon_check",
@@ -68,14 +71,9 @@ class Grid:
         return self.spacing ** self.dimension
 
     @property
-    def axis(self):
-        return np.linspace(
-            -self.half_width, self.half_width, self.points_per_axis
-        )
-
-    @property
     def interior_axis(self):
-        return self.axis[1:-1]
+        return np.linspace(-self.half_width, self.half_width,
+                           self.points_per_axis)[1:-1]
 
     @property
     def interior_count(self):
@@ -110,9 +108,9 @@ def assemble_hamiltonian(V, hbar, grid):
 class EigenSystem:
     """All eigenpairs with eigenvalue at most mu_cap, weighted-orthonormal.
 
-    The eigenvectors hold every interior node, or the rows a caller asked
-    eigensolve for alone; in 1-D they are column-major, one contiguous
-    column per level.
+    The eigenvectors hold every interior node (rows None), or the flat
+    interior indices rows alone, which a caller asked eigensolve for; in
+    1-D they are column-major, one contiguous column per level.
     """
 
     hbar: float
@@ -120,6 +118,13 @@ class EigenSystem:
     eigenvalues: np.ndarray       # ascending, all <= mu_cap
     eigenvectors: np.ndarray      # column k: v_k on the solved rows
     grid: Grid
+    rows: np.ndarray = None       # flat node indices held; None for all
+
+    @property
+    def nodes(self):
+        """The (rows, n) coordinates of the nodes held, x1-major."""
+        pts = self.grid.interior_points()
+        return pts if self.rows is None else pts[self.rows]
 
     def below(self, mu):
         """(eigenvalues, eigenvectors) of the filled levels <= mu.
@@ -136,8 +141,19 @@ class EigenSystem:
 
 
 # a solve or brute-force lattice whose estimated peak memory would exceed
-# this is refused before its large arrays are built
+# this is refused before its large arrays are built (_check_budget)
 _MEMORY_BUDGET = 2 * 1024 ** 3
+
+# points per axis: the floor of every solve grid, and the lattice of the
+# Weyl estimate behind the memory check
+_MIN_POINTS_PER_AXIS = 201
+
+# the box dominates the droplet {V <= mu + _BOX_MARGIN}, with V at least
+# that level on its boundary (choose_box)
+_BOX_MARGIN = 1.0
+
+# the grid spacing aimed at is _SPACING_FACTOR * hbar^{3/2}
+_SPACING_FACTOR = 2.0
 
 # levels further apart than this fraction of ||H|| get separate inverse
 # iterations; the vectors of two such clusters stay orthogonal to about
@@ -159,6 +175,14 @@ _THREADED_NODES = 2000
 _ROW_SOLVE_BYTES = 256.0
 
 _LAPACK_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
+
+
+def _check_budget(need, subject, purpose):
+    """ValidationError unless need (bytes, not nan) is <= _MEMORY_BUDGET."""
+    if not need <= _MEMORY_BUDGET:
+        raise ValidationError(
+            f"{subject} needs about {need / 1024 ** 3:.3g} GiB {purpose}, "
+            f"over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget")
 
 
 def _pointer(arg):
@@ -332,12 +356,9 @@ def _tridiagonal_eigenvectors(H, cap, rows=None, scale=1.0):
     # level spacing falls below _CLUSTER_GAP ||H|| (2 hbar on x1^2 from
     # hbar = 7e-4 down) every level joins one cluster
     held = np.sort(np.diff(edges))[-workers:].sum()  # levels in flight
-    need = 8.0 * height * N + 24.0 * G * held
-    if not need <= _MEMORY_BUDGET:
-        raise ValidationError(
-            f"the solve needs about {need / 1024 ** 3:.3g} GiB, for "
-            f"inverse-iteration clusters of {held} of its {N} levels on {G} "
-            f"nodes, over the {_MEMORY_BUDGET / 1024 ** 3:g} GiB budget")
+    _check_budget(8.0 * height * N + 24.0 * G * held, "the solve",
+                  f"for inverse-iteration clusters of {held} of its {N} "
+                  f"levels on {G} nodes")
     vecs = np.empty((N, height)).T
     hnorm = abs(H).sum(axis=1).max()  # ||H||_inf, once for every cluster
 
@@ -569,7 +590,7 @@ def eigensolve(H, cap, grid, hbar, rows=None):
         if rows is not None:
             vecs = vecs[rows]
         np.divide(vecs, scale, out=vecs)
-    return EigenSystem(float(hbar), float(cap), vals, vecs, grid)
+    return EigenSystem(float(hbar), float(cap), vals, vecs, grid, rows)
 
 
 def node_index(grid, points):
@@ -589,6 +610,80 @@ def node_index(grid, points):
                    mi - 1).astype(int)
     return np.unique(np.ravel_multi_index(tuple(axes.T),
                                           (mi,) * grid.dimension))
+
+
+def _weyl_constant_of_droplet(V, mu):
+    """weyl_constant(V, mu); an empty droplet, Z = 0, is a ValidationError."""
+    Z = weyl_constant(V, mu)
+    if not Z > 0.0:
+        raise ValidationError(f"the droplet {{V <= {mu:g}}} is empty: mu "
+                              "must exceed the minimum of the potential")
+    return Z
+
+
+def boxed_hamiltonian(V, mu, hbar, rows=None):
+    """(grid, H) of the boxed operator whose levels <= mu are wanted, on
+    at most rows nodes of the grid (every node when None).
+
+    The box is choose_box(V, mu, _BOX_MARGIN).  The grid spacing follows
+    _SPACING_FACTOR * hbar^{3/2}, with at least _MIN_POINTS_PER_AXIS points
+    per axis: the finite-difference eigenvalue defect then stays an O(hbar)
+    fraction of the level spacing, which the convergence drivers need so
+    the discretization error scales with the same power as the
+    semiclassical one.  A solve whose estimated peak memory
+    (_solve_peak_bytes) exceeds _MEMORY_BUDGET is refused before its grid
+    is built, and so are a V not finite there and an empty droplet {V <=
+    mu}, whose Weyl constant is computed only when no node there lies below
+    mu.  A 2-D V is priced as separable when it is so on the coarse
+    lattice; should its H on the fine grid not be, the price is taken
+    again before the solve.
+    """
+    if hbar <= 0.0:
+        raise ValidationError("hbar must be positive")
+    L = choose_box(V, mu, _BOX_MARGIN)
+    n = V.dimension
+    # inf, not an OverflowError
+    target = _SPACING_FACTOR * hbar * math.sqrt(hbar)
+    steps = 2.0 * L / target if target > 0.0 else math.inf  # per axis
+    if not math.isfinite(steps):
+        raise ValidationError(f"hbar={hbar:g} is too small to resolve")
+    ppa = max(int(math.ceil(steps)) + 1, _MIN_POINTS_PER_AXIS)
+    grid = Grid(n, L, _MIN_POINTS_PER_AXIS)
+    with np.errstate(all="ignore"):
+        pot = V(grid.interior_points())
+    # reductions, not boolean arrays: those moved the peak RSS of `weyl`
+    lo = pot.min()
+    if not (np.isfinite(lo) and np.isfinite(pot.max())):
+        raise ValidationError("the potential is not finite at an interior node")
+    if not lo < mu:
+        _weyl_constant_of_droplet(V, mu)
+    N_est = _weyl_count(pot, mu, hbar, grid.spacing, n)
+    m = math.prod([float(ppa - 2)] * n)  # interior nodes; inf if huge
+    separable = n == 2 and _additive_parts(
+        pot.reshape(grid.points_per_axis - 2, -1)) is not None
+
+    def within_budget(kronecker):
+        _check_budget(_solve_peak_bytes(n, m, N_est, rows, kronecker),
+                      f"hbar={hbar:g}", f"at the solve's peak, for about "
+                      f"{N_est:.3g} levels on {m:.3g} nodes")
+
+    within_budget(separable)
+    grid = Grid(n, L, ppa)
+    H = assemble_hamiltonian(V, hbar, grid)
+    if separable and _separable(H, grid) is None:
+        within_budget(False)
+    return grid, H
+
+
+def solve(V, mu, hbar, points=None):
+    """EigenSystem of the boxed operator (boxed_hamiltonian) with every
+    level <= mu, on every interior node, or when points (m, n) are given on
+    the nodes nearest them alone (node_index), which its rows and nodes
+    record.  A point outside the box raises before the solve."""
+    probes = points is not None
+    grid, H = boxed_hamiltonian(V, mu, hbar, len(points) if probes else None)
+    rows = node_index(grid, points) if probes else None
+    return eigensolve(H, mu, grid, hbar, rows)
 
 
 def edge_rotation(grad):
@@ -626,7 +721,8 @@ def agmon_check(eigs, V, mu, delta):
 
     f_delta(x) = delta * dist(x, {V <= mu + delta}) with the distance taken
     to the nearest interior node of the sublevel set, by an exact Euclidean
-    distance transform of the node mask (0 on the set itself).
+    distance transform of the node mask (0 on the set itself).  eigs holds
+    every node; with no level <= mu, {V <= mu} must not be empty.
     """
     # imported on use, so that only agmon loads it
     from scipy.ndimage import distance_transform_edt
@@ -635,13 +731,18 @@ def agmon_check(eigs, V, mu, delta):
         raise ValidationError("delta must lie in (0, 1]")
     if mu + delta > eigs.mu_cap + 1e-12:
         raise ValidationError("agmon_check needs mu <= mu_cap - delta")
+    if eigs.rows is not None:
+        raise ValidationError("agmon_check needs the eigenvectors on every "
+                              f"node, not on {len(eigs.rows)} rows alone")
+    lam, vecs = eigs.below(mu)
+    if lam.size == 0:  # no level: is {V <= mu} empty?
+        _weyl_constant_of_droplet(V, mu)
     grid = eigs.grid
     inside = V(grid.interior_points()) <= mu + delta
     if not np.any(inside):
         raise ValidationError("the sublevel set {V <= mu + delta} misses the grid")
     mask = inside.reshape((grid.points_per_axis - 2,) * grid.dimension)
     dist = distance_transform_edt(~mask, sampling=grid.spacing).ravel()
-    lam, vecs = eigs.below(mu)
     # columns contiguous, so each norm below is one pairwise sum
     weighted = np.multiply(
         np.exp(delta * dist / eigs.hbar)[:, None], vecs, order="F"

@@ -24,7 +24,6 @@ from fermigas.dpp import (
 )
 from fermigas.experiments import (
     TestFunction,
-    _solve_window,
     bulk_convergence,
     clt_monte_carlo,
     edge_convergence,
@@ -45,7 +44,13 @@ from fermigas.kernels import (
     free_laplacian_window,
 )
 from fermigas.potential import grad_potential, parse_potential
-from fermigas.schrodinger import Grid, agmon_check, assemble_hamiltonian, eigensolve
+from fermigas.schrodinger import (
+    Grid,
+    agmon_check,
+    assemble_hamiltonian,
+    eigensolve,
+    solve,
+)
 from fermigas.specfun import airy_ai, airy_ai_prime, bessel_j
 
 
@@ -234,7 +239,7 @@ def test_criterion_10_lln():
 
 
 def test_criterion_11_agmon_bound():
-    eigs = _solve_window(HARMONIC, 1.2, 0.05)
+    eigs = solve(HARMONIC, 1.2, 0.05)
     rep = agmon_check(eigs, HARMONIC, 1.0, 0.2)
     worst = float(np.max(rep.norms))
     ok = worst <= rep.bound and rep.bound == pytest.approx(11.0)

@@ -16,8 +16,8 @@ import pytest
 from fermigas import kernels
 from fermigas.cli import _build_parser, _parse_function, main
 from fermigas.errors import NumericalError, ValidationError
-from fermigas.experiments import _solve_window
 from fermigas.potential import parse_potential
+from fermigas.schrodinger import solve
 from oracles import airy_oracle, airy_prime_oracle
 
 
@@ -276,7 +276,7 @@ def test_weyl_refuses_an_empty_droplet_before_any_grid_or_count(
     def fail(*args, **kwargs):
         raise AssertionError("a grid or count ran for an empty droplet")
 
-    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", fail)
+    monkeypatch.setattr("fermigas.schrodinger.assemble_hamiltonian", fail)
     monkeypatch.setattr("fermigas.experiments.level_count", fail)
     assert main(["weyl", "--potential", "x1^2+x2^2+1", "--mu", "1",
                  "--hbar", "0.2,0.1,0.07"]) == 1
@@ -303,7 +303,7 @@ def test_every_grid_command_refuses_an_empty_droplet(argv, monkeypatch,
         raise AssertionError("a grid was built for an empty droplet")
 
     if argv[0] != "agmon":  # agmon asks once its solve has no level <= mu
-        monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", fail)
+        monkeypatch.setattr("fermigas.schrodinger.assemble_hamiltonian", fail)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -371,10 +371,16 @@ SEMINORM_RANGE = ("error: the test function is too narrow or too wide: the "
      "error: the test function is not finite at a node\n"),
     (["kernel", "--kind", "sine", "--n", "1", "--window", "-1e300:1e300:1e299"],
      "error: the window span 2e+300 squares to inf\n"),
+    (["kernel", "--kind", "free", "--n", "1", "--mu", "1e300", "--window",
+      "-1e10:1e10:1e9"],
+     "error: mu=1e+300 times the window span 2e+10 overflows\n"),
+    (["kernel", "--kind", "free", "--n", "2", "--mu", "1e200", "--window",
+      "-1e150:1e150:1e149"],
+     "error: mu=1e+200 times the window span 2e+150 overflows\n"),
 ], ids=["airy", "variance", "variance-2d-underflow", "seminorm-wide-gaussian",
         "seminorm-wide-custom", "seminorm-wide-indicator",
         "seminorm-narrow-indicator", "free-huge-mu", "clt-pole-on-a-node",
-        "sine-huge-window"])
+        "sine-huge-window", "free-huge-mu-span", "free-huge-mu-span-2d"])
 @pytest.mark.filterwarnings("error")
 def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # the airy table held 440 nan rows past scipy's Airy range, and the
@@ -385,7 +391,8 @@ def test_inputs_without_a_finite_result_are_refused(argv, message, capsys):
     # OverflowError tracebacks from a power; the narrow indicator warned
     # twice in sigma_fourier before the lattice check refused it.
     # clt took 1/x1 on the node x1 = 0 and wrote a nan KS statistic; the
-    # sine kernel warned of an overflow in |x - y| before its error
+    # sine kernel warned of an overflow in |x - y| before its error, and the
+    # free kernel of one in its Bessel argument mu |x - y|
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -422,7 +429,7 @@ def test_kernel_projector_reads_pi_at_the_nearest_nodes(n, potential, tmp_path):
                            f"# kind=projector\n# mu=1\n# n={n}\n")
     cols, rows = data_rows(text)
     assert cols == [f"{c}{k + 1}" for c in "xy" for k in range(n)] + ["value"]
-    es = _solve_window(parse_potential(potential), 1.0, 0.05)
+    es = solve(parse_potential(potential), 1.0, 0.05)
     nodes = es.grid.interior_points()
     idx = [int(np.argmin(np.sum((nodes - [x, 0.0][:n]) ** 2, axis=1)))
            for x in (-0.5, -0.25, 0.0)]
@@ -521,7 +528,7 @@ def test_agmon_norms_do_not_depend_on_the_basis_of_a_degenerate_level(
 
     def solve_once(*args, **kwargs):
         if not solved:
-            solved.append(_solve_window(*args, **kwargs))
+            solved.append(solve(*args, **kwargs))
         return solved[0]
 
     def rotated(*args, **kwargs):
@@ -538,8 +545,8 @@ def test_agmon_norms_do_not_depend_on_the_basis_of_a_degenerate_level(
     argv = ["agmon", "--potential", "x1^2+x2^2", "--mu", "1", "--hbar", "0.1",
             "--delta", "0.2"]
     norms = []
-    for solve in (solve_once, rotated):
-        monkeypatch.setattr("fermigas.cli._solve_window", solve)
+    for solver in (solve_once, rotated):
+        monkeypatch.setattr("fermigas.cli.solve", solver)
         code, text = run(argv, tmp_path)
         assert code == 0
         cols, rows = data_rows(text)
@@ -553,7 +560,7 @@ def test_agmon_rejects_delta_before_solving(delta, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("the eigensolve ran before the input check")
 
-    monkeypatch.setattr("fermigas.cli._solve_window", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.boxed_hamiltonian", no_solve)
     code = main(["agmon", "--potential", "x1^2+x2^2", "--mu", "1",
                  "--hbar", "0.07", "--delta", delta])
     assert code == 1
@@ -569,8 +576,8 @@ def test_grids_over_the_memory_budget_exit_one_before_solving(
     def no_build(*args, **kwargs):
         raise AssertionError("a grid over the budget was assembled or solved")
 
-    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
-    monkeypatch.setattr("fermigas.experiments.eigensolve", no_build)
+    monkeypatch.setattr("fermigas.schrodinger.assemble_hamiltonian", no_build)
+    monkeypatch.setattr("fermigas.schrodinger.eigensolve", no_build)
     code = main(["weyl", "--potential", potential, "--mu", "1", "--hbar", hbar])
     assert code == 1
     assert "GiB budget" in capsys.readouterr().err
@@ -592,12 +599,12 @@ def test_a_rows_only_solve_is_priced_without_its_eigenvectors(monkeypatch,
     def no_build(*args, **kwargs):
         raise AssertionError("a grid over the budget was assembled or solved")
 
-    monkeypatch.setattr("fermigas.experiments.eigensolve", solved)
+    monkeypatch.setattr("fermigas.schrodinger.eigensolve", solved)
     with pytest.raises(Solved):
         main(["converge-edge", "--potential", "x1^2", "--mu", "100", "--x0",
               "10", "--hbar", "4e-3"])
-    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
-    monkeypatch.setattr("fermigas.experiments.eigensolve", no_build)
+    monkeypatch.setattr("fermigas.schrodinger.assemble_hamiltonian", no_build)
+    monkeypatch.setattr("fermigas.schrodinger.eigensolve", no_build)
     assert main(["sample", "--potential", "x1^2", "--mu", "100", "--hbar",
                  "4e-3", "--seed", "1"]) == 1
     assert "7.73 GiB" in capsys.readouterr().err
@@ -618,7 +625,7 @@ def test_a_separable_2d_solve_is_priced_as_its_product_columns(
     def no_build(*args, **kwargs):
         raise AssertionError("a grid over the budget was assembled or solved")
 
-    monkeypatch.setattr("fermigas.experiments.assemble_hamiltonian", no_build)
+    monkeypatch.setattr("fermigas.schrodinger.assemble_hamiltonian", no_build)
     assert main(["weyl", "--potential", "x1^2+x2^2+0.1*x1*x2", "--mu", "1",
                  "--hbar", "0.021"]) == 1
     assert "GiB budget" in capsys.readouterr().err
@@ -634,8 +641,7 @@ def test_trials_above_the_cap_exit_one_before_solving(argv, monkeypatch,
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the --trials check")
 
-    monkeypatch.setattr("fermigas.cli._solve_window", no_solve)
-    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.boxed_hamiltonian", no_solve)
     assert main(argv + ["--trials", "100001"]) == 1
     assert "at most 100000 trials" in capsys.readouterr().err
     assert _build_parser()[0].parse_args(argv + ["--trials", "100000"]).trials \
@@ -655,7 +661,7 @@ def test_a_seed_outside_64_bits_exits_one_before_solving(argv, monkeypatch,
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the --seed check")
 
-    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.boxed_hamiltonian", no_solve)
     assert main(argv) == 1
     assert "--seed" in capsys.readouterr().err
     top = ["--seed", str(2 ** 64 - 1)]

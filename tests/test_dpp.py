@@ -20,10 +20,10 @@ from fermigas.dpp import (
 )
 from fermigas import dpp as dpp_module
 from fermigas.errors import NumericalError, ValidationError
-from fermigas.experiments import _exact_skewness, _solve_window
+from fermigas.experiments import _exact_skewness
 from fermigas.kernels import bulk_kernel, free_laplacian_window
 from fermigas.potential import parse_potential
-from fermigas.schrodinger import Grid, assemble_hamiltonian, eigensolve
+from fermigas.schrodinger import Grid, assemble_hamiltonian, eigensolve, solve
 
 
 def harmonic_dpp(hbar=0.1, ppa=301, cap=1.0):
@@ -195,7 +195,7 @@ def test_samples_match_one_at_a_time_across_blocks(fermions, monkeypatch):
 @pytest.fixture(scope="module")
 def oscillator_2d():
     # x1^2 + x2^2 at hbar = 0.1: fifteen particles on 39,601 nodes
-    eigs = _solve_window(parse_potential("x1^2+x2^2"), 1.0, 0.1)
+    eigs = solve(parse_potential("x1^2+x2^2"), 1.0, 0.1)
     return from_eigensystem(eigs, 1.0)
 
 

@@ -170,7 +170,7 @@ def test_weyl_rejects_inputs_before_the_quadrature(monkeypatch):
     def no_weyl(*args, **kwargs):
         raise AssertionError("the Weyl quadrature ran before the input check")
 
-    monkeypatch.setattr("fermigas.experiments.weyl_constant", no_weyl)
+    monkeypatch.setattr("fermigas.schrodinger.weyl_constant", no_weyl)
     V = parse_potential("x1^2 + x2^2")
     with pytest.raises(ValidationError, match="hbar must be positive"):
         weyl_check(V, 1.0, [0.0])
@@ -185,9 +185,9 @@ def test_weyl_counts_by_inertia_without_eigenvectors(monkeypatch):
 
     monkeypatch.setattr("fermigas.schrodinger.eigsh", no_solve)
     monkeypatch.setattr("fermigas.schrodinger.splu", no_solve)
-    monkeypatch.setattr("fermigas.experiments.eigensolve", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.eigensolve", no_solve)
     # the counts alone are under test: Z = pi / 2 in closed form
-    monkeypatch.setattr("fermigas.experiments.weyl_constant",
+    monkeypatch.setattr("fermigas.schrodinger.weyl_constant",
                         lambda V, mu: 0.5 * math.pi)
     rep = weyl_check(parse_potential("x1^2 + x2^2"), 1.0, [0.1, 0.07, 0.05])
     assert rep.column("count").tolist() == [15, 28, 55]
@@ -341,7 +341,7 @@ def test_sampling_drivers_reject_too_few_trials_before_solving(
     def no_solve(*args, **kwargs):
         raise AssertionError("the eigensolve ran before the input check")
 
-    monkeypatch.setattr("fermigas.experiments._solve_window", no_solve)
+    monkeypatch.setattr("fermigas.schrodinger.boxed_hamiltonian", no_solve)
     f = TestFunction.gaussian_bump(1, 0.0, 0.4)
     args = {
         clt_monte_carlo: (harmonic, 1.0, f, 0.05, 1, RngState(5)),

@@ -28,8 +28,6 @@ from fermigas.dpp import (
 from fermigas.errors import NumericalError, ValidationError
 from fermigas.experiments import (
     _exact_skewness,
-    _solve_grid,
-    _solve_window,
     bulk_convergence,
     edge_convergence,
 )
@@ -40,9 +38,11 @@ from fermigas.schrodinger import (
     Grid,
     agmon_check,
     assemble_hamiltonian,
+    boxed_hamiltonian,
     edge_rotation,
     eigensolve,
     node_index,
+    solve,
 )
 from oracles import hermite_functions
 
@@ -210,7 +210,7 @@ def test_eigensolve_1d_eigenvalues_match_full_bisection(text, mu, hbar):
     # iteration's vectors brings the levels back to rounding: 4.0e-14 here
     # at hbar=0.0025, where ||H|| is about 400, and 8.0e-14 at 0.00125
     V = parse_potential(text)
-    es = _solve_window(V, mu, hbar)
+    es = solve(V, mu, hbar)
     exact = full_bisection(V, hbar, es.grid, mu)
     assert es.eigenvalues.size == exact.size
     assert np.max(np.abs(es.eigenvalues - exact)) <= 1e-12
@@ -259,7 +259,7 @@ def test_level_count_matches_the_bisection_count_1d(text, mu, hbar, want):
     # the 1-D eigensolve keeps the levels the bisection counts in (lo, mu];
     # that count comes from Sturm sequences at the ends and does not depend
     # on the bisection's tolerance, so a coarse one gives it cheaply
-    grid, H = _solve_grid(parse_potential(text), mu, hbar)
+    grid, H = boxed_hamiltonian(parse_potential(text), mu, hbar)
     d, e = H.diagonal(), H.diagonal(1)
     lo = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
     bisected = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
@@ -316,7 +316,7 @@ def test_eigensolve_1d_separates_tunnelling_pairs(hbar):
     # the double well's tunnelling pairs are equal in floating point at
     # hbar=0.02 and 7.9e-12 apart at 0.05; each pair must share one inverse
     # iteration, which orthogonalises the second vector against the first
-    es = _solve_window(DOUBLE_WELL, 0.5, hbar)
+    es = solve(DOUBLE_WELL, 0.5, hbar)
     assert np.min(np.diff(es.eigenvalues)) <= 1e-11
     orth, resid = eigen_errors(DOUBLE_WELL, es)
     assert orth <= 1e-10
@@ -327,7 +327,7 @@ def test_tunnelling_pairs_need_the_cluster_guard(monkeypatch):
     # with every level in its own inverse iteration, both levels of a
     # degenerate pair converge to the same vector
     monkeypatch.setattr(schrodinger, "_CLUSTER_GAP", -1.0)
-    orth, _ = eigen_errors(DOUBLE_WELL, _solve_window(DOUBLE_WELL, 0.5, 0.02))
+    orth, _ = eigen_errors(DOUBLE_WELL, solve(DOUBLE_WELL, 0.5, 0.02))
     assert orth >= 0.5
 
 
@@ -338,7 +338,7 @@ def test_eigensolve_1d_slice_cut_inside_a_tunnelling_pair(monkeypatch):
     # between them, and that midpoint is the cut: the two slices split the
     # pair, and the clusters, formed over the whole spectrum, join it again
     cap = 0.47596522256729146
-    grid, H = _solve_grid(DOUBLE_WELL, 0.5, 0.02)
+    grid, H = boxed_hamiltonian(DOUBLE_WELL, 0.5, 0.02)
     slices = []
     bisect = schrodinger._bisect
 
@@ -362,7 +362,7 @@ def test_eigensolve_1d_slice_cut_inside_a_tunnelling_pair(monkeypatch):
 def test_eigensolve_1d_is_bit_identical_on_one_and_two_workers(monkeypatch):
     # every slice and cluster computes the same bits on whichever thread
     # runs it; G=11,999 is past _THREADED_NODES, so two workers use the pool
-    grid, H = _solve_grid(parse_potential("x1^2"), 1.0, 0.0025)
+    grid, H = boxed_hamiltonian(parse_potential("x1^2"), 1.0, 0.0025)
     assert H.shape[0] >= schrodinger._THREADED_NODES
     solves = []
     for workers in (1, 2):
@@ -382,7 +382,7 @@ def test_eigensolve_1d_rows_are_the_full_solve_rows_bit_for_bit(
         workers, monkeypatch):
     # each cluster writes the rows the caller asked for and no others, with
     # the bits of a full solve, on either thread count
-    grid, H = _solve_grid(parse_potential("x1^2"), 1.0, 0.0025)
+    grid, H = boxed_hamiltonian(parse_potential("x1^2"), 1.0, 0.0025)
     monkeypatch.setattr(schrodinger, "_worker_count", lambda: workers)
     idx = node_index(grid, np.linspace(0.8, 1.2, 17)[:, None])
     full = eigensolve(H, 1.0, grid, 0.0025)
@@ -414,7 +414,7 @@ def test_eigensolve_1d_slice_counts_must_add_up(monkeypatch):
     bisect = schrodinger._bisect
     monkeypatch.setattr(schrodinger, "_bisect", lambda *args: bisect(*args)[1:])
     with pytest.raises(NumericalError, match="not the 50 counted"):
-        _solve_window(parse_potential("x1^2"), 1.0, 0.01)
+        solve(parse_potential("x1^2"), 1.0, 0.01)
 
 
 @st.composite
@@ -516,7 +516,7 @@ def test_grid_projector_against_the_exact_oscillator_projector(
     # grid's discretisation error, 1.086e-3 (bulk) and 4.901e-3 (edge) in
     # microscopic units, on every node of the window
     hbar = 0.01
-    es = _solve_window(parse_potential("x1^2"), 1.0, hbar)
+    es = solve(parse_potential("x1^2"), 1.0, hbar)
     _, vecs = es.below(1.0)
     assert vecs.shape[1] == 50
     x = es.grid.interior_axis
@@ -623,8 +623,10 @@ def test_eigensolve_2d_singular_shift_is_a_numerical_error():
 def test_eigensolve_2d_separable_at_a_vanishing_hbar_solves_every_counted_level():
     # x1^2 + x2^2 at hbar=1e-160: the 1-D factors are diagonal to rounding,
     # and the level V(1, 0) = 1 sits on the cap, where its sum is counted.
-    # Its Ritz value may round a few ulps above the cap (1.0000000000000009
-    # with this BLAS), well inside 1e-10 ||H||: it is clamped, not refused
+    # The solve keeps the level sums a_i + b_j <= cap, so none lies above
+    # it, and the product residual bound max_i ||T1 u_i - a_i u_i|| +
+    # max_j ||T2 w_j - b_j w_j|| stays within 1e-10 ||H||: it is solved,
+    # not refused
     grid = Grid(2, 1.5, 61)
     H = assemble_hamiltonian(parse_potential("x1^2 + x2^2"), 1e-160, grid)
     es = eigensolve(H, 1.0, grid, 1e-160)
@@ -665,9 +667,10 @@ def assert_matches_dense(es, H, lam, U):
     "x1^2 + x2^2", "x1^2 + 2*x2^2", "x1^4 + x2^4 - x1^2", MIXED,
 ])
 def test_eigensolve_2d_matches_a_dense_oracle(text):
-    # three separable wells from their 1-D factors, then Rayleigh-Ritz, and
-    # the mixed well shift-inverted below its spectrum, against LAPACK's
-    # dense eigh of the same H (15, 9, 33 and 13 levels below 1)
+    # three separable wells from their 1-D factors, checked by the product
+    # residual bound, and the mixed well shift-inverted below its spectrum,
+    # against LAPACK's dense eigh of the same H (15, 9, 33 and 13 levels
+    # below 1)
     grid = Grid(2, 1.5, 41)
     H, lam, U = dense_levels(text, 0.1, grid)
     assert_matches_dense(eigensolve(H, 1.0, grid, 0.1), H, lam, U)
@@ -871,9 +874,11 @@ def test_eigensolve_2d_is_reproducible():
     (MIXED, 0.15),         # the Lanczos basis
 ])
 def test_eigensolve_2d_rows_are_the_full_solve_rows_bit_for_bit(text, hbar):
-    # 2-D rows are taken after the Rayleigh-Ritz step, so its numerics are
-    # those of a full solve
-    grid, H = _solve_grid(parse_potential(text), 1.0, hbar)
+    # separable rows are the products U[p, i] W[q, j] of the factor vectors
+    # that the product residual bound checked for the full solve too, and
+    # Lanczos rows are taken after its Rayleigh-Ritz step, so either matches
+    # a full solve
+    grid, H = boxed_hamiltonian(parse_potential(text), 1.0, hbar)
     pts = np.zeros((5, 2))
     pts[:, 0] = np.linspace(-0.5, 0.5, 5)
     idx = node_index(grid, pts)
@@ -905,7 +910,7 @@ def test_eigensolve_2d_separable_runs_no_rayleigh_ritz_on_the_products(
 def test_eigensolve_2d_separable_rows_peak_below_one_product_block():
     # x1^2 + x2^2 at hbar = 0.03: 136 levels on 82,944 nodes, so one (m, N)
     # block of products is 90 MB; 5 rows of them come from the factors alone
-    grid, H = _solve_grid(parse_potential("x1^2 + x2^2"), 1.0, 0.03)
+    grid, H = boxed_hamiltonian(parse_potential("x1^2 + x2^2"), 1.0, 0.03)
     m = H.shape[0]
     pts = np.zeros((5, 2))
     pts[:, 0] = np.linspace(-0.5, 0.5, 5)
@@ -981,7 +986,7 @@ def test_bulk_convergence_reads_the_projector_on_nodes(monkeypatch):
     monkeypatch.setattr("fermigas.experiments.bulk_kernel", lambda n, x, y: 0.0)
     V = parse_potential("x1^2")
     rep = bulk_convergence(V, 1.0, 0.0, [0.02])
-    es = _solve_window(V, 1.0, 0.02)
+    es = solve(V, 1.0, 0.02)
     eps = bulk_scale(0.02, 0.0, 1.0, 1)
     ax = es.grid.interior_axis
     probes = eps * np.linspace(-2.0, 2.0, 17)
@@ -1046,6 +1051,20 @@ def test_node_rows_read_the_projector_at_the_nearest_nodes(n, data):
     ulp = np.finfo(float).eps * np.abs(full).max()
     np.testing.assert_allclose(R @ R.T, full[np.ix_(idx, idx)], rtol=0.0,
                                atol=4.0 * ulp)
+
+
+def test_solve_records_the_rows_it_holds_and_their_nodes():
+    # a probe solve holds the rows of the nodes nearest its points alone,
+    # and its nodes are those rows of the full solve's interior points
+    V = parse_potential("x1^2+2*x2^2")
+    pts = np.zeros((5, 2))
+    pts[:, 0] = np.linspace(-0.5, 0.5, 5)
+    full, part = solve(V, 1.0, 0.1), solve(V, 1.0, 0.1, pts)
+    assert full.rows is None
+    assert np.array_equal(full.nodes, full.grid.interior_points())
+    assert np.array_equal(part.rows, node_index(part.grid, pts))
+    assert np.array_equal(part.nodes, full.nodes[part.rows])
+    assert part.eigenvectors.shape == (5, full.eigenvalues.size)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1193,3 +1212,13 @@ def test_agmon_validates_inputs():
         agmon_check(es, V, 0.5, 1.5)
     with pytest.raises(ValidationError):
         agmon_check(es, V, 0.9, 0.5)  # needs mu + delta <= cap
+
+
+def test_agmon_refuses_a_rows_only_eigensystem():
+    # the weighted norms sum over every node: on the rows of a probe solve
+    # numpy raised a broadcast ValueError, which no exit code maps
+    V = parse_potential("x1^2")
+    es = solve(V, 1.2, 0.05, np.array([[-0.5], [0.0], [0.5]]))
+    assert es.rows.size == 3
+    with pytest.raises(ValidationError, match="every node"):
+        agmon_check(es, V, 1.0, 0.2)
